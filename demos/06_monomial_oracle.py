@@ -1,10 +1,11 @@
 """The brute-force route: gather powers of x directly from the polynomials.
 
-Every basis polynomial is expanded into exact-rational monomials; multiplying
-by the tabulated expansion coefficients and collecting one power of x must
-reproduce the corresponding Maclaurin coefficient of J_nu(kx).  This route
-never touches the Pochhammer-ratio identity machinery, which is exactly what
-makes it a meaningful cross-check of the summed-series results.
+Every basis polynomial is expanded into exact-rational monomials by its
+three-term recurrence; multiplying by the tabulated expansion coefficients and
+collecting one power of x must reproduce the corresponding Maclaurin
+coefficient of J_nu(kx).  This route never touches the closed-form brackets of
+the identity machinery, which is exactly what makes it a meaningful
+cross-check of the summed-series results.
 """
 
 from fractions import Fraction

@@ -5,7 +5,6 @@ from .mpcore import (
     DEFAULT_CONTEXT,
     DomainError,
     PrecisionContext,
-    Rational,
     Real,
     agreement_digits,
     beta,

@@ -27,6 +27,7 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
+    _pow,
     binomial,
     gamma,
     neumaier_sum,
@@ -156,7 +157,7 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
     with localcontext(ctx.dec):
         sign = -1 if L % 2 else 1
         pref = sign * (2 if L else 1) * ctx.real(kf) ** (2 * L)
-        pref = pref * _pow2(-4 * L - nuf, ctx) / (Decimal(math.factorial(L)) * gamma(L + nuf + 1, ctx))
+        pref = pref * _pow(2, -4 * L - nuf, ctx) / (Decimal(math.factorial(L)) * gamma(L + nuf + 1, ctx))
         return +(pref * f)
 
 
@@ -179,7 +180,7 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
     f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), z), ctx)
     with localcontext(ctx.dec):
         sign = -1 if L % 2 else 1
-        num = sign * ctx.real(kf) ** (2 * L) * _pow2(2 * L - nuf, ctx) * pochhammer(lamf + _HALF, 2 * L, ctx)
+        num = sign * ctx.real(kf) ** (2 * L) * _pow(2, 2 * L - nuf, ctx) * pochhammer(lamf + _HALF, 2 * L, ctx)
         den = (
             ctx.sqrt_pi
             * pochhammer(2 * lamf, 2 * L, ctx)
@@ -187,12 +188,6 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
             * pochhammer(L + _HALF, nuf + _HALF, ctx)
         )
         return +(num / den * f)
-
-
-def _pow2(e: Fraction, ctx: PrecisionContext) -> Decimal:
-    if e.denominator == 1:
-        return ctx.dec.power(Decimal(2), Decimal(int(e)))
-    return ctx.dec.power(Decimal(2), ctx.real(e))
 
 
 def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
@@ -221,6 +216,8 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     kf = to_fraction(k)
     if isinstance(kind, Legendre):
         table = coefficient_table(kind, kf, lmax, ctx)
+        if xf == 0 and kind.N > 0:
+            return Decimal(0)  # J_N(0) = 0 exactly; the sum would only leave rounding residue
         terms = (c * eval_poly(LegendreP(), L, xf, ctx) for L, c in table.entries if c != 0)
         return neumaier_sum(terms, ctx)
     if isinstance(kind, Chebyshev):

@@ -163,10 +163,6 @@ def hyp1f2(a1, b1, b2, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     return eval_pFq(HyperSpec((a1,), (b1, b2), z), ctx)
 
 
-def hyp2f3_regularized(a1, a2, b1, b2, b3, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    return eval_regularized_pFq(HyperSpec((a1, a2), (b1, b2, b3), z), ctx)
-
-
 def pFq_rational_prefix(upper, lower, z: Fraction, terms: int) -> Fraction:
     """Exact partial sum of pFq with rational parameters (brute-force oracle).
 

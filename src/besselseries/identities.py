@@ -14,9 +14,11 @@ The sign_flip switch realizes the modified-Bessel variant: substituting
 k^2 -> -k^2 flips the 1F2 argument to +k^2/4, cancels the alternating sign
 that rides on k^(2L), and removes the (-1)^h from the right-hand side.
 
-An independent brute-force check lives in power_gather_oracle: expand every
-basis polynomial into exact-rational monomials, multiply by the tabulated
-expansion coefficients, and gather the coefficient of one fixed power.
+The Legendre and Chebyshev brackets are monomial coefficients of P_n and T_n
+in integer closed form (_monomial_coefficient).  An independent brute-force
+check lives in power_gather_oracle: expand every basis polynomial into
+exact-rational monomials by its three-term recurrence, multiply by the
+tabulated expansion coefficients, and gather the coefficient of one fixed power.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
+    _pow,
     beta,
     binomial,
     double_factorial,
@@ -48,7 +51,7 @@ from .expansions import (
     chebyshev_coeff,
     coefficient_table,
 )
-from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_coeffs
+from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
 _HALF = Fraction(1, 2)
 
@@ -180,7 +183,7 @@ def _legendre_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
         f = eval_pFq(
             HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z), ctx
         )
-    brace = brace_factor_legendre(L, case.h, "eq11", order=N)
+    brace = _monomial_coefficient(LegendreP(), L, (L - N) // 2 - case.h)
     sign = 1 if case.sign_flip else (1 if ((L - N) // 2) % 2 == 0 else -1)
     with localcontext(ctx.dec):
         pref = ctx.sqrt_pi * sign * (2 * L + 1) * binomial(L, (L - N) // 2)
@@ -192,15 +195,11 @@ def _chebyshev_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     nu = case.nu
     z = _series_argument(case)
     f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + 1, L + nu + 1), z), ctx)
-    m = L - case.h
-    bracket = (
-        pochhammer_fraction(_HALF - L, m)
-        * pochhammer_fraction(Fraction(-L), m)
-        / (math.factorial(m) * pochhammer_fraction(Fraction(1 - 2 * L), m))
-    )
+    # x^(2h) coefficient of T_2L over its leading coefficient (2^(2L-1), or 1 for T_0)
+    bracket = _monomial_coefficient(ChebyshevT(), 2 * L, L - case.h) / (2 ** (2 * L - 1) if L else 1)
     sign = 1 if case.sign_flip else (-1 if L % 2 else 1)
     with localcontext(ctx.dec):
-        pref = sign * _pow2(-2 * L - nu, ctx) * _pow_k(case.k, 2 * L + nu, ctx)
+        pref = sign * _pow(2, -2 * L - nu, ctx) * _pow(case.k, 2 * L + nu, ctx)
         pref = pref / (Decimal(math.factorial(L)) * gamma(L + nu + 1, ctx))
         return +(pref * ctx.real(bracket) * f)
 
@@ -213,11 +212,11 @@ def _gegenbauer_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     with localcontext(ctx.dec):
         num = (
             sign
-            * _pow2(2 * L - nu, ctx)
+            * _pow(2, 2 * L - nu, ctx)
             * pochhammer(Fraction(-L), h, ctx)
             * pochhammer(lam + _HALF, 2 * L, ctx)
             * pochhammer(L + lam, h, ctx)
-            * _pow_k(case.k, 2 * L + nu, ctx)
+            * _pow(case.k, 2 * L + nu, ctx)
         )
         den = (
             ctx.sqrt_pi
@@ -232,17 +231,18 @@ def _gegenbauer_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
         return +(num / den * f)
 
 
-def _pow2(e: Fraction, ctx: PrecisionContext) -> Decimal:
-    if e.denominator == 1:
-        return ctx.dec.power(Decimal(2), Decimal(int(e)))
-    return ctx.dec.power(Decimal(2), ctx.real(e))
+def _monomial_coefficient(poly, n: int, m: int) -> Fraction:
+    """Coefficient of x^(n-2m) in P_n or T_n, in integer closed form:
 
-
-def _pow_k(k: Fraction, e: Fraction, ctx: PrecisionContext) -> Decimal:
-    kv = ctx.real(k)
-    if e.denominator == 1:
-        return ctx.dec.power(kv, Decimal(int(e)))
-    return ctx.dec.power(kv, ctx.real(e))
+        P_n: (-1)^m C(n, m) C(2n-2m, n) / 2^n
+        T_n: (-1)^m 2^(n-2m-1) n/(n-m) C(n-m, m),  and T_0 = 1
+    """
+    sign = -1 if m % 2 else 1
+    if isinstance(poly, LegendreP):
+        return Fraction(sign * math.comb(n, m) * math.comb(2 * n - 2 * m, n), 2**n)
+    if n == 0:
+        return Fraction(1)
+    return Fraction(sign * n * math.comb(n - m, m) * 2 ** (n - 2 * m), 2 * (n - m))
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -253,7 +253,7 @@ def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     nu, h = case.nu, case.h
     sign = 1 if case.sign_flip else (-1 if h % 2 else 1)
     with localcontext(ctx.dec):
-        value = sign * _pow2(Fraction(-2 * h) - nu, ctx) * _pow_k(case.k, 2 * h + nu, ctx)
+        value = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(case.k, 2 * h + nu, ctx)
         value = value / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx))
         return +value
 
@@ -317,8 +317,9 @@ def brace_factor_legendre(L: int, h: int, variant: str = "eq11", order: int = 0)
 
     Both variants are exact rationals and equal the coefficient of
     x^(2h+order) in P_L; they differ only in how that number is assembled
-    (double-factorial versus central-binomial route), which is what makes the
-    cross-variant agreement test meaningful.
+    (eq11: integer binomial closed form; eq10: double factorial climbed by
+    Pochhammer ratios), which is what makes the cross-variant agreement test
+    meaningful.
     """
     if variant not in ("eq10", "eq11"):
         raise DomainError("variant must be 'eq10' or 'eq11'")
@@ -330,13 +331,7 @@ def brace_factor_legendre(L: int, h: int, variant: str = "eq11", order: int = 0)
     if m < 0:
         return Fraction(0)
     if variant == "eq11":
-        lead = Fraction(binomial(2 * L, L), 2**L)
-        return (
-            lead
-            * pochhammer_fraction(Fraction(1 - L, 2), m)
-            * pochhammer_fraction(Fraction(-L, 2), m)
-            / (math.factorial(m) * pochhammer_fraction(_HALF - L, m))
-        )
+        return _monomial_coefficient(LegendreP(), L, m)
     # eq10 route, stated for the even family only: build from the constant
     # term (L-1)!!/(2^(L/2) (L/2)!) and climb h powers with Pochhammer ratios.
     if order != 0:
@@ -365,10 +360,12 @@ def power_gather_oracle(
 ) -> list[OracleRow]:
     """Brute-force route: gather x-powers from exact monomial expansions.
 
-    Expands each basis polynomial into monomials, multiplies by the tabulated
-    expansion coefficients, gathers the coefficient of x^(2h+nu) for each h,
-    and compares with the Maclaurin coefficient of J_nu(kx).  Everything on
-    the gathering side except the coefficients themselves is exact-rational.
+    Expands each basis polynomial into monomials by its three-term recurrence
+    (truncated above the highest gathered power, which is exact), multiplies
+    by the tabulated expansion coefficients, gathers the coefficient of
+    x^(2h+nu) for each h, and compares with the Maclaurin coefficient of
+    J_nu(kx).  Everything on the gathering side except the coefficients
+    themselves is exact-rational.
     """
     if lmax < 2 * hmax:
         raise DomainError("lmax must be at least 2*hmax for a meaningful gather")
@@ -376,7 +373,7 @@ def power_gather_oracle(
     table = coefficient_table(kind, kf, lmax, ctx)
     if isinstance(kind, Legendre):
         nu = Fraction(kind.N)
-        monos = [monomial_coeffs(LegendreP(), L) for L in range(lmax + 1)]
+        poly, step = LegendreP(), 1  # a_LN multiplies P_L
         powers = [2 * h + kind.N for h in range(hmax + 1)]
         k_power = Fraction(0)
     else:
@@ -387,9 +384,10 @@ def power_gather_oracle(
         else:
             raise TypeError(f"unknown expansion kind {kind!r}")
         nu = kind.nu
-        monos = [monomial_coeffs(poly, 2 * L) for L in range(lmax + 1)]
+        step = 2  # the L-th coefficient multiplies the degree-2L polynomial
         powers = [2 * h for h in range(hmax + 1)]
         k_power = nu  # (kx)^nu prefactor contributes k^nu to each gathered power
+    monos = monomial_rows(poly, step * lmax, powers[-1])
     rows = []
     with localcontext(ctx.dec):
         for h in range(hmax + 1):
@@ -397,7 +395,8 @@ def power_gather_oracle(
             total = Decimal(0)
             comp = Decimal(0)
             for L, c in table.entries:
-                frac = monos[L].coefficient(power)
+                mono = monos[step * L]
+                frac = mono[power] if power < len(mono) else 0
                 if not frac or c == 0:
                     continue
                 term = c * ctx.real(frac)
@@ -409,9 +408,9 @@ def power_gather_oracle(
                 total = new_total
             gathered = +(total + comp)
             if k_power:
-                gathered = +(gathered * _pow_k(kf, k_power, ctx))
+                gathered = +(gathered * _pow(kf, k_power, ctx))
             sign = -1 if h % 2 else 1
-            maclaurin = sign * _pow2(Fraction(-2 * h) - nu, ctx) * _pow_k(kf, 2 * h + nu, ctx)
+            maclaurin = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(kf, 2 * h + nu, ctx)
             maclaurin = +(maclaurin / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx)))
             rel = abs(gathered - maclaurin) / abs(maclaurin)
             rows.append(OracleRow(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=+rel))

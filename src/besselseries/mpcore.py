@@ -17,7 +17,6 @@ from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 Real = Decimal
-Rational = Fraction
 
 _ZERO = Decimal(0)
 _ONE = Decimal(1)
@@ -273,7 +272,7 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             with localcontext(ctx.dec):
                 return ctx.sqrt_pi * Decimal(double_factorial(2 * n - 1)) / (_TWO ** n)
         return ctx._cached(("gamma", fx), build_half)
-    return _gamma_general(fx, ctx)
+    return ctx._cached(("gamma", fx), lambda: _gamma_general(fx, ctx))
 
 
 def reciprocal_gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -337,6 +336,14 @@ def pochhammer(x, n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
         return gamma(fx + fn, ctx) / gamma(fx, ctx)
 
 
+def _pow(base, e, ctx: PrecisionContext) -> Decimal:
+    """base^e at working precision; an integer exponent takes the exact-power path."""
+    b = ctx.real(base)
+    if e.denominator == 1:
+        return ctx.dec.power(b, Decimal(int(e)))
+    return ctx.dec.power(b, ctx.real(e))
+
+
 def pochhammer_fraction(x: Fraction, n: int) -> Fraction:
     """Exact rational rising factorial for integer n >= 0."""
     if n < 0:
@@ -348,21 +355,24 @@ def pochhammer_fraction(x: Fraction, n: int) -> Fraction:
 
 
 def beta(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0.
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b).
 
     When either argument is a positive integer m the ratio collapses to
     (m-1)! / (other)_m, which avoids evaluating Gamma at a huge shifted
-    argument (the scale parameter can be as large as 2^20 here).
+    argument (the scale parameter can be as large as 2^20 here).  That form
+    holds for any other argument that is not a pole (0, -1, -2, ...), so a
+    negative Gegenbauer weight in (-1/2, 0) is accepted; the gamma-ratio
+    path needs a, b > 0.
     """
     fa, fb = to_fraction(a), to_fraction(b)
-    if fa <= 0 or fb <= 0:
-        raise DomainError("beta requires positive arguments")
     if fb.denominator != 1 and fa.denominator == 1:
         fa, fb = fb, fa
     with localcontext(ctx.dec):
-        if fb.denominator == 1:
+        if fb.denominator == 1 and fb > 0 and not (fa.denominator == 1 and fa <= 0):
             m = int(fb)
             return +(Decimal(math.factorial(m - 1)) / pochhammer(fa, m, ctx))
+        if fa <= 0 or fb <= 0:
+            raise DomainError("beta requires positive arguments")
         return gamma(fa, ctx) * gamma(fb, ctx) / gamma(fa + fb, ctx)
 
 

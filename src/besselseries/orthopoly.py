@@ -1,29 +1,19 @@
 """Legendre, Chebyshev and Gegenbauer polynomials.
 
-Point evaluation uses the forward three-term recurrences (numerically benign
-on [-1, 1]).  Monomial coefficients are extracted through the finite 2F1-type
-Pochhammer-ratio sums instead, entirely in exact rational arithmetic, so the
-power-gathering oracle carries no rounding error of its own.
+Point evaluation and exact monomial coefficients both come from the forward
+three-term recurrences: in Decimal arithmetic for values on [-1, 1], and on
+exact Fraction coefficient lists for the monomials, so the power-gathering
+oracle carries no rounding error of its own and shares no closed form with the
+identity brackets it checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
 
-from .mpcore import (
-    DEFAULT_CONTEXT,
-    DomainError,
-    PrecisionContext,
-    Real,
-    double_factorial,
-    pochhammer_fraction,
-    to_fraction,
-)
-
-_HALF = Fraction(1, 2)
+from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, to_fraction
 
 
 @dataclass(frozen=True)
@@ -92,51 +82,42 @@ def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     raise TypeError(f"unknown polynomial kind {kind!r}")
 
 
-def monomial_coeffs(kind, n: int) -> MonomialExpansion:
-    """Exact monomial coefficients via the finite Pochhammer-ratio sums."""
+def _recurrence_step(kind, m: int) -> tuple:
+    """(a_m, b_m) with p_{m+1} = a_m x p_m - b_m p_{m-1} and p_{-1} = 0."""
+    if isinstance(kind, LegendreP):
+        return Fraction(2 * m + 1, m + 1), Fraction(m, m + 1)
+    if isinstance(kind, ChebyshevT):
+        return (2 if m else 1), 1
+    if isinstance(kind, GegenbauerC):
+        return 2 * (m + kind.lam) / (m + 1), (m + 2 * kind.lam - 1) / (m + 1)
+    raise TypeError(f"unknown polynomial kind {kind!r}")
+
+
+def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
+    """Exact monomial coefficients of the degree 0..n polynomials.
+
+    Row m lists the coefficients of x^0 .. x^min(m, pmax) of the degree-m
+    polynomial (0 where parity rules a power out), built by the three-term
+    recurrence on Fraction lists.  Dropping the powers above pmax is exact:
+    the x^j coefficient of p_{m+1} needs only x^(j-1) of p_m and x^j of p_{m-1}.
+    """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
-    out = []
-    if isinstance(kind, LegendreP):
-        # c_{n-2m} = (2n-1)!!/n! * ((1-n)/2)_m (-n/2)_m / (m! (1/2 - n)_m)
-        lead = Fraction(double_factorial(2 * n - 1), math.factorial(n))
-        for m in range(n // 2 + 1):
-            c = lead * pochhammer_fraction(Fraction(1 - n, 2), m) * pochhammer_fraction(Fraction(-n, 2), m)
-            c /= math.factorial(m) * pochhammer_fraction(_HALF - n, m)
-            out.append((n - 2 * m, c))
-    elif isinstance(kind, ChebyshevT):
-        # 2^(n-1) x^n * 2F1((1-n)/2, -n/2; 1-n; 1/x^2), augmented by [1 + delta_{n0}]
-        # so the conversion extends down to n = 0.
-        lead = Fraction(2) ** (n - 1) * (2 if n == 0 else 1)
-        for m in range(n // 2 + 1):
-            c = lead * pochhammer_fraction(Fraction(1 - n, 2), m) * pochhammer_fraction(Fraction(-n, 2), m)
-            c /= math.factorial(m) * pochhammer_fraction(Fraction(1 - n), m)
-            out.append((n - 2 * m, c))
-    elif isinstance(kind, GegenbauerC):
-        lam = kind.lam
-        if n % 2 == 0:
-            # C_{2r} = (-1)^r / ((r+lam) B(lam, r+1)) * sum_m (-r)_m (r+lam)_m x^(2m) / (m! (1/2)_m)
-            r = n // 2
-            lead = Fraction(-1) ** r / ((r + lam) * _beta_fraction(lam, r + 1))
-            for m in range(r + 1):
-                c = lead * pochhammer_fraction(Fraction(-r), m) * pochhammer_fraction(r + lam, m)
-                c /= math.factorial(m) * pochhammer_fraction(_HALF, m)
-                out.append((2 * m, c))
-        else:
-            # C_{2r+1} = (-1)^r 2x (lam)_{r+1}/r! * 2F1(-r, r+lam+1; 3/2; x^2)
-            r = (n - 1) // 2
-            lead = Fraction(-1) ** r * 2 * pochhammer_fraction(lam, r + 1) / math.factorial(r)
-            for m in range(r + 1):
-                c = lead * pochhammer_fraction(Fraction(-r), m) * pochhammer_fraction(r + lam + 1, m)
-                c /= math.factorial(m) * pochhammer_fraction(Fraction(3, 2), m)
-                out.append((2 * m + 1, c))
-    else:
-        raise TypeError(f"unknown polynomial kind {kind!r}")
-    out = [(j, c) for j, c in out if c != 0]
-    out.sort(key=lambda jc: jc[0])
-    return MonomialExpansion(degree=n, coeffs=tuple(out))
+    if pmax is None:
+        pmax = n
+    rows = [[Fraction(1)]]
+    for m in range(n):
+        a, b = _recurrence_step(kind, m)
+        cur, prev = rows[m], (rows[m - 1] if m else [])
+        new = [0] * (min(m + 1, pmax) + 1)
+        for j in range((m + 1) % 2, len(new), 2):
+            c = a * cur[j - 1] if j else 0
+            new[j] = c - b * prev[j] if j < len(prev) else c
+        rows.append(new)
+    return rows
 
 
-def _beta_fraction(lam: Fraction, m: int) -> Fraction:
-    # B(lam, m) for integer m >= 1 collapses to (m-1)! / (lam)_m
-    return Fraction(math.factorial(m - 1)) / pochhammer_fraction(lam, m)
+def monomial_coeffs(kind, n: int) -> MonomialExpansion:
+    """Exact monomial coefficients of the degree-n polynomial (last recurrence row)."""
+    row = monomial_rows(kind, n)[n]
+    return MonomialExpansion(degree=n, coeffs=tuple((j, c) for j, c in enumerate(row) if c != 0))

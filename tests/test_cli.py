@@ -156,6 +156,25 @@ def test_eval_agreement(capsys):
     assert agreement >= 33
 
 
+def test_eval_legendre_at_zero_is_exact(capsys):
+    code, out = run_cli(
+        capsys,
+        "eval", "--kind", "legendre", "--N", "2", "--k", "5", "--x", "0", "--lmax", "60",
+    )
+    assert code == 0
+    assert out.splitlines() == ["expansion  0", "reference  0", "agreement  64 significant digits"]
+
+
+def test_verify_negative_lambda(capsys):
+    # a negative value has to be attached with '=': argparse reads '-1/4' as an option
+    code, out = run_cli(
+        capsys,
+        "verify", "--id", "gegenbauer-nu0", "--lambda=-1/4", "--h", "0..1", "--k", "1", "--lmax", "40",
+    )
+    assert code == 0
+    assert out.count("PASS") == 2
+
+
 def test_eval_domain_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["eval", "--kind", "chebyshev", "--nu", "0", "--k", "1", "--x", "2"])

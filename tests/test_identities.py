@@ -21,7 +21,7 @@ from besselseries import (
     verify_identity,
 )
 from besselseries.cli import auto_lmax
-from besselseries.orthopoly import LegendreP, monomial_coeffs
+from besselseries.orthopoly import LegendreP, monomial_rows
 
 from helpers import fraction_to_decimal, rel_diff, sig_digit_count, sin_rational_series
 import reference_tables as ref
@@ -109,13 +109,14 @@ def test_brace_direct_value():
 
 
 def test_brace_variants_agree_and_match_monomials():
-    for L in range(0, 41, 2):
-        mono = monomial_coeffs(LegendreP(), L)
-        for h in range(0, 11):
+    # eq11 is the integer closed form; eq10 and the recurrence rows are the references
+    rows = monomial_rows(LegendreP(), 128)
+    for L in range(0, 129, 2):
+        for h in range(0, L // 2 + 2):
             eq11 = brace_factor_legendre(L, h, "eq11")
             eq10 = brace_factor_legendre(L, h, "eq10")
             assert eq10 == eq11, (L, h)
-            assert eq11 == mono.coefficient(2 * h), (L, h)
+            assert eq11 == (rows[L][2 * h] if 2 * h <= L else 0), (L, h)
 
 
 def test_brace_variant_validation():
@@ -170,6 +171,16 @@ def test_gegenbauer_partial_sum_traces(ctx):
     r = verify_identity(huge, ctx)
     assert r.passed
     assert abs(ctx.dec.add(r.lhs, Decimal("0.25"))) < Decimal("1e-30")
+
+
+@pytest.mark.parametrize("lam", [Fraction(-1, 4), Fraction(-2, 5)], ids=["-1/4", "-2/5"])
+def test_gegenbauer_negative_lambda(lam, ctx):
+    # -1/2 < lambda < 0 is a valid weight; B(lambda, L+1) is finite there
+    for h in range(4):
+        case = _case(IdentityId.GEGENBAUER_NU0, h=h, k=1, lam=lam, lmax=h + 60,
+                     tolerance=Fraction(1, 10**60))
+        r = verify_identity(case, ctx)
+        assert r.passed, (h, r.rel_diff)
 
 
 def test_lambda_independence(ctx):

@@ -136,8 +136,13 @@ def test_beta(ctx):
     # huge first argument stays cheap and finite through the reduction
     huge = beta(Fraction(2**20), 3, ctx)
     assert 0 < huge < 1
+    # the reduction holds for a negative non-integer partner: B(-1/4, 3) = 2!/(-1/4)_3
+    want = ctx.real(Fraction(2) / pochhammer_fraction(Fraction(-1, 4), 3))
+    assert beta(Fraction(-1, 4), 3, ctx) == want == beta(3, Fraction(-1, 4), ctx)
     with pytest.raises(DomainError):
         beta(0, 1, ctx)
+    with pytest.raises(DomainError):
+        beta(Fraction(-1, 4), Fraction(1, 3), ctx)
 
 
 @pytest.mark.parametrize(

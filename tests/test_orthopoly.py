@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from besselseries import DomainError, pochhammer_fraction
+from besselseries.identities import _monomial_coefficient
 from besselseries.orthopoly import (
     ChebyshevT,
     GegenbauerC,
     LegendreP,
     eval_poly,
     monomial_coeffs,
+    monomial_rows,
 )
 
 from helpers import rel_diff
@@ -22,7 +24,33 @@ KINDS = [
     ChebyshevT(),
     GegenbauerC(Fraction(1, 4)),
     GegenbauerC(Fraction(4)),
+    GegenbauerC(Fraction(1, 3)),
+    GegenbauerC(Fraction(7, 3)),
+    GegenbauerC(Fraction(-1, 4)),
+    GegenbauerC(Fraction(1, 2**20)),
 ]
+KIND_IDS = ["legendre", "chebyshev", "geg1/4", "geg4", "geg1/3", "geg7/3", "geg-1/4", "geg2^-20"]
+# lambda = 1/3 and 7/3 round in Decimal, so the Decimal recurrence misses a
+# 1e-61 relative bar near a root; the exact-rational checks take every kind.
+DECIMAL_EXACT = [(k, i) for k, i in zip(KINDS, KIND_IDS) if i not in ("geg1/3", "geg7/3")]
+
+
+def closed_form_row(kind, n: int) -> list:
+    """Coefficients of x^0..x^n of the degree-n polynomial from closed forms.
+
+    P_n and T_n use the integer forms of the identity brackets; C^lam_n uses
+    (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!) for the power x^(n-2m).
+    """
+    row = [0] * (n + 1)
+    if not isinstance(kind, GegenbauerC):
+        for m in range(n // 2 + 1):
+            row[n - 2 * m] = _monomial_coefficient(kind, n, m)
+        return row
+    poch = pochhammer_fraction(kind.lam, n - n // 2)  # (lam)_(n-m), from m = n//2 down
+    for m in range(n // 2, -1, -1):
+        row[n - 2 * m] = (-1) ** m * poch * 2 ** (n - 2 * m) / (math.factorial(m) * math.factorial(n - 2 * m))
+        poch *= kind.lam + n - m
+    return row
 
 
 def test_point_values(ctx):
@@ -43,7 +71,7 @@ def test_monomial_examples():
     assert c2.coefficient(2) == Fraction(5, 8)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=["legendre", "chebyshev", "geg1/4", "geg4"])
+@pytest.mark.parametrize("kind", [k for k, _ in DECIMAL_EXACT], ids=[i for _, i in DECIMAL_EXACT])
 def test_eval_matches_monomials_up_to_degree_50(kind, ctx):
     rng = random.Random(1234)
     tol = Decimal(10) ** (-(ctx.working_digits - 3))
@@ -59,7 +87,7 @@ def test_eval_matches_monomials_up_to_degree_50(kind, ctx):
                 assert rel_diff(direct, via_mono) < tol
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=["legendre", "chebyshev", "geg1/4", "geg4"])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_value_at_one(kind):
     for n in range(0, 13):
         mono = monomial_coeffs(kind, n)
@@ -69,6 +97,18 @@ def test_value_at_one(kind):
         else:
             expected = Fraction(1)
         assert at_one == expected
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_recurrence_rows_match_closed_forms(kind):
+    rows = monomial_rows(kind, 130)
+    assert len(rows) == 131
+    for n, row in enumerate(rows):
+        assert row == closed_form_row(kind, n), n
+    # cutting the powers above pmax is exact: truncated rows are prefixes
+    for pmax in (0, 1, 23):
+        short = monomial_rows(kind, 130, pmax)
+        assert all(s == r[: pmax + 1] for s, r in zip(short, rows))
 
 
 def test_even_constant_terms():
