@@ -268,9 +268,7 @@ def _cmd_eval(args, parser) -> int:
         reference = bessel_j_ref(nu, args.k * args.x, ctx)
     except ValueError as exc:
         parser.error(str(exc))
-    digits = agreement_digits(value, reference, ctx) if reference != 0 else (
-        ctx.working_digits if value == reference else 0
-    )
+    digits = agreement_digits(value, reference, ctx)
     payload = {
         "expansion": format_decimal(value, args.digits),
         "reference": format_decimal(reference, args.digits),

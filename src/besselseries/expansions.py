@@ -11,6 +11,11 @@ function J_nu(kx) (kx)^-nu and apply to non-integer orders as well:
     J_nu(kx) = (kx)^nu sum_L C_Lnu(k) T_2L(x)
     J_nu(kx) = (kx)^nu sum_L b_Lnu(k) C^lam_2L(x)
 
+With the modified switch of the private coefficient functions, the same
+formulas give the coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and
+the sign that rides on k^(2L) (k^L for Legendre) is dropped.  The summed-series
+identities use that switch; the public functions always leave it off.
+
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation is a display option only.
 """
@@ -105,17 +110,23 @@ def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     return legendre_coeff_general(L, N, k, ctx)
 
 
-def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext) -> Real:
+def _series_argument(kf: Fraction, modified: bool) -> Fraction:
+    # the modified-Bessel switch substitutes k^2 -> -k^2: the 1F2 argument turns to +k^2/4
+    return (kf * kf) / 4 if modified else -(kf * kf) / 4
+
+
+def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: bool = False) -> Real:
     kf = to_fraction(k)
-    z = -(kf * kf) / 4
+    z = _series_argument(kf, modified)
     if N == 0:
         f = eval_pFq(HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z), ctx)
     else:
         f = eval_pFq(
             HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z), ctx
         )
+    sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
     with localcontext(ctx.dec):
-        pref = ctx.sqrt_pi * _parity_sign((L - N) // 2) * (2 * L + 1) * binomial(L, (L - N) // 2)
+        pref = ctx.sqrt_pi * sign * (2 * L + 1) * binomial(L, (L - N) // 2)
         pref = pref * ctx.real(kf) ** L / (Decimal(2) ** (2 * L + 1) * gamma(L + Fraction(3, 2), ctx))
         return +(pref * f)
 
@@ -151,11 +162,13 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
     nuf = to_fraction(nu)
     if nuf < 0:
         raise DomainError("nu must be >= 0")
-    kf = to_fraction(k)
-    z = -(kf * kf) / 4
-    f = eval_pFq(HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), z), ctx)
+    return _chebyshev_coeff(L, nuf, to_fraction(k), ctx)
+
+
+def _chebyshev_coeff(L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
+    f = eval_pFq(HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified)), ctx)
     with localcontext(ctx.dec):
-        sign = -1 if L % 2 else 1
+        sign = -1 if L % 2 and not modified else 1
         pref = sign * (2 if L else 1) * ctx.real(kf) ** (2 * L)
         pref = pref * _pow(2, -4 * L - nuf, ctx) / (Decimal(math.factorial(L)) * gamma(L + nuf + 1, ctx))
         return +(pref * f)
@@ -175,11 +188,15 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
         raise DomainError("nu must be >= 0")
     if lamf <= Fraction(-1, 2) or lamf == 0:
         raise DomainError("lambda must be > -1/2 and nonzero")
-    kf = to_fraction(k)
-    z = -(kf * kf) / 4
-    f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), z), ctx)
+    return _gegenbauer_coeff(L, nuf, lamf, to_fraction(k), ctx)
+
+
+def _gegenbauer_coeff(
+    L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
+) -> Real:
+    f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified)), ctx)
     with localcontext(ctx.dec):
-        sign = -1 if L % 2 else 1
+        sign = -1 if L % 2 and not modified else 1
         num = sign * ctx.real(kf) ** (2 * L) * _pow(2, 2 * L - nuf, ctx) * pochhammer(lamf + _HALF, 2 * L, ctx)
         den = (
             ctx.sqrt_pi
@@ -190,13 +207,18 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
         return +(num / den * f)
 
 
-def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
-    """Coefficients for L = 0..lmax (Legendre keeps its parity zeros)."""
+def _table_args(k, lmax: int) -> Fraction:
     if lmax < 0:
         raise DomainError("lmax must be >= 0")
     kf = to_fraction(k)
     if kf <= 0:
         raise DomainError("k must be > 0")
+    return kf
+
+
+def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
+    """Coefficients for L = 0..lmax (Legendre keeps its parity zeros)."""
+    kf = _table_args(k, lmax)
     if isinstance(kind, Legendre):
         entries = tuple((L, legendre_coeff(L, kind.N, kf, ctx)) for L in range(lmax + 1))
     elif isinstance(kind, Chebyshev):
@@ -213,11 +235,11 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     xf = to_fraction(x)
     if abs(xf) > 1:
         raise DomainError("x must lie in [-1, 1]")
-    kf = to_fraction(k)
+    kf = _table_args(k, lmax)
     if isinstance(kind, Legendre):
-        table = coefficient_table(kind, kf, lmax, ctx)
         if xf == 0 and kind.N > 0:
             return Decimal(0)  # J_N(0) = 0 exactly; the sum would only leave rounding residue
+        table = coefficient_table(kind, kf, lmax, ctx)
         terms = (c * eval_poly(LegendreP(), L, xf, ctx) for L, c in table.entries if c != 0)
         return neumaier_sum(terms, ctx)
     if isinstance(kind, Chebyshev):

@@ -53,14 +53,11 @@ def _pole_parameters(spec: HyperSpec):
     return [b for b in spec.lower if b.denominator == 1 and b <= 0]
 
 
-_pfq_cache: dict = {}
-
-
 def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Plain pFq(a; b; z) by direct summation.
 
-    Results are memoized per (parameters, working precision): the identity
-    sweeps re-request the same 1F2 values for every power index h.
+    Results are memoized in the context, keyed on the parameters and the
+    argument, so one context returns the same object for the same series.
     """
     poles = _pole_parameters(spec)
     if poles:
@@ -68,13 +65,8 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use eval_regularized_pFq"
         )
-    key = (spec.upper, spec.lower, to_fraction(spec.z), ctx.working_digits)
-    cached = _pfq_cache.get(key)
-    if cached is not None:
-        return cached
-    value = _eval_pFq_series(spec, ctx)
-    _pfq_cache[key] = value
-    return value
+    key = ("pFq", spec.upper, spec.lower, to_fraction(spec.z))
+    return ctx._cached(key, lambda: _eval_pFq_series(spec, ctx))
 
 
 def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:

@@ -14,11 +14,16 @@ The sign_flip switch realizes the modified-Bessel variant: substituting
 k^2 -> -k^2 flips the 1F2 argument to +k^2/4, cancels the alternating sign
 that rides on k^(2L), and removes the (-1)^h from the right-hand side.
 
-The Legendre and Chebyshev brackets are monomial coefficients of P_n and T_n
-in integer closed form (_monomial_coefficient).  An independent brute-force
-check lives in power_gather_oracle: expand every basis polynomial into
-exact-rational monomials by its three-term recurrence, multiply by the
-tabulated expansion coefficients, and gather the coefficient of one fixed power.
+Each term is the expansion coefficient of order L (from expansions, with the
+modified-Bessel switch set by sign_flip) times the exact x^(2h+nu) monomial
+coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_coefficient),
+times k^nu for the Chebyshev and Gegenbauer families.  Only the monomial
+factor depends on h: the coefficients and k^nu are cached in the context, so
+an h-sweep on one context computes each order's coefficient once.  An
+independent brute-force check lives in power_gather_oracle: expand every basis
+polynomial into exact-rational monomials by its three-term recurrence, multiply
+by the tabulated expansion coefficients, and gather the coefficient of one
+fixed power.
 """
 
 from __future__ import annotations
@@ -35,20 +40,19 @@ from .mpcore import (
     PrecisionContext,
     Real,
     _pow,
-    beta,
-    binomial,
     double_factorial,
     gamma,
-    pochhammer,
+    neumaier_sum,
     pochhammer_fraction,
     to_fraction,
 )
-from .hypergeom import HyperSpec, eval_pFq
 from .expansions import (
     Chebyshev,
     Gegenbauer,
     Legendre,
-    chebyshev_coeff,
+    _chebyshev_coeff,
+    _gegenbauer_coeff,
+    _legendre_coeff_reduced,
     coefficient_table,
 )
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
@@ -152,97 +156,66 @@ def _parity_skip(case: IdentityCase, L: int) -> bool:
 
 
 def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """The L-th summand; exactly zero below the first contributing order."""
+    """The L-th summand; exactly zero below the first contributing order.
+
+    The summand is the order-L expansion coefficient times k^nu (Chebyshev and
+    Gegenbauer expand J_nu(kx) (kx)^-nu) times the exact x^(2h+nu) monomial
+    coefficient of the basis polynomial.  Only the monomial factor depends on
+    h, so the coefficient and k^nu are cached in the context and an h-sweep
+    computes each order's coefficient once.
+    """
     if L < 0:
         raise DomainError("L must be >= 0")
     if _parity_skip(case, L) or L < first_contributing_order(case):
         return Decimal(0)
+    k, nu, lam, flip = case.k, case.nu, case.lam, case.sign_flip
     if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
-        return _legendre_term(case, L, ctx)
-    if case.id in (IdentityId.CHEBYSHEV_EVEN, IdentityId.CHEBYSHEV_ODD, IdentityId.CHEBYSHEV_GENERAL_NU):
-        return _chebyshev_term(case, L, ctx)
-    if case.id in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
-        return _gegenbauer_term(case, L, ctx)
-    if case.id == IdentityId.CLENSHAW_SUM_RULE:
-        coef = chebyshev_coeff(L, 0, case.k, ctx)
-        return coef.copy_negate() if L % 2 else coef  # exact sign flip, no rounding
-    raise DomainError(f"unknown identity {case.id}")
-
-
-def _series_argument(case: IdentityCase) -> Fraction:
-    z = (case.k * case.k) / 4
-    return z if case.sign_flip else -z
-
-
-def _legendre_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    N = 0 if case.id == IdentityId.LEGENDRE_J0 else 1
-    z = _series_argument(case)
-    if N == 0:
-        f = eval_pFq(HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z), ctx)
-    else:
-        f = eval_pFq(
-            HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z), ctx
-        )
-    brace = _monomial_coefficient(LegendreP(), L, (L - N) // 2 - case.h)
-    sign = 1 if case.sign_flip else (1 if ((L - N) // 2) % 2 == 0 else -1)
+        N = int(nu)
+        family, k_power = "legendre", Fraction(0)  # J_N(kx) itself is expanded: no k^nu factor
+        mono = _monomial_coefficient(LegendreP(), L, (L - N) // 2 - case.h)
+        build = lambda: _legendre_coeff_reduced(L, N, k, ctx, flip)
+    elif case.id in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
+        family, k_power = "gegenbauer", nu
+        mono = _monomial_coefficient(GegenbauerC(lam), 2 * L, L - case.h, ctx)
+        build = lambda: _gegenbauer_coeff(L, nu, lam, k, ctx, flip)
+    else:  # the Chebyshev ids; the Clenshaw sum rule is chebyshev-even at h = 0
+        family, k_power = "chebyshev", nu
+        mono = _monomial_coefficient(ChebyshevT(), 2 * L, L - case.h)
+        build = lambda: _chebyshev_coeff(L, nu, k, ctx, flip)
+    coeff = ctx._cached(("coeff", family, L, k, nu, lam, flip), build)
+    k_nu = ctx._cached(("k^nu", k, k_power), lambda: _pow(k, k_power, ctx))
     with localcontext(ctx.dec):
-        pref = ctx.sqrt_pi * sign * (2 * L + 1) * binomial(L, (L - N) // 2)
-        pref = pref * ctx.real(case.k) ** L / (Decimal(2) ** (2 * L + 1) * gamma(L + Fraction(3, 2), ctx))
-        return +(pref * f * ctx.real(brace))
+        return +(coeff * k_nu * ctx.real(mono))
 
 
-def _chebyshev_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    nu = case.nu
-    z = _series_argument(case)
-    f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + 1, L + nu + 1), z), ctx)
-    # x^(2h) coefficient of T_2L over its leading coefficient (2^(2L-1), or 1 for T_0)
-    bracket = _monomial_coefficient(ChebyshevT(), 2 * L, L - case.h) / (2 ** (2 * L - 1) if L else 1)
-    sign = 1 if case.sign_flip else (-1 if L % 2 else 1)
-    with localcontext(ctx.dec):
-        pref = sign * _pow(2, -2 * L - nu, ctx) * _pow(case.k, 2 * L + nu, ctx)
-        pref = pref / (Decimal(math.factorial(L)) * gamma(L + nu + 1, ctx))
-        return +(pref * ctx.real(bracket) * f)
-
-
-def _gegenbauer_term(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    nu, lam, h = case.nu, case.lam, case.h
-    z = _series_argument(case)
-    f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lam + 1, L + nu + 1), z), ctx)
-    sign = (-1 if L % 2 else 1) if case.sign_flip else 1
-    with localcontext(ctx.dec):
-        num = (
-            sign
-            * _pow(2, 2 * L - nu, ctx)
-            * pochhammer(Fraction(-L), h, ctx)
-            * pochhammer(lam + _HALF, 2 * L, ctx)
-            * pochhammer(L + lam, h, ctx)
-            * _pow(case.k, 2 * L + nu, ctx)
-        )
-        den = (
-            ctx.sqrt_pi
-            * Decimal(math.factorial(h))
-            * pochhammer(_HALF, h, ctx)
-            * ctx.real(L + lam)
-            * pochhammer(2 * lam, 2 * L, ctx)
-            * pochhammer(2 * L + 2 * lam, 2 * L, ctx)
-            * pochhammer(L + _HALF, nu + _HALF, ctx)
-            * beta(lam, L + 1, ctx)
-        )
-        return +(num / den * f)
-
-
-def _monomial_coefficient(poly, n: int, m: int) -> Fraction:
-    """Coefficient of x^(n-2m) in P_n or T_n, in integer closed form:
+def _monomial_coefficient(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
+    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n, in closed form:
 
         P_n: (-1)^m C(n, m) C(2n-2m, n) / 2^n
         T_n: (-1)^m 2^(n-2m-1) n/(n-m) C(n-m, m),  and T_0 = 1
+        C^lam_n: (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!)
+
+    The exact rising factorials (lam)_j come from a table in the context.
     """
     sign = -1 if m % 2 else 1
     if isinstance(poly, LegendreP):
         return Fraction(sign * math.comb(n, m) * math.comb(2 * n - 2 * m, n), 2**n)
+    if isinstance(poly, GegenbauerC):
+        rising = _rising_factorial(poly.lam, n - m, ctx)
+        return sign * rising * 2 ** (n - 2 * m) / (math.factorial(m) * math.factorial(n - 2 * m))
     if n == 0:
         return Fraction(1)
     return Fraction(sign * n * math.comb(n - m, m) * 2 ** (n - 2 * m), 2 * (n - m))
+
+
+def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
+    """Exact (lam)_j from a per-context table that grows on demand."""
+    table = ctx._cached(("rising", lam), lambda: [Fraction(1)])
+    if j >= len(table):
+        with ctx._lock:  # appending is check-then-act: two threads must not both extend
+            while j >= len(table):
+                table.append(table[-1] * (lam + len(table) - 1))
+    return table[j]
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -250,12 +223,15 @@ def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     J_nu(kx) (or of I_nu with sign_flip), times nothing else."""
     if case.id == IdentityId.CLENSHAW_SUM_RULE:
         return ctx.real(1)
-    nu, h = case.nu, case.h
-    sign = 1 if case.sign_flip else (-1 if h % 2 else 1)
+    return _maclaurin(case.h, case.nu, case.k, case.sign_flip, ctx)
+
+
+def _maclaurin(h: int, nu: Fraction, k: Fraction, sign_flip: bool, ctx: PrecisionContext) -> Real:
+    """(-1)^h 2^(-2h-nu) k^(2h+nu) / (h! Gamma(h+nu+1)); no (-1)^h with sign_flip."""
+    sign = 1 if sign_flip else (-1 if h % 2 else 1)
     with localcontext(ctx.dec):
-        value = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(case.k, 2 * h + nu, ctx)
-        value = value / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx))
-        return +value
+        value = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(k, 2 * h + nu, ctx)
+        return +(value / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx)))
 
 
 def verify_identity(
@@ -267,30 +243,11 @@ def verify_identity(
     are therefore deterministic for a given context.
     """
     start = first_contributing_order(case)
-    trace_rows = [] if trace else None
+    orders = [L for L in range(case.lmax + 1) if not _parity_skip(case, L)]
+    rows = [(L, identity_term(case, L, ctx) if L >= start else Decimal(0)) for L in orders]
+    lhs = neumaier_sum((term for L, term in rows if L >= start), ctx)
+    rhs = identity_rhs(case, ctx)
     with localcontext(ctx.dec):
-        total = Decimal(0)
-        comp = Decimal(0)
-        used = 0
-        for L in range(case.lmax + 1):
-            if _parity_skip(case, L):
-                continue
-            if L < start:
-                if trace_rows is not None:
-                    trace_rows.append((L, Decimal(0)))
-                continue
-            term = identity_term(case, L, ctx)
-            used += 1
-            if trace_rows is not None:
-                trace_rows.append((L, term))
-            new_total = total + term
-            if abs(total) >= abs(term):
-                comp += (total - new_total) + term
-            else:
-                comp += (term - new_total) + total
-            total = new_total
-        lhs = +(total + comp)
-        rhs = identity_rhs(case, ctx)
         abs_diff = abs(lhs - rhs)
         rel_diff = abs_diff / abs(rhs)
         passed = rel_diff <= ctx.real(case.tolerance)
@@ -299,9 +256,9 @@ def verify_identity(
         rhs=rhs,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
-        terms_used=used,
+        terms_used=sum(1 for L, _ in rows if L >= start),
         passed=bool(passed),
-        terms=tuple(trace_rows) if trace_rows is not None else None,
+        terms=tuple(rows) if trace else None,
     )
 
 
@@ -388,30 +345,21 @@ def power_gather_oracle(
         powers = [2 * h for h in range(hmax + 1)]
         k_power = nu  # (kx)^nu prefactor contributes k^nu to each gathered power
     monos = monomial_rows(poly, step * lmax, powers[-1])
+
+    def gathered_terms(power):
+        for L, c in table.entries:
+            mono = monos[step * L]
+            frac = mono[power] if power < len(mono) else 0
+            if frac and c != 0:
+                yield c * ctx.real(frac)
+
     rows = []
-    with localcontext(ctx.dec):
-        for h in range(hmax + 1):
-            power = powers[h]
-            total = Decimal(0)
-            comp = Decimal(0)
-            for L, c in table.entries:
-                mono = monos[step * L]
-                frac = mono[power] if power < len(mono) else 0
-                if not frac or c == 0:
-                    continue
-                term = c * ctx.real(frac)
-                new_total = total + term
-                if abs(total) >= abs(term):
-                    comp += (total - new_total) + term
-                else:
-                    comp += (term - new_total) + total
-                total = new_total
-            gathered = +(total + comp)
+    for h in range(hmax + 1):
+        with localcontext(ctx.dec):
+            gathered = neumaier_sum(gathered_terms(powers[h]), ctx)
             if k_power:
                 gathered = +(gathered * _pow(kf, k_power, ctx))
-            sign = -1 if h % 2 else 1
-            maclaurin = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(kf, 2 * h + nu, ctx)
-            maclaurin = +(maclaurin / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx)))
+            maclaurin = _maclaurin(h, nu, kf, False, ctx)
             rel = abs(gathered - maclaurin) / abs(maclaurin)
             rows.append(OracleRow(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=+rel))
     return rows

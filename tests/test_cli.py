@@ -163,6 +163,10 @@ def test_eval_legendre_at_zero_is_exact(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["expansion  0", "reference  0", "agreement  64 significant digits"]
+    # the exact-zero shortcut still validates k first
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--kind", "legendre", "--N", "2", "--k", "0", "--x", "0", "--lmax", "60"])
+    assert exc.value.code == 2
 
 
 def test_verify_negative_lambda(capsys):

@@ -1,3 +1,4 @@
+import json
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -10,18 +11,24 @@ from besselseries import (
     IdentityCase,
     IdentityId,
     Legendre,
+    PrecisionContext,
     bessel_i_ref,
     brace_factor_legendre,
+    chebyshev_coeff,
     clenshaw_sum_rule,
     first_contributing_order,
     format_decimal,
+    gegenbauer_coeff,
     identity_rhs,
     identity_term,
+    legendre_coeff,
     power_gather_oracle,
     verify_identity,
 )
-from besselseries.cli import auto_lmax
-from besselseries.orthopoly import LegendreP, monomial_rows
+from besselseries import hypergeom, identities
+from besselseries.cli import auto_lmax, main
+from besselseries.hypergeom import pFq_rational_prefix
+from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
 from helpers import fraction_to_decimal, rel_diff, sig_digit_count, sin_rational_series
 import reference_tables as ref
@@ -68,6 +75,100 @@ def test_gegenbauer_extreme_lambda_term_values(ctx):
     huge = _case(IdentityId.GEGENBAUER_NU0, h=1, k=1, lam=LAMBDA_HUGE, lmax=7)
     printed = ref.GEGENBAUER_H1_TERM1_LAMBDA_HUGE
     assert format_decimal(identity_term(huge, 1, ctx), sig_digit_count(printed)) == printed
+
+
+# Every identity id at k = 27/8, where k^(1/3) = 3/2 and k^(2/3) = 9/4 are exact.
+FACTOR_K = Fraction(27, 8)
+FACTOR_CASES = [
+    (IdentityId.LEGENDRE_J0, {}),
+    (IdentityId.LEGENDRE_J1, {}),
+    (IdentityId.CHEBYSHEV_EVEN, {}),
+    (IdentityId.CHEBYSHEV_ODD, {}),
+    (IdentityId.CHEBYSHEV_GENERAL_NU, {"nu": Fraction(1, 3)}),
+    (IdentityId.GEGENBAUER_NU0, {"lam": Fraction(7, 3)}),
+    (IdentityId.GEGENBAUER_GENERAL, {"nu": Fraction(2, 3), "lam": Fraction(1, 3)}),
+    (IdentityId.CLENSHAW_SUM_RULE, {}),
+]
+
+
+def _factors(case, L, ctx):
+    """(public coefficient, 1F2 parameters, sign on k^(2L), k^nu, basis, degree, power)."""
+    nu, lam, h = case.nu, case.lam, case.h
+    half = Fraction(1, 2)
+    if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
+        N = int(nu)
+        params = ((Fraction(L, 2) + half + N * half,), (Fraction(L, 2) + 1 + N * half, L + Fraction(3, 2)))
+        sign = -1 if ((L - N) // 2) % 2 else 1
+        return legendre_coeff(L, N, case.k, ctx), params, sign, Fraction(1), LegendreP(), L, 2 * h + N
+    sign = -1 if L % 2 else 1
+    k_nu = {0: 1, Fraction(1): FACTOR_K, Fraction(1, 3): Fraction(3, 2), Fraction(2, 3): Fraction(9, 4)}[nu]
+    if lam is None:
+        params = ((L + half,), (L + nu + 1, 2 * L + 1))
+        return chebyshev_coeff(L, nu, case.k, ctx), params, sign, k_nu, ChebyshevT(), 2 * L, 2 * h
+    params = ((L + half,), (2 * L + lam + 1, L + nu + 1))
+    return gegenbauer_coeff(L, nu, lam, case.k, ctx), params, sign, k_nu, GegenbauerC(lam), 2 * L, 2 * h
+
+
+@pytest.mark.parametrize("sign_flip", [False, True], ids=["J", "I"])
+@pytest.mark.parametrize("identity,params", FACTOR_CASES, ids=[i.value for i, _ in FACTOR_CASES])
+def test_term_is_coefficient_times_monomial(identity, params, sign_flip, ctx):
+    # The modified coefficient is checked against the public one with its 1F2
+    # replaced by an exact-rational +k^2/4 partial sum and its k^(2L) sign dropped.
+    h = 0 if identity == IdentityId.CLENSHAW_SUM_RULE else 2
+    case = _case(identity, h=h, k=FACTOR_K, lmax=h + 24, sign_flip=sign_flip, **params)
+    z = FACTOR_K**2 / 4
+    rows = {}
+    for L in range(first_contributing_order(case), case.lmax + 1):
+        got = identity_term(case, L, ctx)
+        coeff, (upper, lower), sign, k_nu, poly, degree, power = _factors(case, L, ctx)
+        if identity in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1) and (L - power) % 2:
+            assert got == 0
+            continue
+        if sign_flip:
+            ratio = pFq_rational_prefix(upper, lower, z, 40) / pFq_rational_prefix(upper, lower, -z, 40)
+            coeff = ctx.dec.multiply(coeff, ctx.real(sign * ratio))
+        if poly not in rows:
+            rows[poly] = monomial_rows(poly, 2 * case.lmax, power)
+        want = ctx.dec.multiply(coeff, ctx.real(k_nu * rows[poly][degree][power]))
+        assert rel_diff(got, want) < Decimal("1e-60"), L
+
+
+def test_shared_context_matches_fresh_contexts():
+    # One context serves every case below in turn, so a cache key that missed
+    # the family, nu, lambda or the sign flip would hand one case another's
+    # coefficients; fresh contexts share nothing.
+    k = Fraction(13, 4)
+    cases = [
+        _case(IdentityId.CHEBYSHEV_EVEN, h=h, k=k, lmax=h + 24, sign_flip=flip)
+        for flip in (False, True)
+        for h in (0, 3)
+    ]
+    cases += [
+        _case(IdentityId.GEGENBAUER_GENERAL, h=h, k=k, nu=nu, lam=lam, lmax=h + 30,
+              tolerance=Fraction(1, 10**30))
+        for lam in (Fraction(1, 3), Fraction(4))
+        for nu in (Fraction(0), Fraction(2, 3))
+        for h in (0, 2)
+    ]
+    cases += [_case(i, h=h, k=k, lmax=2 * h + 46) for i in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1)
+              for h in (0, 2)]
+    shared = PrecisionContext()
+    for case in cases:
+        got = verify_identity(case, shared, trace=True)
+        assert repr(got) == repr(verify_identity(case, PrecisionContext(), trace=True)), case
+        assert got.passed, case
+
+
+def test_sweep_builds_each_coefficient_once(monkeypatch, capsys):
+    series, coeffs = [], []
+    series_fn, coeff_fn = hypergeom._eval_pFq_series, identities._chebyshev_coeff
+    monkeypatch.setattr(hypergeom, "_eval_pFq_series", lambda *a: series.append(a) or series_fn(*a))
+    monkeypatch.setattr(identities, "_chebyshev_coeff", lambda *a: coeffs.append(a) or coeff_fn(*a))
+    assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "1", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    orders = {L for h in range(21) for L in range(h, auto_lmax(IdentityId.CHEBYSHEV_EVEN, h, 1) + 1)}
+    assert sum(r["terms_used"] for r in reports) > 10 * len(orders)
+    assert len(series) == len(coeffs) == len(orders)
 
 
 # ----------------------------------------------------------------- rhs

@@ -36,20 +36,13 @@ DECIMAL_EXACT = [(k, i) for k, i in zip(KINDS, KIND_IDS) if i not in ("geg1/3", 
 
 
 def closed_form_row(kind, n: int) -> list:
-    """Coefficients of x^0..x^n of the degree-n polynomial from closed forms.
-
-    P_n and T_n use the integer forms of the identity brackets; C^lam_n uses
-    (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!) for the power x^(n-2m).
+    """Coefficients of x^0..x^n of the degree-n polynomial from the closed forms
+    the identities use: integer forms for P_n and T_n, and
+    (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!) for the power x^(n-2m) of C^lam_n.
     """
     row = [0] * (n + 1)
-    if not isinstance(kind, GegenbauerC):
-        for m in range(n // 2 + 1):
-            row[n - 2 * m] = _monomial_coefficient(kind, n, m)
-        return row
-    poch = pochhammer_fraction(kind.lam, n - n // 2)  # (lam)_(n-m), from m = n//2 down
-    for m in range(n // 2, -1, -1):
-        row[n - 2 * m] = (-1) ** m * poch * 2 ** (n - 2 * m) / (math.factorial(m) * math.factorial(n - 2 * m))
-        poch *= kind.lam + n - m
+    for m in range(n // 2 + 1):
+        row[n - 2 * m] = _monomial_coefficient(kind, n, m)
     return row
 
 
@@ -99,7 +92,9 @@ def test_value_at_one(kind):
         assert at_one == expected
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize(
+    "kind", KINDS + [GegenbauerC(Fraction(2**20))], ids=KIND_IDS + ["geg2^20"]
+)
 def test_recurrence_rows_match_closed_forms(kind):
     rows = monomial_rows(kind, 130)
     assert len(rows) == 131
