@@ -11,6 +11,17 @@ function J_nu(kx) (kx)^-nu and apply to non-integer orders as well:
     J_nu(kx) = (kx)^nu sum_L C_Lnu(k) T_2L(x)
     J_nu(kx) = (kx)^nu sum_L b_Lnu(k) C^lam_2L(x)
 
+Each prefactor p_L (the coefficient over its hypergeometric factor and sign)
+grows by an exact-rational ratio from one start value per family, nu, lambda
+and k, in a table cached in the context.  Chebyshev and Gegenbauer start from
+p_0 = 2^-nu / Gamma(nu+1), the only gamma and fractional power of a table:
+
+    Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))
+    Gegenbauer: p_(L+1)/p_L = 4k^2 (lam+1/2+2L) (lam+3/2+2L) (L+1/2)
+                / ((4L+2lam) (4L+2lam+1) (4L+2lam+2) (4L+2lam+3) (L+nu+1))
+
+Legendre steps by 2 in L, from the exact start values in its core functions.
+
 With the modified switch of the private coefficient functions, the same
 formulas give the coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and
 the sign that rides on k^(2L) (k^L for Legendre) is dropped.  The summed-series
@@ -22,7 +33,6 @@ the halved-leading-term presentation is a display option only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -33,10 +43,8 @@ from .mpcore import (
     PrecisionContext,
     Real,
     _pow,
-    binomial,
     gamma,
     neumaier_sum,
-    pochhammer,
     to_fraction,
 )
 from .hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
@@ -124,11 +132,17 @@ def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: 
         f = eval_pFq(
             HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z), ctx
         )
+
+    # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational;
+    # ratio(j) = p_(L+2)/p_L at L = N + 2j
+    def ratio(j):
+        n = N + 2 * j
+        return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
+
+    pref = ctx._table(("legendre", N, kf), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
     sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
     with localcontext(ctx.dec):
-        pref = ctx.sqrt_pi * sign * (2 * L + 1) * binomial(L, (L - N) // 2)
-        pref = pref * ctx.real(kf) ** L / (Decimal(2) ** (2 * L + 1) * gamma(L + Fraction(3, 2), ctx))
-        return +(pref * f)
+        return +(sign * pref * f)
 
 
 def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -145,10 +159,17 @@ def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CO
         ),
         ctx,
     )
+    parity = L % 2
+
+    # p_L = sqrt(pi) (2L+1) L! k^L / 2^(2L+1); ratio(j) = p_(L+2)/p_L at L = parity + 2j
+    def ratio(j):
+        n = parity + 2 * j
+        return Fraction((2 * n + 5) * (n + 1) * (n + 2), 16 * (2 * n + 1)) * kf * kf
+
+    start = lambda: ctx.sqrt_pi * ctx.real(Fraction(2 * parity + 1, 2 ** (2 * parity + 1)) * kf**parity)
+    pref = ctx._table(("legendre-regularized", parity, kf), start, ratio, L // 2)
     with localcontext(ctx.dec):
-        pref = ctx.sqrt_pi * _parity_sign((L - N) // 2) * (2 * L + 1) * Decimal(math.factorial(L))
-        pref = pref * ctx.real(kf) ** L / Decimal(2) ** (2 * L + 1)
-        return +(pref * f)
+        return +(_parity_sign((L - N) // 2) * pref * f)
 
 
 def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -167,11 +188,11 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
 
 def _chebyshev_coeff(L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
     f = eval_pFq(HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified)), ctx)
+    ratio = lambda j: kf * kf / (16 * (j + 1) * (j + nuf + 1))
+    pref = ctx._table(("chebyshev", nuf, kf), lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx), ratio, L)
     with localcontext(ctx.dec):
         sign = -1 if L % 2 and not modified else 1
-        pref = sign * (2 if L else 1) * ctx.real(kf) ** (2 * L)
-        pref = pref * _pow(2, -4 * L - nuf, ctx) / (Decimal(math.factorial(L)) * gamma(L + nuf + 1, ctx))
-        return +(pref * f)
+        return +(sign * (2 if L else 1) * pref * f)
 
 
 def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -195,16 +216,17 @@ def _gegenbauer_coeff(
     L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
 ) -> Real:
     f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified)), ctx)
+
+    def ratio(j):
+        w = 4 * j + 2 * lamf
+        num = 4 * kf * kf * (lamf + _HALF + 2 * j) * (lamf + Fraction(3, 2) + 2 * j) * (j + _HALF)
+        return num / (w * (w + 1) * (w + 2) * (w + 3) * (j + nuf + 1))
+
+    start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
+    pref = ctx._table(("gegenbauer", nuf, lamf, kf), start, ratio, L)
     with localcontext(ctx.dec):
         sign = -1 if L % 2 and not modified else 1
-        num = sign * ctx.real(kf) ** (2 * L) * _pow(2, 2 * L - nuf, ctx) * pochhammer(lamf + _HALF, 2 * L, ctx)
-        den = (
-            ctx.sqrt_pi
-            * pochhammer(2 * lamf, 2 * L, ctx)
-            * pochhammer(2 * L + 2 * lamf, 2 * L, ctx)
-            * pochhammer(L + _HALF, nuf + _HALF, ctx)
-        )
-        return +(num / den * f)
+        return +(sign * pref * f)
 
 
 def _table_args(k, lmax: int) -> Fraction:

@@ -3,9 +3,12 @@
 Only convergent cases are needed here (p <= q, so the series is entire in z).
 Terms are generated by the ratio recurrence
 
-    t_{m+1} = t_m * prod(a_i + m) / prod(b_j + m) * z / (m + 1)
+    t_{m+1} = t_m * prod(a_i + m) / prod(b_j + m) * z / (m + 1),
 
-and summation stops once the term magnitude stays below
+taken from the exact parameters a_i = pa_i/qa_i, b_j = pb_j/qb_j, z = pz/qz as
+one integer, pz prod(qb_j) prod(pa_i + m qa_i), over another,
+qz (m + 1) prod(qa_i) prod(pb_j + m qb_j): one Decimal multiplication and one
+division per term.  Summation stops once the term magnitude stays below
 10^-(working_digits + 5) * max(1, |partial sum|) for three consecutive terms.
 A single tiny term is not trusted because alternating series can produce one
 accidentally.
@@ -13,6 +16,7 @@ accidentally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -45,6 +49,7 @@ class HyperSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(to_fraction(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(to_fraction(b) for b in self.lower))
+        object.__setattr__(self, "z", to_fraction(self.z))
         if len(self.upper) > len(self.lower):
             raise ValueError("only p <= q series are supported (entire in z)")
 
@@ -65,35 +70,44 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use eval_regularized_pFq"
         )
-    key = ("pFq", spec.upper, spec.lower, to_fraction(spec.z))
+    key = ("pFq", spec.upper, spec.lower, spec.z)
     return ctx._cached(key, lambda: _eval_pFq_series(spec, ctx))
 
 
 def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:
+    return _sum_from(spec, 0, Decimal(1), ctx, regularized=False)
+
+
+def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, regularized: bool) -> Real:
+    """t_m + t_(m+1) + ... from t_m = term; the negligibility scale is 1, or
+    for a regularized series the largest term so far."""
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    num_z = spec.z.numerator * math.prod(q for _, q in lower)
+    den_z = spec.z.denominator * math.prod(q for _, q in upper)
     with localcontext(ctx.dec):
-        z = ctx.real(spec.z)
-        upper = [ctx.real(a) for a in spec.upper]
-        lower = [ctx.real(b) for b in spec.lower]
         threshold = Decimal(10) ** (-(ctx.working_digits + _STOP_GUARD))
-        term = Decimal(1)
-        total = Decimal(1)
+        scale = abs(term) if regularized else Decimal(1)
+        total = term
         comp = Decimal(0)
         quiet = 0
-        for m in range(_MAX_TERMS):
-            num = z
-            for a in upper:
-                num *= a + m
-            den = Decimal(m + 1)
-            for b in lower:
-                den *= b + m
+        for m in range(m, _MAX_TERMS):
+            num, den = num_z, den_z * (m + 1)
+            for p, q in upper:
+                num *= p + m * q
+            for p, q in lower:
+                den *= p + m * q
             term = term * num / den
+            size = abs(term)
             new_total = total + term
-            if abs(total) >= abs(term):
+            if abs(total) >= size:
                 comp += (total - new_total) + term
             else:
                 comp += (term - new_total) + total
             total = new_total
-            if abs(term) < threshold * max(1, abs(total)):
+            if regularized and size > scale:
+                scale = size
+            if size < threshold * max(scale, abs(total)):
                 quiet += 1
                 if quiet >= _STOP_STREAK:
                     return +(total + comp)
@@ -105,50 +119,26 @@ def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:
 def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Regularized series: each term divided termwise by Gamma(b_j + m).
 
-    Nonpositive-integer lower parameters are legal: reciprocal_gamma turns the
-    leading terms into exact zeros.  Because of those zeros the stopping rule
-    refuses to trigger before m has passed every pole location.  The
+    Nonpositive-integer lower parameters are legal: 1/Gamma(b_j + m) is 0 until
+    b_j + m passes the pole, so the series starts at the first m0 where no
+    factor vanishes (0 without poles), with the exact prod (a_i)_m0 z^m0 / m0!
+    times one reciprocal_gamma(b_j + m0) per lower parameter.  Later terms take
+    the plain ratio: 1/Gamma(b + m + 1) = 1/Gamma(b + m) / (b + m).  The
     negligibility scale is the largest term magnitude seen so far rather than
     1: a regularized value can be uniformly tiny (every term carries the same
-    1/Gamma factors), and anchoring at 1 would throw its relative accuracy
-    away.
+    1/Gamma factors), and anchoring at 1 would throw its relative accuracy away.
     """
-    min_terms = 0
-    for b in spec.lower:
-        if b <= 0:
-            min_terms = max(min_terms, int(-b) + 1)
-    min_terms += _STOP_STREAK
+    m0 = max((1 - int(b) for b in _pole_parameters(spec)), default=0)
+    lead = Fraction(1)
+    for m in range(m0):
+        lead *= spec.z * math.prod(a + m for a in spec.upper) / (m + 1)
     with localcontext(ctx.dec):
-        z = ctx.real(spec.z)
-        upper = [ctx.real(a) for a in spec.upper]
-        threshold = Decimal(10) ** (-(ctx.working_digits + _STOP_GUARD))
-        numerator = Decimal(1)  # prod (a_i)_m z^m / m!
-        total = Decimal(0)
-        comp = Decimal(0)
-        peak = Decimal(0)
-        quiet = 0
-        for m in range(_MAX_TERMS):
-            term = numerator
-            for b in spec.lower:
-                term *= reciprocal_gamma(b + m, ctx)
-            peak = max(peak, abs(term))
-            new_total = total + term
-            if abs(total) >= abs(term):
-                comp += (total - new_total) + term
-            else:
-                comp += (term - new_total) + total
-            total = new_total
-            if m >= min_terms and peak > 0 and abs(term) < threshold * max(peak, abs(total)):
-                quiet += 1
-                if quiet >= _STOP_STREAK:
-                    return +(total + comp)
-            else:
-                quiet = 0
-            num = z
-            for a in upper:
-                num *= a + m
-            numerator = numerator * num / Decimal(m + 1)
-    raise RuntimeError(f"regularized pFq did not converge within {_MAX_TERMS} terms")
+        term = ctx.real(lead)
+        for b in spec.lower:
+            term *= reciprocal_gamma(b + m0, ctx)
+    if term == 0:
+        return Decimal(0)  # z = 0 past a pole, or a terminating upper parameter: every term vanishes
+    return _sum_from(spec, m0, term, ctx, regularized=True)
 
 
 def hyp1f2(a1, b1, b2, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -93,6 +93,9 @@ class IdentityCase:
     lmax: int = 21
     tolerance: Fraction = Fraction(1, 10**33)
     sign_flip: bool = False
+    # identity_term's cache key, built once from integer pairs (Fraction.__hash__
+    # takes a modular inverse on every call)
+    _key: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", to_fraction(self.k))
@@ -123,6 +126,9 @@ class IdentityCase:
             object.__setattr__(self, "lam", lam)
         elif self.lam is not None:
             raise DomainError(f"{self.id.value} takes no lambda")
+        pairs = (None if f is None else (f.numerator, f.denominator) for f in (self.k, self.nu, self.lam))
+        legendre = self.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1)
+        object.__setattr__(self, "_key", (legendre, *pairs, self.sign_flip))
 
 
 @dataclass(frozen=True)
@@ -171,20 +177,19 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
     k, nu, lam, flip = case.k, case.nu, case.lam, case.sign_flip
     if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
         N = int(nu)
-        family, k_power = "legendre", Fraction(0)  # J_N(kx) itself is expanded: no k^nu factor
         mono = _monomial_coefficient(LegendreP(), L, (L - N) // 2 - case.h)
         build = lambda: _legendre_coeff_reduced(L, N, k, ctx, flip)
     elif case.id in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
-        family, k_power = "gegenbauer", nu
         mono = _monomial_coefficient(GegenbauerC(lam), 2 * L, L - case.h, ctx)
         build = lambda: _gegenbauer_coeff(L, nu, lam, k, ctx, flip)
     else:  # the Chebyshev ids; the Clenshaw sum rule is chebyshev-even at h = 0
-        family, k_power = "chebyshev", nu
         mono = _monomial_coefficient(ChebyshevT(), 2 * L, L - case.h)
         build = lambda: _chebyshev_coeff(L, nu, k, ctx, flip)
-    coeff = ctx._cached(("coeff", family, L, k, nu, lam, flip), build)
-    k_nu = ctx._cached(("k^nu", k, k_power), lambda: _pow(k, k_power, ctx))
+    coeff = ctx._cached(("coeff", L, case._key), build)  # the key tells the families apart
     with localcontext(ctx.dec):
+        if case._key[0]:  # Legendre expands J_N(kx) itself: no k^nu factor
+            return +(coeff * ctx.real(mono))
+        k_nu = ctx._cached(("k^nu", *case._key[1:3]), lambda: _pow(k, nu, ctx))
         return +(coeff * k_nu * ctx.real(mono))
 
 
@@ -210,12 +215,7 @@ def _monomial_coefficient(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_
 
 def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
     """Exact (lam)_j from a per-context table that grows on demand."""
-    table = ctx._cached(("rising", lam), lambda: [Fraction(1)])
-    if j >= len(table):
-        with ctx._lock:  # appending is check-then-act: two threads must not both extend
-            while j >= len(table):
-                table.append(table[-1] * (lam + len(table) - 1))
-    return table[j]
+    return ctx._table(("rising", lam.numerator, lam.denominator), lambda: Fraction(1), lambda i: lam + i, j)
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -10,6 +10,7 @@ through upward recurrence plus a Stirling series.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
@@ -107,9 +108,24 @@ class PrecisionContext:
             self._cache.setdefault(key, value)
         return self._cache[key]
 
+    def _table(self, key, start, ratio, n: int):
+        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * ratio(j) (an exact Fraction).
+
+        Entries grow on demand, at this context's precision.  ratio runs under
+        the cache lock, so it must not reach the cache itself.
+        """
+        with localcontext(self.dec):
+            table = self._cached(key, lambda: [start()])
+            if n >= len(table):
+                with self._lock:  # check-then-act: two threads must not both extend
+                    while n >= len(table):
+                        r = ratio(len(table) - 1)
+                        table.append(table[-1] * r.numerator / r.denominator)
+        return table[n]
+
     @property
     def pi(self) -> Real:
-        return self._cached("pi", lambda: _compute_pi(self.working_digits))
+        return _compute_pi(self.working_digits)
 
     @property
     def sqrt_pi(self) -> Real:
@@ -137,6 +153,7 @@ def _atan_inv_scaled(x: int, one: int) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _compute_pi(prec: int) -> Decimal:
     extra = 12
     one = 10 ** (prec + extra)
@@ -191,7 +208,7 @@ def _stirling_log_gamma(x: Decimal, work: Context, digits: int) -> Decimal:
     while still decreasing.
     """
     with localcontext(work):
-        ln2pi_half = work.create_decimal(2 * _pi_for_prec(work.prec)).ln() / 2
+        ln2pi_half = work.create_decimal(2 * _compute_pi(work.prec)).ln() / 2
         half = Decimal("0.5")
         acc = (x - half) * x.ln() - x + ln2pi_half
         tol = Decimal(10) ** (-(digits + 4))
@@ -217,18 +234,6 @@ def _stirling_log_gamma(x: Decimal, work: Context, digits: int) -> Decimal:
         else:
             raise RuntimeError("Stirling series did not converge")
         return +acc
-
-
-_pi_cache_by_prec: dict[int, Decimal] = {}
-
-
-def _pi_for_prec(prec: int) -> Decimal:
-    try:
-        return _pi_cache_by_prec[prec]
-    except KeyError:
-        value = _compute_pi(prec)
-        _pi_cache_by_prec[prec] = value
-        return value
 
 
 def _stirling_threshold(digits: int) -> int:

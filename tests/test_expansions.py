@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,6 +10,7 @@ from besselseries import (
     DomainError,
     Gegenbauer,
     Legendre,
+    PrecisionContext,
     agreement_digits,
     bessel_i_ref,
     bessel_j_ref,
@@ -21,6 +22,10 @@ from besselseries import (
     legendre_coeff,
     legendre_coeff_general,
 )
+from besselseries import mpcore
+from besselseries.expansions import _chebyshev_coeff, _gegenbauer_coeff, _legendre_coeff_reduced
+from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq, pFq_rational_prefix
+from besselseries.mpcore import _pow, binomial, double_factorial, gamma, pochhammer, pochhammer_fraction
 
 from helpers import fraction_to_decimal, rel_diff, sig_digit_count
 import reference_tables as ref
@@ -73,6 +78,168 @@ def test_table_alternation(ctx):
         nonzero = [v for _, v in table.entries if v != 0]
         for a, b in zip(nonzero, nonzero[1:]):
             assert (a > 0) != (b > 0)
+
+
+# ---------------------------------------------------------------- ratio-recurrence prefactors
+
+RATIO_K = Fraction(7, 2)
+RATIO_NUS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 3))
+# every lambda once with an integer and once with a fractional nu
+RATIO_GEGENBAUER = [
+    (Fraction(nu), lam)
+    for lam, nus in (
+        (Fraction(1, 4), (0, Fraction(1, 3))),
+        (Fraction(7, 3), (1, Fraction(5, 3))),
+        (Fraction(-1, 4), (0, Fraction(5, 3))),
+        (Fraction(1, 2**20), (1, Fraction(1, 3))),
+        (Fraction(2**20), (0, Fraction(5, 3))),
+    )
+    for nu in nus
+]
+
+
+def _direct_prefactor(family, L, params, ctx):
+    """The unsigned prefactor by the gamma and Pochhammer closed forms (the pre-recurrence formulas)."""
+    k = ctx.real(RATIO_K)
+    with localcontext(ctx.dec):
+        if family == "legendre":
+            (N,) = params
+            return (
+                ctx.sqrt_pi * (2 * L + 1) * binomial(L, (L - N) // 2) * k**L
+                / (Decimal(2) ** (2 * L + 1) * gamma(L + Fraction(3, 2), ctx))
+            )
+        if family == "legendre-regularized":
+            return ctx.sqrt_pi * (2 * L + 1) * Decimal(math.factorial(L)) * k**L / Decimal(2) ** (2 * L + 1)
+        if family == "chebyshev":
+            (nu,) = params
+            return (
+                k ** (2 * L) * _pow(2, -4 * L - nu, ctx) / (Decimal(math.factorial(L)) * gamma(L + nu + 1, ctx))
+            )
+        nu, lam = params
+        half = Fraction(1, 2)
+        num = k ** (2 * L) * _pow(2, 2 * L - nu, ctx) * pochhammer(lam + half, 2 * L, ctx)
+        den = (
+            ctx.sqrt_pi
+            * pochhammer(2 * lam, 2 * L, ctx)
+            * pochhammer(2 * L + 2 * lam, 2 * L, ctx)
+            * pochhammer(L + half, nu + half, ctx)
+        )
+        return num / den
+
+
+def _core_and_series(family, L, params, modified, ctx):
+    """(private core value, its hypergeometric factor, sign riding on k^(2L) or k^L, 2 - delta_L0)."""
+    half = Fraction(1, 2)
+    z = RATIO_K**2 / 4 if modified else -(RATIO_K**2) / 4
+    if family == "legendre":
+        (N,) = params
+        upper = (Fraction(L, 2) + half + N * half,)
+        spec = HyperSpec(upper, (Fraction(L, 2) + 1 + N * half, L + Fraction(3, 2)), z)
+        core = _legendre_coeff_reduced(L, N, RATIO_K, ctx, modified)
+        sign = 1 if modified or (L - N) % 4 == 0 else -1
+        return core, eval_pFq(spec, ctx), sign, 1
+    if family == "legendre-regularized":
+        (N,) = params
+        lower = (L + Fraction(3, 2), Fraction(L - N, 2) + 1, Fraction(L + N, 2) + 1)
+        spec = HyperSpec((Fraction(L, 2) + half, Fraction(L, 2) + 1), lower, z)
+        sign = 1 if (L - N) % 4 == 0 else -1
+        return legendre_coeff_general(L, N, RATIO_K, ctx), eval_regularized_pFq(spec, ctx), sign, 1
+    sign = -1 if L % 2 and not modified else 1
+    if family == "chebyshev":
+        (nu,) = params
+        core = _chebyshev_coeff(L, nu, RATIO_K, ctx, modified)
+        return core, eval_pFq(HyperSpec((L + half,), (L + nu + 1, 2 * L + 1), z), ctx), sign, 2 if L else 1
+    nu, lam = params
+    core = _gegenbauer_coeff(L, nu, lam, RATIO_K, ctx, modified)
+    return core, eval_pFq(HyperSpec((L + half,), (2 * L + lam + 1, L + nu + 1), z), ctx), sign, 1
+
+
+RATIO_CASES = (
+    [("legendre", (N,), L0) for N, L0 in ((0, 0), (1, 1))]
+    + [("legendre-regularized", (N,), N % 2) for N in (2, 3)]
+    + [("chebyshev", (nu,), 0) for nu in RATIO_NUS]
+    + [("gegenbauer", params, 0) for params in RATIO_GEGENBAUER]
+)
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_ratio_prefactors_match_gamma_pochhammer_forms(digits):
+    # Each core grows its prefactor by an exact-rational ratio in L; the
+    # reference rebuilds it for every L from gamma and Pochhammer products,
+    # with 20 guard digits: at working precision its O(L) roundings alone
+    # reach 1e-61 by L = 85 (nu = 5/3, lambda = 7/3), where the recurrence
+    # stays within 2e-63 of an mpmath value.
+    ctx = PrecisionContext(working_digits=digits)
+    guarded = PrecisionContext(working_digits=digits + 20)
+    bound = Decimal(10) ** -(digits - 3)
+    for family, params, start in RATIO_CASES:
+        step = 2 if family.startswith("legendre") else 1
+        modes = (False,) if family == "legendre-regularized" else (False, True)
+        for L in range(start, 101, step):
+            pref = _direct_prefactor(family, L, params, guarded)
+            for modified in modes:
+                core, series, sign, two = _core_and_series(family, L, params, modified, ctx)
+                want = ctx.dec.multiply(ctx.dec.multiply(pref, series), sign * two)
+                assert rel_diff(core, want) < bound, (family, params, L, modified)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Legendre(0), Legendre(1), Legendre(3), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(5, 3), Fraction(7, 3)),
+     Gegenbauer(0, Fraction(-1, 4)), Gegenbauer(Fraction(1, 3), Fraction(1, 2**20))],
+    ids=["leg0", "leg1", "leg3", "cheb1/3", "geg5/3,7/3", "geg0,-1/4", "geg1/3,2^-20"],
+)
+def test_table_at_128_digits_agrees_with_160(kind):
+    # Each table is built under a different ambient decimal context, so a
+    # start value or entry built at the ambient precision instead of its
+    # context's (20 digits here, 200 there) shows as a disagreement far above
+    # 1e-120.  Two tables that both carried the same low-precision value
+    # would otherwise agree.
+    with localcontext(Context(prec=20)):
+        low = coefficient_table(kind, 3, 40, PrecisionContext(working_digits=128)).entries
+    with localcontext(Context(prec=200)):
+        high = coefficient_table(kind, 3, 40, PrecisionContext(working_digits=160)).entries
+    for (L, a), (_, b) in zip(low, high):
+        if b == 0:
+            assert a == 0, L
+        else:
+            assert rel_diff(a, b) < Decimal("1e-120"), L
+
+
+@pytest.mark.parametrize(
+    "kind", [Legendre(3), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(1, 3))],
+    ids=["legendre", "chebyshev", "gegenbauer"],
+)
+def test_table_builds_at_most_one_general_gamma(kind, monkeypatch):
+    calls = []
+    general = mpcore._gamma_general
+    monkeypatch.setattr(mpcore, "_gamma_general", lambda *a: calls.append(a) or general(*a))
+    table = coefficient_table(kind, Fraction(17, 2), 60, PrecisionContext())
+    assert len(table.entries) == 61
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("N", [4, 5, 6, 7])
+def test_legendre_pole_entries_match_exact_oracle(N, ctx):
+    # For L <= N the regularized 2F~3 has its lower parameter (L-N)/2 + 1 at
+    # 1 - s (s = (N-L)/2), so its first s terms vanish.  Shifting by s leaves
+    #   a_LN = (-1)^s (2L+1) L! / 2^(2L+1) * (a1)_s (a2)_s z^s 2^n / (s! (2n-1)!! N!)
+    #          * 2F3(a1+s, a2+s; s+1, L+3/2+s, N+1; z)
+    # at z = -1/4 (k = 1), with n = L+1+s: Gamma(L+3/2+s) = (2n-1)!! sqrt(pi) / 2^n
+    # and Gamma((L+N)/2+1+s) = N!, so the sqrt(pi) of the prefactor cancels.
+    table = coefficient_table(Legendre(N), 1, N + 4, ctx).entries
+    fresh = PrecisionContext()
+    z = Fraction(-1, 4)
+    for L in range(N % 2, N + 1, 2):
+        assert table[L][1] == legendre_coeff_general(L, N, 1, fresh), L
+        s = (N - L) // 2
+        n = L + 1 + s
+        a1, a2 = Fraction(L, 2) + Fraction(1, 2), Fraction(L, 2) + 1
+        lead = Fraction((-1) ** s * (2 * L + 1) * math.factorial(L), 2 ** (2 * L + 1))
+        lead *= pochhammer_fraction(a1, s) * pochhammer_fraction(a2, s) * z**s * 2**n
+        lead /= math.factorial(s) * double_factorial(2 * n - 1) * math.factorial(N)
+        series = pFq_rational_prefix([a1 + s, a2 + s], [s + 1, L + Fraction(3, 2) + s, N + 1], z, 40)
+        assert rel_diff(table[L][1], fraction_to_decimal(lead * series, 80)) < Decimal("1e-60"), L
 
 
 def test_eval_expansion_accuracy_claims(ctx):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from besselseries import PrecisionContext, gamma, format_decimal
+from besselseries import PrecisionContext, gamma, format_decimal, hypergeom
 from besselseries.hypergeom import (
     HyperSpec,
     PoleError,
@@ -60,6 +60,8 @@ def test_regularized_at_zero_argument(ctx):
     got = eval_regularized_pFq(HyperSpec((Fraction(1, 2),), (1, Fraction(3, 2)), 0), ctx)
     expected = ctx.dec.divide(Decimal(2), ctx.sqrt_pi)  # 1/(Gamma(1) Gamma(3/2))
     assert rel_diff(got, expected) < Decimal("1e-62")
+    # with a pole parameter every term at z = 0 vanishes: the m = 0 one by 1/Gamma(0), the rest by z^m
+    assert eval_regularized_pFq(HyperSpec((Fraction(1, 2),), (0, Fraction(3, 2)), 0), ctx) == 0
 
 
 def test_regularized_with_zero_lower_parameter_vs_rational_oracle():
@@ -84,6 +86,42 @@ def test_regularized_with_zero_lower_parameter_vs_rational_oracle():
     expected = ctx100.dec.divide(ctx100.real(rational_sum), ctx100.sqrt_pi)
     got = eval_regularized_pFq(HyperSpec(a, b, z), ctx100)
     assert rel_diff(got, expected) < Decimal("1e-95")
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [(Fraction(3, 2), Fraction(-2), Fraction(4)), (Fraction(7, 2), Fraction(-5, 3), Fraction(0)), (1, 2, 3)],
+    ids=["pole-2", "negative-and-pole0", "no-poles"],
+)
+def test_regularized_calls_reciprocal_gamma_once_per_lower_parameter(lower, monkeypatch):
+    # The first nonvanishing term takes one 1/Gamma per lower parameter; every
+    # later term follows by the integer term ratio.  The value still matches
+    # the plain series over the gamma product, or for a pole parameter the
+    # series shifted past the pole (checked against exact rationals above).
+    calls = []
+    rgamma = hypergeom.reciprocal_gamma
+    monkeypatch.setattr(hypergeom, "reciprocal_gamma", lambda *a: calls.append(a) or rgamma(*a))
+    ctx = PrecisionContext()
+    spec = HyperSpec((Fraction(1, 2), Fraction(5, 4)), lower, Fraction(-9, 4))
+    got = eval_regularized_pFq(spec, ctx)
+    assert len(calls) <= len(lower)
+    poles = [b for b in spec.lower if b.denominator == 1 and b <= 0]
+    if not poles:
+        want = eval_pFq(spec, ctx)
+        for b in spec.lower:
+            want = ctx.dec.divide(want, gamma(b, ctx))
+        assert rel_diff(got, want) < Decimal("1e-60")
+        return
+    s = 1 - int(poles[0])  # first m with 1/Gamma(b + m) != 0 at the pole parameter
+    lead = pochhammer_rational(spec.upper[0], s) * pochhammer_rational(spec.upper[1], s) * spec.z**s
+    lead /= math.factorial(s)
+    shifted = [a + s for a in spec.upper]
+    rest = [b + s for b in spec.lower if b not in poles]
+    tail = fraction_to_decimal(pFq_rational_prefix(shifted, rest + [s + 1], spec.z, 120), 80)
+    want = ctx.dec.multiply(ctx.real(lead), tail)
+    for b in rest:
+        want = ctx.dec.divide(want, gamma(b, ctx)) if b > 0 else ctx.dec.multiply(want, rgamma(b, ctx))
+    assert rel_diff(got, want) < Decimal("1e-60")
 
 
 def pochhammer_rational(x: Fraction, n: int) -> Fraction:
