@@ -6,26 +6,42 @@ Legendre (integer order N):
 
 with a_LN given by a 2F3 (regularized 2F~3 in general, so that N > L never
 produces an indeterminate form).  Chebyshev and Gegenbauer expand the even
-function J_nu(kx) (kx)^-nu and apply to non-integer orders as well:
+function f(x) = (kx)^-nu J_nu(kx) and apply to non-integer orders as well:
 
     J_nu(kx) = (kx)^nu sum_L C_Lnu(k) T_2L(x)
     J_nu(kx) = (kx)^nu sum_L b_Lnu(k) C^lam_2L(x)
 
-Each prefactor p_L (the coefficient over its hypergeometric factor and sign)
-grows by an exact-rational ratio from one start value per family, nu, lambda
-and k, in a table cached in the context.  Chebyshev and Gegenbauer start from
-p_0 = 2^-nu / Gamma(nu+1), the only gamma and fractional power of a table:
+Two algorithms compute them and check each other.  Single coefficients (the
+public per-L functions, and the private cores the summed-series identities
+use) sum the paper's 1F2 (2F~3) series.  Their prefactor p_L (the coefficient
+over its series and sign) grows by an exact-rational ratio from one start
+value per family, nu, lambda and k, in a table cached in the context.
+Chebyshev and Gegenbauer start from p_0 = 2^-nu / Gamma(nu+1), the only gamma
+and fractional power of a table:
 
     Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))
-    Gegenbauer: p_(L+1)/p_L = 4k^2 (lam+1/2+2L) (lam+3/2+2L) (L+1/2)
-                / ((4L+2lam) (4L+2lam+1) (4L+2lam+2) (4L+2lam+3) (L+nu+1))
+    Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
 
 Legendre steps by 2 in L, from the exact start values in its core functions.
+With the modified switch of the private cores, the same formulas give the
+coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign that
+rides on k^(2L) (k^L for Legendre) is dropped.
 
-With the modified switch of the private coefficient functions, the same
-formulas give the coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and
-the sign that rides on k^(2L) (k^L for Legendre) is dropped.  The summed-series
-identities use that switch; the public functions always leave it off.
+Whole tables (coefficient_table, so eval and the oracle too) sum no series,
+so nothing cancels at large k.  As f solves x f'' + (2nu+1) f' + k^2 x f = 0,
+the coefficients meet an order-3 recurrence in L (_recurrence_coefficients);
+a table is its minimal solution, by one backward pass (Miller) at working +
+10 digits from 1 at an index N*, scaled to f(0) = 2^-nu / Gamma(nu+1) by
+
+    sum_L (-1)^L C_L = f(0),   sum_L (-1)^L (lam)_L / L! b_L = f(0).
+
+N* (_start_index) comes from a bound: |1F2| <= 1 (a Beta average of a bounded
+0F1), so the entry at N* is at most p_N*, and the other solutions leave entry
+L off by p_N* / p_L, times (2j+4+2lam-2nu) / (2j+2+2nu) for each step j where
+the next-smallest one shrinks forward (that factor > 1).  N* is the first
+index past lmax where this is below 10^-(working+10) at L = lmax, against
+min(p_0, p_lmax), as below the peak of p_L the entries are far smaller.  The
+Legendre table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation is a display option only.
@@ -33,6 +49,8 @@ the halved-leading-term presentation is a display option only.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -48,7 +66,7 @@ from .mpcore import (
     to_fraction,
 )
 from .hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
+from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
 
@@ -186,10 +204,17 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
     return _chebyshev_coeff(L, nuf, to_fraction(k), ctx)
 
 
+def _prefactor_ratio(nuf, lamf, kf):
+    """p_(L+1)/p_L of the Chebyshev (lamf None) or Gegenbauer prefactor; Fractions or floats."""
+    if lamf is None:
+        return lambda j: kf * kf / (16 * (j + 1) * (j + nuf + 1))
+    return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
+
+
 def _chebyshev_coeff(L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
     f = eval_pFq(HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified)), ctx)
-    ratio = lambda j: kf * kf / (16 * (j + 1) * (j + nuf + 1))
-    pref = ctx._table(("chebyshev", nuf, kf), lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx), ratio, L)
+    start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
+    pref = ctx._table(("chebyshev", nuf, kf), start, _prefactor_ratio(nuf, None, kf), L)
     with localcontext(ctx.dec):
         sign = -1 if L % 2 and not modified else 1
         return +(sign * (2 if L else 1) * pref * f)
@@ -216,14 +241,8 @@ def _gegenbauer_coeff(
     L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
 ) -> Real:
     f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified)), ctx)
-
-    def ratio(j):
-        w = 4 * j + 2 * lamf
-        num = 4 * kf * kf * (lamf + _HALF + 2 * j) * (lamf + Fraction(3, 2) + 2 * j) * (j + _HALF)
-        return num / (w * (w + 1) * (w + 2) * (w + 3) * (j + nuf + 1))
-
     start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
-    pref = ctx._table(("gegenbauer", nuf, lamf, kf), start, ratio, L)
+    pref = ctx._table(("gegenbauer", nuf, lamf, kf), start, _prefactor_ratio(nuf, lamf, kf), L)
     with localcontext(ctx.dec):
         sign = -1 if L % 2 and not modified else 1
         return +(sign * pref * f)
@@ -238,22 +257,87 @@ def _table_args(k, lmax: int) -> Fraction:
     return kf
 
 
+def _recurrence_coefficients(L: int, nu, lam, K) -> tuple:
+    """(B_-3, B_-1, B_1, B_3) with B_-3 a_L + B_-1 a_(L+1) + B_1 a_(L+2) + B_3 a_(L+3) = 0, K = k^2,
+    for a_L = b_L / (2L + lam), b_L the C^lam_2L coefficients of f(x) = (kx)^-nu J_nu(kx) (at lam = 0,
+    a_0 = 2 C_0 and a_L = C_L for Chebyshev): the C_(2L+3) coefficient of the ODE integrated twice,
+    x f + (2nu-1) I f + k^2 I(I(x f)) = const + const x, by x C_m = ((m+1) C_(m+1) + (m+2lam-1) C_(m-1))
+    / (2(m+lam)) and the antiderivative I C_m = (C_(m+1) - C_(m-1)) / (2(m+lam))."""
+    c = 2 * L + 3
+    v = c + lam
+    return (
+        K * (c - 2) * (v + 1) * (v + 2),
+        (v - 1) * (v + 2) * (4 * (v + 1) * (v - 2) * (c + 2 * nu - 1) - K * (c - 2 * lam - 2)),
+        (v - 2) * (v + 1) * (4 * (v - 1) * (v + 2) * (c + 2 * lam - 2 * nu + 1) - K * (c + 4 * lam + 2)),
+        K * (v - 2) * (v - 1) * (c + 2 * lam + 2),
+    )
+
+
+def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int) -> int:
+    """N* for entries 0..count-1 at 10^-digits (module docstring), estimated in floats."""
+    nu, lam = float(nuf), float(lamf or 0)
+    unit_ratio = _prefactor_ratio(nu, lamf and lam, 1.0)
+    log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
+    log_p = floor = growth = 0.0
+    for j in itertools.count():
+        if j == count - 1:
+            floor = min(0.0, log_p)
+        if j >= count and log_p + growth - floor < -digits * math.log(10):
+            return j
+        log_p += log_k2 + math.log(abs(unit_ratio(j)))
+        if j >= count - 1:
+            growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
+
+
+def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: PrecisionContext) -> list:
+    """Entries 0..count-1 of the Chebyshev (lamf None) or C^lamf table, unrounded, in the guard context."""
+    start = _start_index(nuf, lamf, kf, count, guard.working_digits)
+    with localcontext(guard.dec):
+        K, nu, lam_d = guard.real(kf * kf), guard.real(nuf), guard.real(lamf or 0)
+        a = [Decimal(0)] * start + [Decimal(1), Decimal(0), Decimal(0)]
+        for L in range(start - 1, -1, -1):
+            bm3, bm1, b1, b3 = _recurrence_coefficients(L, nu, lam_d, K)
+            a[L] = -(bm1 * a[L + 1] + b1 * a[L + 2] + b3 * a[L + 3]) / bm3
+        entries = [a[0] / 2] + a[1:start] if lamf is None else [(2 * L + lam_d) * a[L] for L in range(start)]
+        at_zero, w = [], Decimal(1)  # T_2L(0) = (-1)^L, C^lam_2L(0) = (-1)^L (lam)_L / L!
+        for L, e in enumerate(entries):
+            at_zero.append(w * e)
+            w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
+        scale = _pow(2, -nuf, guard) / gamma(nuf + 1, guard) / neumaier_sum(at_zero, guard)
+        return [e * scale for e in entries[:count]]
+
+
+def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext) -> list:
+    """a_LN for L = 0..lmax, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1) N times; the
+    t-th product is exact up to degree lmax + N - t."""
+    top = lmax + N
+    b = _miller_table(Fraction(N), _HALF, kf, top // 2 + 1, guard)
+    with localcontext(guard.dec):
+        d = [v for e in b for v in (e, Decimal(0))][: top + 1]  # degrees 0..top, odd ones 0
+        for t in range(1, N + 1):
+            new = [Decimal(0)] * (top + 1)
+            for m in range(t % 2, top - t + 1, 2):
+                new[m] = (m * d[m - 1] / (2 * m - 1) if m else 0) + (m + 1) * d[m + 1] / (2 * m + 3)
+            d = new
+        k_n = guard.real(kf**N)
+        return [v * k_n for v in d[: lmax + 1]]
+
+
 def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
-    """Coefficients for L = 0..lmax (Legendre keeps its parity zeros)."""
+    """Coefficients for L = 0..lmax (Legendre keeps its parity zeros), by backward recurrence."""
     kf = _table_args(k, lmax)
+    guard = PrecisionContext(ctx.working_digits + 10, ctx.display_digits)  # each entry is rounded once, at the end
     if isinstance(kind, Legendre):
-        entries = tuple((L, legendre_coeff(L, kind.N, kf, ctx)) for L in range(lmax + 1))
-    elif isinstance(kind, Chebyshev):
-        entries = tuple((L, chebyshev_coeff(L, kind.nu, kf, ctx)) for L in range(lmax + 1))
-    elif isinstance(kind, Gegenbauer):
-        entries = tuple((L, gegenbauer_coeff(L, kind.nu, kind.lam, kf, ctx)) for L in range(lmax + 1))
+        values = _legendre_table(kind.N, kf, lmax, guard)
+    elif isinstance(kind, (Chebyshev, Gegenbauer)):
+        values = _miller_table(kind.nu, kind.lam if isinstance(kind, Gegenbauer) else None, kf, lmax + 1, guard)
     else:
         raise TypeError(f"unknown expansion kind {kind!r}")
-    return CoefficientTable(kind=kind, k=kf, entries=entries)
+    return CoefficientTable(kind=kind, k=kf, entries=tuple((L, ctx.dec.plus(v)) for L, v in enumerate(values)))
 
 
 def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Truncated expansion value at x in [-1, 1]."""
+    """Truncated expansion value at x in [-1, 1], summed by Clenshaw's recurrence."""
     xf = to_fraction(x)
     if abs(xf) > 1:
         raise DomainError("x must lie in [-1, 1]")
@@ -261,30 +345,22 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     if isinstance(kind, Legendre):
         if xf == 0 and kind.N > 0:
             return Decimal(0)  # J_N(0) = 0 exactly; the sum would only leave rounding residue
-        table = coefficient_table(kind, kf, lmax, ctx)
-        terms = (c * eval_poly(LegendreP(), L, xf, ctx) for L, c in table.entries if c != 0)
-        return neumaier_sum(terms, ctx)
-    if isinstance(kind, Chebyshev):
-        nu = kind.nu
-        poly = ChebyshevT()
-    elif isinstance(kind, Gegenbauer):
-        nu = kind.nu
-        poly = GegenbauerC(kind.lam)
+        nu, poly, step = 0, LegendreP(), 1  # the sum is J_N(kx) itself
+    elif isinstance(kind, (Chebyshev, Gegenbauer)):
+        nu, step = kind.nu, 2  # the L-th coefficient multiplies the degree-2L polynomial
+        poly = ChebyshevT() if isinstance(kind, Chebyshev) else GegenbauerC(kind.lam)
+        if nu.denominator != 1 and xf < 0:
+            raise DomainError("non-integer nu needs x >= 0 (fractional power of kx)")
     else:
         raise TypeError(f"unknown expansion kind {kind!r}")
-    if nu.denominator != 1 and xf < 0:
-        raise DomainError("non-integer nu needs x >= 0 (fractional power of kx)")
-    table = coefficient_table(kind, kf, lmax, ctx)
-    s = neumaier_sum((c * eval_poly(poly, 2 * L, xf, ctx) for L, c in table.entries), ctx)
+    coeffs = [Decimal(0)] * (step * lmax + 1)
+    coeffs[::step] = [c for _, c in coefficient_table(kind, kf, lmax, ctx).entries]
+    s = clenshaw_sum(poly, coeffs, xf, ctx)
+    if nu == 0:
+        return s
     with localcontext(ctx.dec):
-        if nu == 0:
-            return +s
         kx = ctx.real(kf) * ctx.real(xf)
-        if kx == 0:
-            return Decimal(0)
-        if nu.denominator == 1:
-            return +(s * kx ** int(nu))
-        return +(s * ctx.dec.power(kx, ctx.real(nu)))
+        return +(s * _pow(kx, nu, ctx)) if kx else Decimal(0)
 
 
 def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

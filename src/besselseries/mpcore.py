@@ -162,23 +162,33 @@ def _compute_pi(prec: int) -> Decimal:
         return Decimal(scaled) / Decimal(one)
 
 
+@functools.lru_cache(maxsize=None)
+def _half_ln_2pi(prec: int) -> Decimal:
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
+        return (2 * _compute_pi(prec)).ln() / 2
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact rationals, shared across contexts)
 
-_bernoulli: list[Fraction] = [Fraction(1)]
+_bernoulli_even: list[Fraction] = []  # B_2, B_4, ...
 _bernoulli_lock = threading.Lock()
 
 
 def _bernoulli_number(m: int) -> Fraction:
-    """B_m via the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    """B_m (B_1 = -1/2); B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent numbers
+    T_1, T_2, ... = 1, 2, 16, 272, ..., built by the integer recurrence of Brent and Harvey."""
+    if m % 2 or m == 0:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(m, Fraction(0))
     with _bernoulli_lock:
-        while len(_bernoulli) <= m:
-            n = len(_bernoulli)
-            acc = Fraction(0)
-            for j in range(n):
-                acc += math.comb(n + 1, j) * _bernoulli[j]
-            _bernoulli.append(-acc / (n + 1))
-    return _bernoulli[m]
+        if len(_bernoulli_even) < m // 2:
+            n = max(m // 2, 2 * len(_bernoulli_even))  # doubling keeps the O(n^2) rebuilds cheap overall
+            t = [math.factorial(j) for j in range(n)]  # t[j] = T_(j+1) after the sweeps
+            for i in range(1, n):
+                for j in range(i, n):
+                    t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+            _bernoulli_even[:] = [Fraction(-(-1) ** j * 2 * j * t[j - 1], 16**j - 4**j) for j in range(1, n + 1)]
+    return _bernoulli_even[m // 2 - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +218,8 @@ def _stirling_log_gamma(x: Decimal, work: Context, digits: int) -> Decimal:
     while still decreasing.
     """
     with localcontext(work):
-        ln2pi_half = work.create_decimal(2 * _compute_pi(work.prec)).ln() / 2
         half = Decimal("0.5")
-        acc = (x - half) * x.ln() - x + ln2pi_half
+        acc = (x - half) * x.ln() - x + _half_ln_2pi(work.prec)
         tol = Decimal(10) ** (-(digits + 4))
         x2 = x * x
         powx = _ONE / x

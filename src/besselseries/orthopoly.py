@@ -1,16 +1,16 @@
 """Legendre, Chebyshev and Gegenbauer polynomials.
 
-Point evaluation and exact monomial coefficients both come from the forward
-three-term recurrences: in Decimal arithmetic for values on [-1, 1], and on
-exact Fraction coefficient lists for the monomials, so the power-gathering
-oracle carries no rounding error of its own and shares no closed form with the
-identity brackets it checks.
+Everything comes from the three-term recurrences: point values forward in
+Decimal arithmetic, whole expansions backward by Clenshaw's sum, and exact
+monomial coefficients forward on Fraction coefficient lists, so the
+power-gathering oracle carries no rounding error of its own and shares no
+closed form with the identity brackets it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, to_fraction
@@ -80,6 +80,19 @@ def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
                 prev, cur = cur, (2 * (m + lam) * xv * cur - (m + 2 * lam - 1) * prev) / (m + 1)
             return +cur
     raise TypeError(f"unknown polynomial kind {kind!r}")
+
+
+def clenshaw_sum(kind, coeffs, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
+    """sum_m coeffs[m] p_m(x) in O(len(coeffs)) by Clenshaw's backward recurrence: the sum is y_0
+    of y_m = coeffs[m] + a_m x y_(m+1) - b_(m+1) y_(m+2) (_recurrence_step), y_n = y_(n+1) = 0."""
+    with localcontext(ctx.dec):
+        xv = ctx.real(x)
+        y1 = y2 = b_up = Decimal(0)
+        for m in range(len(coeffs) - 1, -1, -1):
+            a, b = _recurrence_step(kind, m)
+            y1, y2 = coeffs[m] + ctx.real(a) * xv * y1 - b_up * y2, y1
+            b_up = ctx.real(b)
+        return +y1
 
 
 def _recurrence_step(kind, m: int) -> tuple:

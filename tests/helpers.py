@@ -1,5 +1,6 @@
 """Shared test utilities: exact-rational oracles and digit-string helpers."""
 
+import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -37,3 +38,11 @@ def sin_rational_series(z: Fraction, terms: int = 80) -> Fraction:
 def ulp_at(value: Decimal, digits: int) -> Decimal:
     """One unit in the last of `digits` significant places of value."""
     return Decimal(1).scaleb(value.adjusted() - digits + 1)
+
+
+def bernoulli_by_definition(n: int) -> list:
+    """B_0..B_n by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0, in O(n^2) Fractions."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b

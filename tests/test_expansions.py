@@ -21,9 +21,17 @@ from besselseries import (
     gegenbauer_coeff,
     legendre_coeff,
     legendre_coeff_general,
+    neumaier_sum,
 )
-from besselseries import mpcore
-from besselseries.expansions import _chebyshev_coeff, _gegenbauer_coeff, _legendre_coeff_reduced
+from besselseries import expansions, mpcore
+from besselseries.expansions import (
+    _chebyshev_coeff,
+    _gegenbauer_coeff,
+    _legendre_coeff_reduced,
+    _miller_table,
+    _recurrence_coefficients,
+)
+from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq, pFq_rational_prefix
 from besselseries.mpcore import _pow, binomial, double_factorial, gamma, pochhammer, pochhammer_fraction
 
@@ -219,6 +227,176 @@ def test_table_builds_at_most_one_general_gamma(kind, monkeypatch):
     assert len(calls) <= 1
 
 
+# ---------------------------------------------------------------- backward-recurrence tables
+
+TABLE_KINDS = [
+    Legendre(0), Legendre(1), Legendre(3), Legendre(7),
+    Chebyshev(0), Chebyshev(Fraction(1, 3)),
+    Gegenbauer(0, Fraction(-1, 4)), Gegenbauer(Fraction(1, 3), Fraction(1, 2**20)),
+    Gegenbauer(Fraction(1, 3), Fraction(7, 3)), Gegenbauer(1, Fraction(2**20)),
+]
+TABLE_IDS = [
+    "leg0", "leg1", "leg3", "leg7", "cheb0", "cheb1/3", "geg0,-1/4", "geg1/3,2^-20", "geg1/3,7/3", "geg1,2^20",
+]
+
+
+def _series_entry(kind, L, k, ctx):
+    if isinstance(kind, Legendre):
+        return legendre_coeff(L, kind.N, k, ctx)
+    if isinstance(kind, Chebyshev):
+        return chebyshev_coeff(L, kind.nu, k, ctx)
+    return gegenbauer_coeff(L, kind.nu, kind.lam, k, ctx)
+
+
+def _assert_tables_agree(table, reference, digits):
+    for (L, got), want in zip(table, reference):
+        if want == 0:
+            assert got == 0, L
+        else:
+            assert rel_diff(got, want) < Decimal(10) ** -(digits - 3), L
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=TABLE_IDS)
+def test_recurrence_table_matches_series_coefficients(kind, digits):
+    # Two algorithms: the table runs the recurrence backward, the per-L
+    # functions sum the 1F2 (2F~3) series, here with digits to spare for the
+    # cancellation at k = 30.
+    ctx = PrecisionContext(working_digits=digits)
+    series_ctx = PrecisionContext(working_digits=digits + 30)
+    for k in (Fraction(1, 2**20), Fraction(1), Fraction(8), Fraction(30)):
+        table = coefficient_table(kind, k, 30, ctx).entries
+        _assert_tables_agree(table, [_series_entry(kind, L, k, series_ctx) for L in range(31)], digits)
+
+
+@pytest.mark.parametrize(
+    "kind", [Legendre(3), Chebyshev(0), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(7, 3))],
+    ids=["leg3", "cheb0", "cheb1/3", "geg1/3,7/3"],
+)
+def test_k100_table_matches_series_at_doubled_precision(kind):
+    # the series cancels about 43 digits at k = 100; run it at 2*64 + 60 digits
+    ctx = PrecisionContext()
+    series_ctx = PrecisionContext(working_digits=2 * 64 + 60)
+    table = coefficient_table(kind, 100, 60, ctx).entries
+    _assert_tables_agree(table, [_series_entry(kind, L, 100, series_ctx) for L in range(61)], 64)
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_table_started_at_twice_the_start_index_agrees(digits, monkeypatch):
+    # both unrounded, at the guard precision the tables run at
+    guard = PrecisionContext(working_digits=digits + 10)
+    cases = [(Fraction(0), None), (Fraction(1, 3), None), (Fraction(1, 3), Fraction(7, 3)),
+             (Fraction(0), Fraction(-1, 4)), (Fraction(1), Fraction(2**20)), (Fraction(3), Fraction(1, 2))]
+    tables = [_miller_table(nu, lam, k, 41, guard) for nu, lam in cases for k in (1, 30, 100)]
+    start_index = expansions._start_index
+    monkeypatch.setattr(expansions, "_start_index", lambda *args: 2 * start_index(*args))
+    twice = [_miller_table(nu, lam, k, 41, guard) for nu, lam in cases for k in (1, 30, 100)]
+    assert twice != tables  # the longer pass does change the last guard digits
+    for i, (once, longer) in enumerate(zip(tables, twice)):
+        for L, (a, b) in enumerate(zip(once, longer)):
+            assert rel_diff(a, b) < Decimal(10) ** -(digits + 5), (cases[i // 3], L)
+
+
+@pytest.mark.parametrize(
+    "nu,lam",
+    [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)), (Fraction(5, 3), Fraction(0)),
+     (Fraction(1, 3), Fraction(7, 3)), (Fraction(0), Fraction(-1, 4)), (Fraction(3), Fraction(1, 2)),
+     (Fraction(1), Fraction(2**20)), (Fraction(1, 3), Fraction(1, 2**20))],
+    ids=["cheb0", "cheb1/3", "cheb5/3", "geg1/3,7/3", "geg0,-1/4", "geg3,1/2", "geg1,2^20", "geg1/3,2^-20"],
+)
+def test_series_coefficients_satisfy_the_recurrence(nu, lam):
+    # 1F2 coefficients at 160 digits, fed to the recurrence the tables run:
+    # a_L = C_L (2 C_0 at L = 0) for Chebyshev (lam = 0), b_L / (2L + lam) otherwise
+    ctx = PrecisionContext(working_digits=160)
+    k = Fraction(8)
+    with localcontext(ctx.dec):
+        if lam == 0:
+            a = [chebyshev_coeff(L, nu, k, ctx) * (2 if L == 0 else 1) for L in range(34)]
+        else:
+            a = [gegenbauer_coeff(L, nu, lam, k, ctx) / ctx.real(2 * L + lam) for L in range(34)]
+        for L in range(30):
+            coeffs = _recurrence_coefficients(L, ctx.real(nu), ctx.real(lam), ctx.real(k * k))
+            terms = [c * v for c, v in zip(coeffs, a[L : L + 4])]
+            assert abs(sum(terms)) < Decimal("1e-150") * max(abs(t) for t in terms), L
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Legendre(0), Legendre(3), Chebyshev(0), Chebyshev(1), Gegenbauer(0, Fraction(1, 4)),
+     Gegenbauer(1, Fraction(7, 3)), Gegenbauer(0, Fraction(-1, 4)), Gegenbauer(1, Fraction(1, 2**20)),
+     Gegenbauer(0, Fraction(2**20))],
+    ids=["leg0", "leg3", "cheb0", "cheb1", "geg0,1/4", "geg1,7/3", "geg0,-1/4", "geg1,2^-20", "geg0,2^20"],
+)
+def test_clenshaw_sum_matches_termwise_sum(kind, ctx):
+    # eval_expansion sums by Clenshaw's recurrence; the reference is the
+    # term-by-term sum of eval_poly values it replaced
+    k, lmax = Fraction(5), 30
+    table = coefficient_table(kind, k, lmax, ctx).entries
+    if isinstance(kind, Legendre):
+        nu, poly, step = Fraction(0), LegendreP(), 1  # J_N(kx) itself, no (kx)^N factor
+    else:
+        nu, poly, step = kind.nu, ChebyshevT() if isinstance(kind, Chebyshev) else GegenbauerC(kind.lam), 2
+    for x in (Fraction(-1), Fraction(-7, 10), Fraction(0), Fraction(33, 100), Fraction(1)):
+        with localcontext(ctx.dec):
+            terms = [c * eval_poly(poly, step * L, x, ctx) for L, c in table]
+            want = neumaier_sum(terms, ctx) * (ctx.real(k * x) ** int(nu) if nu else 1)
+            scale = sum(abs(t) for t in terms) * (abs(ctx.real(k * x)) ** int(nu) if nu else 1)
+        got = eval_expansion(kind, k, x, lmax, ctx)
+        assert abs(got - want) <= Decimal("1e-61") * scale, x
+
+
+def _mpmath_coefficient(mpmath, kind, L, k):
+    """The coefficient by its 1F2 (2F~3) form in mpmath, which raises its own precision where a series cancels."""
+    mpf = mpmath.mpf
+    km = mpf(k)
+    z = -km * km / 4
+    if isinstance(kind, Legendre):
+        N = kind.N
+        if (L + N) % 2:
+            return mpf(0)
+        upper = [mpf(L) / 2 + mpf(1) / 2, mpf(L) / 2 + 1]
+        lower = [L + mpf(3) / 2, mpf(L - N) / 2 + 1, mpf(L + N) / 2 + 1]
+        s = max(0, (N - L) // 2)  # the regularized series starts where 1/Gamma((L-N)/2 + 1 + m) stops vanishing
+        lead = mpmath.fprod(mpmath.rf(a, s) for a in upper) * z**s / mpmath.factorial(s)
+        lead *= mpmath.fprod(mpmath.rgamma(b + s) for b in lower)
+        series = mpmath.hyper([a + s for a in upper] + [1], [b + s for b in lower] + [s + 1], z)
+        pref = mpmath.sqrt(mpmath.pi) * (2 * L + 1) * mpmath.factorial(L) * km**L / mpf(2) ** (2 * L + 1)
+        return (-1) ** ((L - N) // 2) * pref * lead * series
+    nu = mpf(kind.nu.numerator) / kind.nu.denominator
+    if isinstance(kind, Chebyshev):
+        f = mpmath.hyp1f2(L + mpf(1) / 2, L + nu + 1, 2 * L + 1, z)
+        pref = (2 if L else 1) * km ** (2 * L) * mpf(2) ** (-4 * L - nu)
+        pref /= mpmath.factorial(L) * mpmath.gamma(L + nu + 1)
+        return (-1) ** L * pref * f
+    lam = mpf(kind.lam.numerator) / kind.lam.denominator
+    f = mpmath.hyp1f2(L + mpf(1) / 2, 2 * L + lam + 1, L + nu + 1, z)
+    top = km ** (2 * L) * mpf(2) ** (2 * L - nu) * mpmath.rf(lam + mpf(1) / 2, 2 * L)
+    bottom = mpmath.sqrt(mpmath.pi) * mpmath.rf(2 * lam, 2 * L) * mpmath.rf(2 * L + 2 * lam, 2 * L)
+    bottom *= mpmath.rf(L + mpf(1) / 2, nu + mpf(1) / 2)
+    return (-1) ** L * top / bottom * f
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Legendre(0), Legendre(3), Chebyshev(0), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(7, 3))],
+    ids=["leg0", "leg3", "cheb0", "cheb1/3", "geg1/3,7/3"],
+)
+def test_large_k_tables_right_in_every_displayed_digit(kind, ctx):
+    # k = 100 and 200 at the default 64 digits, where the 1F2 series loses
+    # 43 and 87 digits; every printed digit against mpmath at 88 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(88):
+        for k in (100, 200):
+            for L, v in coefficient_table(kind, k, 80, ctx).entries:
+                ref = _mpmath_coefficient(mpmath, kind, L, k)
+                printed = format_decimal(v, 34)
+                if ref == 0:
+                    assert printed == "0", (k, L)
+                    continue
+                half_ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(ref))) - 33) / 2
+                assert abs(mpmath.mpf(printed) - ref) <= half_ulp * (1 + mpmath.mpf(10) ** -40), (k, L, printed)
+
+
 @pytest.mark.parametrize("N", [4, 5, 6, 7])
 def test_legendre_pole_entries_match_exact_oracle(N, ctx):
     # For L <= N the regularized 2F~3 has its lower parameter (L-N)/2 + 1 at
@@ -227,11 +405,13 @@ def test_legendre_pole_entries_match_exact_oracle(N, ctx):
     #          * 2F3(a1+s, a2+s; s+1, L+3/2+s, N+1; z)
     # at z = -1/4 (k = 1), with n = L+1+s: Gamma(L+3/2+s) = (2n-1)!! sqrt(pi) / 2^n
     # and Gamma((L+N)/2+1+s) = N!, so the sqrt(pi) of the prefactor cancels.
+    # The table comes from the backward recurrence, the per-L function from
+    # the regularized 2F~3: two algorithms, so they agree to 10^-(64-3).
     table = coefficient_table(Legendre(N), 1, N + 4, ctx).entries
     fresh = PrecisionContext()
     z = Fraction(-1, 4)
     for L in range(N % 2, N + 1, 2):
-        assert table[L][1] == legendre_coeff_general(L, N, 1, fresh), L
+        assert rel_diff(table[L][1], legendre_coeff_general(L, N, 1, fresh)) < Decimal("1e-61"), L
         s = (N - L) // 2
         n = L + 1 + s
         a1, a2 = Fraction(L, 2) + Fraction(1, 2), Fraction(L, 2) + 1
@@ -255,8 +435,9 @@ def test_eval_expansion_accuracy_claims(ctx):
 
 
 def test_eval_expansion_trivial_points(ctx):
-    assert eval_expansion(Chebyshev(0), 1, 0, 0, ctx) == chebyshev_coeff(0, 0, 1, ctx)
-    assert eval_expansion(Legendre(0), 1, 0, 0, ctx) == legendre_coeff(0, 0, 1, ctx)
+    # one-term expansions: the recurrence table's first entry against the per-L 1F2 value
+    assert rel_diff(eval_expansion(Chebyshev(0), 1, 0, 0, ctx), chebyshev_coeff(0, 0, 1, ctx)) < Decimal("1e-61")
+    assert rel_diff(eval_expansion(Legendre(0), 1, 0, 0, ctx), legendre_coeff(0, 0, 1, ctx)) < Decimal("1e-61")
     # positive order vanishes at the origin
     assert eval_expansion(Chebyshev(1), 1, 0, 21, ctx) == 0
 

@@ -18,7 +18,9 @@ from besselseries import (
     reciprocal_gamma,
 )
 
-from helpers import rel_diff, ulp_at
+from besselseries import mpcore
+
+from helpers import bernoulli_by_definition, rel_diff, ulp_at
 
 
 def test_context_validation():
@@ -51,6 +53,13 @@ def test_gamma_seven_halves_by_recurrence(ctx):
         x += 1
     assert rel_diff(gamma(Fraction(7, 2), ctx), expected) < Decimal("1e-62")
     assert format_decimal(gamma(Fraction(7, 2), ctx), 14) == "3.3233509704478"
+
+
+def test_bernoulli_numbers_match_defining_recurrence():
+    # the tangent-number route against the O(n^2) defining recurrence it replaced
+    want = bernoulli_by_definition(200)
+    assert [mpcore._bernoulli_number(m) for m in range(201)] == want
+    assert want[2] == Fraction(1, 6) and want[200].denominator == 1366530
 
 
 def test_gamma_domain(ctx):
