@@ -7,26 +7,26 @@ L collapses to a single Maclaurin coefficient,
     (-1)^h 2^(-2h-nu) k^(2h+nu) / (h! Gamma(h+nu+1)).
 
 Every h, every admissible nu, every Gegenbauer weight lambda and every scale
-k gives one such identity; this demo sweeps a few slices.
+k gives one such identity; this demo sweeps a few slices.  Each sum stops at
+the first order L where a proven bound on all later terms is below a tenth of
+the tolerance (lmax=None); lmax below is that stopping order.
 """
 
 from fractions import Fraction
 
 from besselseries import IdentityCase, IdentityId, PrecisionContext, verify_identity
-from besselseries.cli import auto_lmax
 
 ctx = PrecisionContext()
 TOL = Fraction(1, 10**33)
 
 
 def show(identity, h, k, **kw):
-    lmax = auto_lmax(identity, h, Fraction(k))
-    case = IdentityCase(identity, h=h, k=k, lmax=lmax, tolerance=TOL, **kw)
+    case = IdentityCase(identity, h=h, k=k, lmax=None, tolerance=TOL, **kw)
     r = verify_identity(case, ctx)
     status = "pass" if r.passed else "FAIL"
     print(
-        f"{identity.value:<22} h={h:>2} k={k}  lmax={lmax:>3}  "
-        f"rel_diff={r.rel_diff:.2E}  {status}"
+        f"{identity.value:<22} h={h:>2} k={k}  lmax={r.lmax:>3}  "
+        f"tail<={r.tail_bound:.1E}  rel_diff={r.rel_diff:.2E}  {status}"
     )
 
 
@@ -39,6 +39,11 @@ print("\nLegendre-derived families at k = 1:")
 for h in (0, 1, 5, 10):
     show(IdentityId.LEGENDRE_J0, h, 1)
     show(IdentityId.LEGENDRE_J1, h, 1)
+
+print("\nlarger k: the bound lengthens the sum where k needs it")
+for k in (12, 20, 30):
+    show(IdentityId.CHEBYSHEV_EVEN, 3, k)
+show(IdentityId.LEGENDRE_J0, 0, 12)
 
 print("\nGegenbauer family: one identity per (h, nu, lambda, k):")
 for lam in (Fraction(1, 4), Fraction(4)):

@@ -9,6 +9,7 @@ failed, 2 for usage errors.  Data goes to stdout, diagnostics to stderr;
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -101,30 +102,6 @@ def _frac_str(f):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def auto_lmax(identity: IdentityId, h: int, k: Fraction) -> int:
-    """Truncation prescriptions for --lmax auto.
-
-    The Chebyshev offsets are the measured worst-case minimal depths for
-    relative 10^-33 over h = 0..42, plus a margin of two orders.  Legendre
-    families need the deepest sums (h+74, with 44/45 enough at h = 0);
-    Gegenbauer gets a generous h+80.
-    """
-    if identity == IdentityId.LEGENDRE_J0:
-        return 44 if h == 0 else h + 74
-    if identity == IdentityId.LEGENDRE_J1:
-        return 45 if h == 0 else h + 74
-    small_k = k <= 5
-    if identity == IdentityId.CHEBYSHEV_EVEN:
-        return h + 22 if small_k else h + 26
-    if identity == IdentityId.CHEBYSHEV_ODD:
-        return h + 21 if small_k else h + 25
-    if identity == IdentityId.CHEBYSHEV_GENERAL_NU:
-        return h + 22 if small_k else h + 26
-    if identity in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
-        return h + 80
-    return max(h + 21, 21)  # clenshaw-sum-rule and anything else
-
-
 def _emit(text: str, out_path):
     sys.stdout.write(text)
     if out_path:
@@ -180,7 +157,7 @@ def _report_payload(case: IdentityCase, report, digits: int):
             "k": _frac_str(case.k),
             "nu": _frac_str(case.nu),
             "lambda": _frac_str(case.lam),
-            "lmax": case.lmax,
+            "lmax": report.lmax,
             "tolerance": _frac_str_sci(case.tolerance),
             "sign_flip": case.sign_flip,
         },
@@ -207,8 +184,8 @@ def _cmd_verify(args, parser) -> int:
         parser.error(str(exc))
     reports = []
     for h in hs:
-        lmax = auto_lmax(identity, h, args.k) if args.lmax == "auto" else int(args.lmax)
         try:
+            lmax = None if args.lmax == "auto" else int(args.lmax)
             case = IdentityCase(
                 identity,
                 h=h,
@@ -231,7 +208,7 @@ def _cmd_verify(args, parser) -> int:
         for c, r in reports:
             buf.write(
                 f"{c.id.value},{c.h},{_frac_str(c.k)},{_frac_str(c.nu)},{_frac_str(c.lam)},"
-                f"{c.lmax},{_frac_str_sci(c.tolerance)},{c.sign_flip},"
+                f"{r.lmax},{_frac_str_sci(c.tolerance)},{c.sign_flip},"
                 f"{format_decimal(r.lhs, digits)},{format_decimal(r.rhs, digits)},"
                 f"{format_decimal(r.rel_diff, 3)},{r.terms_used},{r.passed}\n"
             )
@@ -244,7 +221,7 @@ def _cmd_verify(args, parser) -> int:
                 f"{status} {c.id.value} h={c.h} k={_frac_str(c.k)}"
                 + (f" nu={_frac_str(c.nu)}" if c.nu is not None else "")
                 + (f" lambda={_frac_str(c.lam)}" if c.lam is not None else "")
-                + f" lmax={c.lmax} terms={r.terms_used} rel_diff={format_decimal(r.rel_diff, 3)}"
+                + f" lmax={r.lmax} terms={r.terms_used} rel_diff={format_decimal(r.rel_diff, 3)}"
             )
             buf.write(line + "\n")
             if args.trace and r.terms is not None:
@@ -357,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--h", default="0", help="power index, single value or range like 0..42")
     verify.add_argument("--nu", type=exact, default=None)
     verify.add_argument("--lambda", dest="lam", type=exact, default=None)
-    verify.add_argument("--lmax", default="auto", help="'auto' or an integer truncation order")
+    verify.add_argument("--lmax", default="auto",
+                        help="an integer truncation order, or 'auto' to stop at a proven tail bound")
     verify.add_argument("--tol", type=exact, default=Fraction(1, 10**33))
     verify.add_argument("--sign-flip", action="store_true", help="modified-Bessel variant")
     verify.add_argument("--trace", action="store_true", help="include per-term values")
@@ -376,8 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "coeffs":

@@ -60,12 +60,13 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
+    TailBound,
     _pow,
     gamma,
     neumaier_sum,
     to_fraction,
 )
-from .hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
+from .hypergeom import _MAX_TERMS, HyperSpec, eval_pFq, eval_regularized_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
@@ -142,14 +143,16 @@ def _series_argument(kf: Fraction, modified: bool) -> Fraction:
 
 
 def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: bool = False) -> Real:
-    kf = to_fraction(k)
+    return _lead_times_series(*_legendre_parts(L, N, to_fraction(k), ctx, modified), ctx)
+
+
+def _legendre_parts(L: int, N: int, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> tuple:
+    """(lead, spec) with a_LN = lead * 1F2(spec), for N in {0, 1}."""
     z = _series_argument(kf, modified)
     if N == 0:
-        f = eval_pFq(HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z), ctx)
+        spec = HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z)
     else:
-        f = eval_pFq(
-            HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z), ctx
-        )
+        spec = HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z)
 
     # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational;
     # ratio(j) = p_(L+2)/p_L at L = N + 2j
@@ -159,8 +162,11 @@ def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: 
 
     pref = ctx._table(("legendre", N, kf), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
     sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
-    with localcontext(ctx.dec):
-        return +(sign * pref * f)
+    return ctx.dec.multiply(sign, pref), spec
+
+
+def _lead_times_series(lead: Real, spec: HyperSpec, ctx: PrecisionContext) -> Real:
+    return ctx.dec.multiply(lead, eval_pFq(spec, ctx))
 
 
 def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -211,13 +217,21 @@ def _prefactor_ratio(nuf, lamf, kf):
     return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
 
 
-def _chebyshev_coeff(L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
-    f = eval_pFq(HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified)), ctx)
+def _chebyshev_coeff(
+    L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
+) -> Real:
+    return _lead_times_series(*_chebyshev_parts(L, nuf, kf, ctx, modified), ctx)
+
+
+def _chebyshev_parts(
+    L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
+) -> tuple:
+    """(lead, spec) with C_Lnu = lead * 1F2(spec)."""
+    spec = HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified))
     start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
     pref = ctx._table(("chebyshev", nuf, kf), start, _prefactor_ratio(nuf, None, kf), L)
-    with localcontext(ctx.dec):
-        sign = -1 if L % 2 and not modified else 1
-        return +(sign * (2 if L else 1) * pref * f)
+    sign = -1 if L % 2 and not modified else 1
+    return ctx.dec.multiply(sign * (2 if L else 1), pref), spec
 
 
 def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -240,12 +254,18 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
 def _gegenbauer_coeff(
     L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
 ) -> Real:
-    f = eval_pFq(HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified)), ctx)
+    return _lead_times_series(*_gegenbauer_parts(L, nuf, lamf, kf, ctx, modified), ctx)
+
+
+def _gegenbauer_parts(
+    L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
+) -> tuple:
+    """(lead, spec) with b_Lnu = lead * 1F2(spec)."""
+    spec = HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified))
     start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
     pref = ctx._table(("gegenbauer", nuf, lamf, kf), start, _prefactor_ratio(nuf, lamf, kf), L)
-    with localcontext(ctx.dec):
-        sign = -1 if L % 2 and not modified else 1
-        return +(sign * pref * f)
+    sign = -1 if L % 2 and not modified else 1
+    return ctx.dec.multiply(sign, pref), spec
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -366,8 +386,10 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
 def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Independent reference: Maclaurin series of J_nu(z).
 
-    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), summed with the
-    same three-quiet-terms stopping rule as the hypergeometric evaluator.
+    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), summed in its
+    own loop until the proven tail bound (mpcore.TailBound, shared with the
+    hypergeometric evaluator, and tried the same way) is below
+    10^-(working_digits + 5) of the larger of 1 and the sum.
     """
     nuf = to_fraction(nu)
     if nuf < 0:
@@ -386,6 +408,8 @@ def bessel_i_ref(n: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
 
 
 def _bessel_series(nuf: Fraction, zf: Fraction, ctx: PrecisionContext, alternating: bool) -> Real:
+    # t_(m+1)/t_m = -+(z/2)^2 / ((m + 1) (m + nu + 1)): the bound holds from m = 0
+    tail = TailBound(zf * zf / 4, (), ((1, 1), (nuf.numerator + nuf.denominator, nuf.denominator)))
     with localcontext(ctx.dec):
         half_z = ctx.real(zf) / 2
         if half_z == 0:
@@ -400,10 +424,13 @@ def _bessel_series(nuf: Fraction, zf: Fraction, ctx: PrecisionContext, alternati
             w = -w
         total = term
         comp = Decimal(0)
-        threshold = Decimal(10) ** (-(ctx.working_digits + 5))
-        quiet = 0
-        m = 0
-        while quiet < 3:
+        negligible = ctx.negligible
+        for m in range(_MAX_TERMS):
+            size, limit = abs(term), negligible * max(1, abs(total))
+            if size < limit:  # as in hypergeom: past the peak the bound is tried from here on
+                bound = tail.after(m, size)
+                if bound is not None and bound < limit:
+                    return +(total + comp)
             term = term * w / ((m + 1) * (ctx.real(nuf) + m + 1))
             new_total = total + term
             if abs(total) >= abs(term):
@@ -411,11 +438,4 @@ def _bessel_series(nuf: Fraction, zf: Fraction, ctx: PrecisionContext, alternati
             else:
                 comp += (term - new_total) + total
             total = new_total
-            if abs(term) < threshold * max(1, abs(total)):
-                quiet += 1
-            else:
-                quiet = 0
-            m += 1
-            if m > 20000:
-                raise RuntimeError("Bessel series did not converge")
-        return +(total + comp)
+        raise RuntimeError("Bessel series did not converge")

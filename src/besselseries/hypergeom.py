@@ -8,29 +8,33 @@ Terms are generated by the ratio recurrence
 taken from the exact parameters a_i = pa_i/qa_i, b_j = pb_j/qb_j, z = pz/qz as
 one integer, pz prod(qb_j) prod(pa_i + m qa_i), over another,
 qz (m + 1) prod(qa_i) prod(pb_j + m qb_j): one Decimal multiplication and one
-division per term.  Summation stops once the term magnitude stays below
-10^-(working_digits + 5) * max(1, |partial sum|) for three consecutive terms.
-A single tiny term is not trusted because alternating series can produce one
-accidentally.
+division per term.  Summation stops once the proven bound on all later terms
+together (mpcore.TailBound on the same ratio, with (m + 1) as one more lower
+factor) is below ctx.negligible = 10^-(working_digits + 5) times the scale,
+so every term left out is accounted for, however the signs fall.  The bound
+is only tried from the first term below that limit on: where it could pass
+earlier, R(m) < 1/2 and the next term is already below the limit, so this
+stops at most one term later and spares the bound on every term before.
+
+_bound_1f2 bounds a 1F2 value without summing it, for the identity sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Real,
+    TailBound,
     reciprocal_gamma,
     to_fraction,
 )
 
-_STOP_GUARD = 5  # extra digits below working precision before a term counts as negligible
-_STOP_STREAK = 3
 _MAX_TERMS = 20000
 
 
@@ -75,23 +79,35 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
 
 
 def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:
-    return _sum_from(spec, 0, Decimal(1), ctx, regularized=False)
+    return _sum_from(spec, 0, Decimal(1), ctx, regularized=False)[0]
 
 
-def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, regularized: bool) -> Real:
-    """t_m + t_(m+1) + ... from t_m = term; the negligibility scale is 1, or
-    for a regularized series the largest term so far."""
+def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, regularized: bool) -> tuple:
+    """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) from t_m = term.
+
+    The scale of the stopping test is the larger of 1 and |partial sum|, or
+    for a regularized series the larger of the largest term and |partial sum|.
+    """
     upper = [(a.numerator, a.denominator) for a in spec.upper]
     lower = [(b.numerator, b.denominator) for b in spec.lower]
     num_z = spec.z.numerator * math.prod(q for _, q in lower)
     den_z = spec.z.denominator * math.prod(q for _, q in upper)
+    tail = TailBound(spec.z, upper, lower + [(1, 1)])
+    first = m
     with localcontext(ctx.dec):
-        threshold = Decimal(10) ** (-(ctx.working_digits + _STOP_GUARD))
+        negligible = ctx.negligible
         scale = abs(term) if regularized else Decimal(1)
-        total = term
+        total, size = term, abs(term)
         comp = Decimal(0)
-        quiet = 0
         for m in range(m, _MAX_TERMS):
+            if size > scale and regularized:
+                scale = size
+            total_size = abs(total)
+            limit = negligible * max(scale, total_size)
+            if size < limit:  # see the module docstring
+                bound = tail.after(m, size)
+                if bound is not None and bound < limit:
+                    return +(total + comp), m - first + 1, bound
             num, den = num_z, den_z * (m + 1)
             for p, q in upper:
                 num *= p + m * q
@@ -100,19 +116,11 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, reg
             term = term * num / den
             size = abs(term)
             new_total = total + term
-            if abs(total) >= size:
+            if total_size >= size:
                 comp += (total - new_total) + term
             else:
                 comp += (term - new_total) + total
             total = new_total
-            if regularized and size > scale:
-                scale = size
-            if size < threshold * max(scale, abs(total)):
-                quiet += 1
-                if quiet >= _STOP_STREAK:
-                    return +(total + comp)
-            else:
-                quiet = 0
     raise RuntimeError(f"pFq did not converge within {_MAX_TERMS} terms")
 
 
@@ -124,8 +132,8 @@ def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEX
     factor vanishes (0 without poles), with the exact prod (a_i)_m0 z^m0 / m0!
     times one reciprocal_gamma(b_j + m0) per lower parameter.  Later terms take
     the plain ratio: 1/Gamma(b + m + 1) = 1/Gamma(b + m) / (b + m).  The
-    negligibility scale is the largest term magnitude seen so far rather than
-    1: a regularized value can be uniformly tiny (every term carries the same
+    stopping scale is the largest term magnitude seen so far rather than 1: a
+    regularized value can be uniformly tiny (every term carries the same
     1/Gamma factors), and anchoring at 1 would throw its relative accuracy away.
     """
     m0 = max((1 - int(b) for b in _pole_parameters(spec)), default=0)
@@ -138,7 +146,30 @@ def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEX
             term *= reciprocal_gamma(b + m0, ctx)
     if term == 0:
         return Decimal(0)  # z = 0 past a pole, or a terminating upper parameter: every term vanishes
-    return _sum_from(spec, m0, term, ctx, regularized=True)
+    return _sum_from(spec, m0, term, ctx, regularized=True)[0]
+
+
+def _bound_1f2(spec: HyperSpec) -> Real:
+    """F with |1F2(a; b, c; z)| <= F, for 0 < a <= b <= c, without summing the series.
+
+    1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
+    0F1 itself):
+
+        1F2(a; b, c; z) = Gamma(b) / (Gamma(a) Gamma(b-a)) int_0^1 t^(a-1) (1-t)^(b-a-1) 0F1(; c; z t) dt.
+
+    For z <= 0, |0F1(; c; -y)| = |Gamma(c) y^((1-c)/2) J_(c-1)(2 sqrt(y))| <= 1
+    when c >= 1/2 (DLMF 10.14.4), so F = 1.  For z > 0 every term is positive,
+    (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
+    0F1(; c; z) <= exp(z/c), taken to 20 digits and rounded up.
+    """
+    (a,), (b, c) = spec.upper, sorted(spec.lower)
+    if not 0 < a <= b or 2 * c < 1:
+        raise ValueError(f"no 1F2 bound for parameters {spec.upper}; {spec.lower}")
+    if spec.z <= 0:
+        return Decimal(1)
+    up = Context(prec=20, rounding=ROUND_CEILING)
+    x = up.divide(spec.z.numerator * c.denominator, spec.z.denominator * c.numerator)
+    return up.next_plus(up.exp(x))  # exp rounds half-even whatever the context: one step up covers it
 
 
 def hyp1f2(a1, b1, b2, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

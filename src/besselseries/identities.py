@@ -7,8 +7,9 @@ coefficient of J_nu(kx) at the power x^(2h+nu),
     rhs = (-1)^h 2^(-2h-nu) k^(2h+nu) / (h! Gamma(h+nu+1)).
 
 Terms with L below the family's starting order vanish identically (the basis
-polynomial of too-low degree simply has no x^(2h) monomial), which is why
-truncation limits are quoted as h plus a constant.
+polynomial of too-low degree simply has no x^(2h) monomial).  Past it, a sum
+either runs to an explicit lmax or stops where a proven bound on everything
+left out is small enough (verify_identity, _order_tail).
 
 The sign_flip switch realizes the modified-Bessel variant: substituting
 k^2 -> -k^2 flips the 1F2 argument to +k^2/4, cancels the alternating sign
@@ -16,10 +17,11 @@ that rides on k^(2L), and removes the (-1)^h from the right-hand side.
 
 Each term is the expansion coefficient of order L (from expansions, with the
 modified-Bessel switch set by sign_flip) times the exact x^(2h+nu) monomial
-coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_coefficient),
-times k^nu for the Chebyshev and Gegenbauer families.  Only the monomial
-factor depends on h: the coefficients and k^nu are cached in the context, so
-an h-sweep on one context computes each order's coefficient once.  An
+coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_parts, an
+integer over an integer, divided once in Decimal), times k^nu for the
+Chebyshev and Gegenbauer families.  Only the monomial factor depends on h:
+the coefficients and k^nu are cached in the context, so an h-sweep on one
+context computes each order's coefficient once.  An
 independent brute-force check lives in power_gather_oracle: expand every basis
 polynomial into exact-rational monomials by its three-term recurrence, multiply
 by the tabulated expansion coefficients, and gather the coefficient of one
@@ -39,6 +41,7 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
+    TailBound,
     _pow,
     double_factorial,
     gamma,
@@ -50,14 +53,16 @@ from .expansions import (
     Chebyshev,
     Gegenbauer,
     Legendre,
-    _chebyshev_coeff,
-    _gegenbauer_coeff,
-    _legendre_coeff_reduced,
+    _chebyshev_parts,
+    _gegenbauer_parts,
+    _legendre_parts,
     coefficient_table,
 )
+from .hypergeom import _bound_1f2, eval_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
 _HALF = Fraction(1, 2)
+_MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
 
 
 class IdentityId(enum.Enum):
@@ -83,14 +88,18 @@ _FIXED_NU = {
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One verification instance of a summed-series family."""
+    """One verification instance of a summed-series family.
+
+    lmax is the last order summed, or None to stop where the tail bound allows
+    (verify_identity).
+    """
 
     id: IdentityId
     h: int = 0
     k: Fraction = Fraction(1)
     nu: Fraction | None = None
     lam: Fraction | None = None
-    lmax: int = 21
+    lmax: int | None = 21
     tolerance: Fraction = Fraction(1, 10**33)
     sign_flip: bool = False
     # identity_term's cache key, built once from integer pairs (Fraction.__hash__
@@ -104,7 +113,9 @@ class IdentityCase:
             raise DomainError("h must be >= 0")
         if self.k <= 0:
             raise DomainError("k must be > 0")
-        if self.lmax < self.h:
+        if self.lmax is None and self.tolerance <= 0:
+            raise DomainError("a sum stopped by its tail bound needs a tolerance > 0")
+        if self.lmax is not None and self.lmax < self.h:
             raise DomainError("lmax must be >= h")
         nu = self.nu
         if self.id in _FIXED_NU:
@@ -140,6 +151,8 @@ class VerificationReport:
     terms_used: int
     passed: bool
     terms: tuple | None = None  # ((L, term), ...) when tracing
+    lmax: int | None = None  # the last order summed: the case's lmax, or where the tail bound stopped
+    tail_bound: Real | None = None  # the proven bound on the terms after lmax, when the bound stopped the sum
 
 
 def first_contributing_order(case: IdentityCase) -> int:
@@ -174,27 +187,84 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
         raise DomainError("L must be >= 0")
     if _parity_skip(case, L) or L < first_contributing_order(case):
         return Decimal(0)
-    k, nu, lam, flip = case.k, case.nu, case.lam, case.sign_flip
-    if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
-        N = int(nu)
-        mono = _monomial_coefficient(LegendreP(), L, (L - N) // 2 - case.h)
-        build = lambda: _legendre_coeff_reduced(L, N, k, ctx, flip)
-    elif case.id in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
-        mono = _monomial_coefficient(GegenbauerC(lam), 2 * L, L - case.h, ctx)
-        build = lambda: _gegenbauer_coeff(L, nu, lam, k, ctx, flip)
+    if case._key[0]:
+        num, den = _monomial_parts(LegendreP(), L, (L - int(case.nu)) // 2 - case.h)
+    elif case.lam is not None:
+        num, den = _monomial_parts(GegenbauerC(case.lam), 2 * L, L - case.h, ctx)
     else:  # the Chebyshev ids; the Clenshaw sum rule is chebyshev-even at h = 0
-        mono = _monomial_coefficient(ChebyshevT(), 2 * L, L - case.h)
-        build = lambda: _chebyshev_coeff(L, nu, k, ctx, flip)
-    coeff = ctx._cached(("coeff", L, case._key), build)  # the key tells the families apart
+        num, den = _monomial_parts(ChebyshevT(), 2 * L, L - case.h)
+    coeff = _coefficient(case, L, ctx)[0]
     with localcontext(ctx.dec):
+        mono = Decimal(num) / Decimal(den)
         if case._key[0]:  # Legendre expands J_N(kx) itself: no k^nu factor
-            return +(coeff * ctx.real(mono))
-        k_nu = ctx._cached(("k^nu", *case._key[1:3]), lambda: _pow(k, nu, ctx))
-        return +(coeff * k_nu * ctx.real(mono))
+            return +(coeff * mono)
+        k_nu = ctx._cached(("k^nu", *case._key[1:3]), lambda: _pow(case.k, case.nu, ctx))
+        return +(coeff * k_nu * mono)
+
+
+def _coefficient(case: IdentityCase, L: int, ctx: PrecisionContext) -> tuple:
+    """(c_L, M_L / |c_L|), cached: the order-L expansion coefficient c_L = lead * 1F2 and how far
+    M_L = |lead| _bound_1f2 >= |c_L| exceeds it (None where the 1F2 is 0)."""
+
+    def build():
+        k, nu, flip = case.k, case.nu, case.sign_flip
+        if case._key[0]:
+            lead, spec = _legendre_parts(L, int(nu), k, ctx, flip)
+        elif case.lam is not None:
+            lead, spec = _gegenbauer_parts(L, nu, case.lam, k, ctx, flip)
+        else:
+            lead, spec = _chebyshev_parts(L, nu, k, ctx, flip)
+        series = eval_pFq(spec, ctx)
+        with localcontext(ctx.dec):
+            return lead * series, (_bound_1f2(spec) / abs(series) if series else None)
+
+    return ctx._cached(("coeff", L, case._key), build)  # the key tells the families apart
+
+
+def _order_tail(case: IdentityCase) -> TailBound:
+    """The tail bound of the identity sum over L, for lmax None.
+
+    |term_L| <= B_L = |p_L| |mono(L, h)| k^nu F_L, where p_L is the coefficient
+    over its 1F2 (with the factor 2 of Chebyshev L >= 1) and F_L = _bound_1f2:
+    1 for the 1F2 argument -k^2/4, exp(k^2 / (4 c_L)) with sign_flip, c_L the
+    larger lower parameter, which grows with L, so F_(L+s)/F_L <= 1 (s = 2 for
+    Legendre, else 1).  B_(L+s)/B_L is then at most the exact ratio of
+    |p| |mono|: the prefactor ratio of expansions times that of the closed
+    forms of _monomial_parts,
+
+        T_2L, x^2h:      (L+1)(L+h) / (L (L+1-h))                 (L >= 1)
+        C^lam_2L, x^2h:  |L+h+lam| / (L+1-h)
+        P_L, x^(2h+N):   (L+N+2h+1) / (L-N-2h+2)                  (step 2),
+
+    which as products of linear factors in L are
+
+        Chebyshev:   k^2/16 (L+h) / (L (L+nu+1) (L+1-h))
+        Gegenbauer:  k^2/16 (L+1/2)(L+h+lam) / ((L+lam/2)(L+lam/2+1/2)(L+nu+1)(L+1-h))
+        Legendre:    k^2/4 (L+1)(L+2)(L+N+2h+1) / ((L+1/2)(L+3/2)(L+2-N)(L+2+N)(L+2-N-2h)).
+
+    TailBound turns each into a majorant R(L) that does not increase, so the
+    terms after L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
+    """
+    k2, h, nu, lam = case.k * case.k, case.h, case.nu, case.lam
+    if case._key[0]:
+        N = int(nu)
+        c, upper, lower = k2 / 4, (1, 2, N + 2 * h + 1), (_HALF, 3 * _HALF, 2 - N, 2 + N, 2 - N - 2 * h)
+    elif lam is not None:
+        c, upper, lower = k2 / 16, (_HALF, h + lam), (lam / 2, (lam + 1) / 2, nu + 1, 1 - h)
+    else:
+        c, upper, lower = k2 / 16, (h,), (0, nu + 1, 1 - h)
+    pairs = lambda xs: [(f.numerator, f.denominator) for f in map(Fraction, xs)]
+    return TailBound(c, pairs(upper), pairs(lower))
 
 
 def _monomial_coefficient(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
-    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n, in closed form:
+    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n (_monomial_parts, reduced)."""
+    return Fraction(*_monomial_parts(poly, n, m, ctx))
+
+
+def _monomial_parts(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n as an integer numerator over a positive integer
+    denominator, not reduced, from the closed forms
 
         P_n: (-1)^m C(n, m) C(2n-2m, n) / 2^n
         T_n: (-1)^m 2^(n-2m-1) n/(n-m) C(n-m, m),  and T_0 = 1
@@ -204,13 +274,14 @@ def _monomial_coefficient(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_
     """
     sign = -1 if m % 2 else 1
     if isinstance(poly, LegendreP):
-        return Fraction(sign * math.comb(n, m) * math.comb(2 * n - 2 * m, n), 2**n)
+        return sign * math.comb(n, m) * math.comb(2 * n - 2 * m, n), 2**n
     if isinstance(poly, GegenbauerC):
         rising = _rising_factorial(poly.lam, n - m, ctx)
-        return sign * rising * 2 ** (n - 2 * m) / (math.factorial(m) * math.factorial(n - 2 * m))
+        den = rising.denominator * math.factorial(m) * math.factorial(n - 2 * m)
+        return sign * rising.numerator << (n - 2 * m), den
     if n == 0:
-        return Fraction(1)
-    return Fraction(sign * n * math.comb(n - m, m) * 2 ** (n - 2 * m), 2 * (n - m))
+        return 1, 1
+    return sign * n * math.comb(n - m, m) << (n - 2 * m), 2 * (n - m)
 
 
 def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
@@ -237,16 +308,41 @@ def _maclaurin(h: int, nu: Fraction, k: Fraction, sign_flip: bool, ctx: Precisio
 def verify_identity(
     case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT, trace: bool = False
 ) -> VerificationReport:
-    """Sum the family's terms for L = 0..lmax and compare with the closed form.
+    """Sum the family's terms in ascending L and compare with the closed form.
 
-    Terms are accumulated in ascending L with compensated summation; reports
-    are therefore deterministic for a given context.
+    With an integer case.lmax the sum runs over L = 0..lmax.  With lmax None it
+    stops at the first order whose bound on every later term together
+    (_order_tail) is at most min(tolerance/10, 10^-(display+1)) |rhs|: the
+    truncation then costs under a tenth of the tolerance, and no printed digit
+    of lhs is a digit of a partial sum only.  Terms are accumulated with
+    compensated summation; reports are deterministic for a given context.
     """
     start = first_contributing_order(case)
-    orders = [L for L in range(case.lmax + 1) if not _parity_skip(case, L)]
-    rows = [(L, identity_term(case, L, ctx) if L >= start else Decimal(0)) for L in orders]
-    lhs = neumaier_sum((term for L, term in rows if L >= start), ctx)
     rhs = identity_rhs(case, ctx)
+    if case.lmax is None:
+        tail = _order_tail(case)
+        with localcontext(ctx.dec):
+            digits = Decimal(1).scaleb(-(ctx.display_digits + 1))
+            target = min(ctx.real(case.tolerance / 10), digits) * abs(rhs)
+    rows, bound = [], None
+    for L in range(_MAX_ORDER + 1 if case.lmax is None else case.lmax + 1):
+        if _parity_skip(case, L):
+            continue
+        if L < start:
+            rows.append((L, Decimal(0)))
+            continue
+        term = identity_term(case, L, ctx)
+        rows.append((L, term))
+        if case.lmax is None:
+            excess = _coefficient(case, L, ctx)[1]
+            with localcontext(ctx.dec):
+                bound = None if excess is None else tail.after(L, abs(term) * excess)
+            if bound is not None and bound <= target:
+                break
+    else:
+        if case.lmax is None:
+            raise RuntimeError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
+    lhs = neumaier_sum((term for L, term in rows if L >= start), ctx)
     with localcontext(ctx.dec):
         abs_diff = abs(lhs - rhs)
         rel_diff = abs_diff / abs(rhs)
@@ -259,6 +355,8 @@ def verify_identity(
         terms_used=sum(1 for L, _ in rows if L >= start),
         passed=bool(passed),
         terms=tuple(rows) if trace else None,
+        lmax=case.lmax if case.lmax is not None else rows[-1][0],
+        tail_bound=bound,
     )
 
 

@@ -105,8 +105,7 @@ class PrecisionContext:
             pass
         value = build()
         with self._lock:
-            self._cache.setdefault(key, value)
-        return self._cache[key]
+            return self._cache.setdefault(key, value)
 
     def _table(self, key, start, ratio, n: int):
         """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * ratio(j) (an exact Fraction).
@@ -130,6 +129,11 @@ class PrecisionContext:
     @property
     def sqrt_pi(self) -> Real:
         return self._cached("sqrt_pi", lambda: self.pi.sqrt(self.dec))
+
+    @property
+    def negligible(self) -> Real:
+        """10^-(working_digits + 5): a series stops once its tail bound is below this times its scale."""
+        return Decimal(1).scaleb(-(self.working_digits + 5))
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -439,6 +443,58 @@ def neumaier_sum(terms, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
                 comp += (t - total) + s
             s = total
         return +(s + comp)
+
+
+class TailBound:
+    """Geometric bound on the tail of a series whose term ratio is a product of linear factors,
+
+        t_(m+1) / t_m = r(m) = c (m + a_1) ... (m + a_p) / ((m + b_1) ... (m + b_q)),   p <= q,
+
+    with a rational c and the a_i, b_j given as integer pairs (numerator, positive denominator).
+    Each a_i, largest first, is paired with the smallest free b_j >= a_i, or else with the largest
+    free b_j.  From `start` on, the first m with every m + a_i >= 0 and every m + b_j > 0, a pair's
+    factor (m + a)/(m + b) stays in [0, 1] if a <= b and is dropped; otherwise it falls toward 1 and
+    is kept, and so does each free 1/(m + b).  What remains,
+
+        R(m) = |c| prod(kept (m + a)) / prod(kept (m + b)),
+
+    does not increase, so |r(m')| <= R(m) for every m' >= m.  Once R(m) < 1, |t_m| <= size gives
+
+        |t_(m+1)| + |t_(m+2)| + ... <= size R(m) / (1 - R(m)).
+
+    R(m) is built as an integer numerator over an integer denominator, like the term ratios.
+    """
+
+    def __init__(self, c: Fraction, upper, lower):
+        key = lambda f: f[0] / f[1]  # orders the pairing only; every comparison below is exact
+        up, free = sorted(upper, key=key, reverse=True), sorted(lower, key=key)
+        if len(up) > len(free):
+            raise ValueError("a tail bound needs at least as many lower as upper factors")
+        self.start = max([0] + [-(p // q) for p, q in up] + [-p // q + 1 for p, q in free])
+        self._up, self._low = [], []
+        for pa, qa in up:
+            b = next((b for b in free if b[0] * qa >= pa * b[1]), free[-1])
+            free.remove(b)
+            if pa * b[1] > b[0] * qa:
+                self._up.append((pa, qa))
+                self._low.append(b)
+        self._low += free
+        self._num = abs(c.numerator) * math.prod(q for _, q in self._low)
+        self._den = c.denominator * math.prod(q for _, q in self._up)
+
+    def after(self, m: int, size: Decimal):
+        """The bound on the terms after t_m, for |t_m| <= size, in the current decimal context;
+        None before `start` or while R(m) >= 1."""
+        if m < self.start:
+            return None
+        num, den = self._num, self._den
+        for p, q in self._up:
+            num *= p + m * q
+        for p, q in self._low:
+            den *= p + m * q
+        if num >= den:
+            return None
+        return size * num / (den - num)
 
 
 def agreement_digits(value, reference, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:

@@ -2,13 +2,14 @@
 
 Everything comes from the three-term recurrences: point values forward in
 Decimal arithmetic, whole expansions backward by Clenshaw's sum, and exact
-monomial coefficients forward on Fraction coefficient lists, so the
-power-gathering oracle carries no rounding error of its own and shares no
-closed form with the identity brackets it checks.
+monomial coefficients forward on integer numerators over one denominator per
+row, so the power-gathering oracle carries no rounding error of its own and
+shares no closed form with the identity brackets it checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -111,23 +112,29 @@ def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
 
     Row m lists the coefficients of x^0 .. x^min(m, pmax) of the degree-m
     polynomial (0 where parity rules a power out), built by the three-term
-    recurrence on Fraction lists.  Dropping the powers above pmax is exact:
-    the x^j coefficient of p_{m+1} needs only x^(j-1) of p_m and x^j of p_{m-1}.
+    recurrence on integer numerators over one denominator per row, reduced by
+    the gcd of the whole row.  Dropping the powers above pmax is exact: the
+    x^j coefficient of p_{m+1} needs only x^(j-1) of p_m and x^j of p_{m-1}.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     if pmax is None:
         pmax = n
-    rows = [[Fraction(1)]]
+    rows = [([1], 1)]  # (numerators, denominator) per degree
     for m in range(n):
-        a, b = _recurrence_step(kind, m)
-        cur, prev = rows[m], (rows[m - 1] if m else [])
+        a, b = map(Fraction, _recurrence_step(kind, m))
+        (cur, d_cur), (prev, d_prev) = rows[m], (rows[m - 1] if m else ([], 1))
+        # p_{m+1} = a x p_m - b p_{m-1} over the common denominator den
+        den = math.lcm(a.denominator * d_cur, b.denominator * d_prev)
+        fa = a.numerator * (den // (a.denominator * d_cur))
+        fb = b.numerator * (den // (b.denominator * d_prev))
         new = [0] * (min(m + 1, pmax) + 1)
         for j in range((m + 1) % 2, len(new), 2):
-            c = a * cur[j - 1] if j else 0
-            new[j] = c - b * prev[j] if j < len(prev) else c
-        rows.append(new)
-    return rows
+            c = fa * cur[j - 1] if j else 0
+            new[j] = c - fb * prev[j] if j < len(prev) else c
+        g = math.gcd(den, *new)
+        rows.append(([v // g for v in new], den // g))
+    return [[Fraction(v, d) if v else 0 for v in row] for row, d in rows]
 
 
 def monomial_coeffs(kind, n: int) -> MonomialExpansion:

@@ -39,7 +39,6 @@ from besselseries import (
     power_gather_oracle,
     verify_identity,
 )
-from besselseries.cli import auto_lmax
 from besselseries.orthopoly import LegendreP, monomial_coeffs
 
 from helpers import fraction_to_decimal, sig_digit_count, sin_rational_series, ulp_at
@@ -132,9 +131,7 @@ def test_criterion_2_accuracy_claims(ctx):
 def _sweep(identity, hs, k, ctx, tol=TOL33, **kw):
     worst = Decimal(0)
     for h in hs:
-        case = IdentityCase(
-            identity, h=h, k=k, lmax=auto_lmax(identity, h, Fraction(k)), tolerance=tol, **kw
-        )
+        case = IdentityCase(identity, h=h, k=k, lmax=None, tolerance=tol, **kw)
         report = verify_identity(case, ctx)
         assert report.passed, (identity, h, k, report.rel_diff)
         worst = max(worst, report.rel_diff)
@@ -149,8 +146,8 @@ def test_criterion_3_identity_suites(ctx):
     w4 = _sweep(IdentityId.CHEBYSHEV_ODD, hs, 5, ctx)
     w5 = _sweep(IdentityId.LEGENDRE_J0, range(11), 1, ctx)
     w6 = _sweep(IdentityId.LEGENDRE_J1, range(11), 1, ctx)
-    # the large-h anchor points of the truncation prescriptions are exact:
-    # at h = 42 the even family passes at lmax = h+18 (k=8) and h+15 (k=5)
+    # an explicit lmax keeps its meaning: at h = 42 the even family passes at
+    # lmax = h+18 (k=8) and h+15 (k=5)
     for k, offset in ((8, 18), (5, 15)):
         case = IdentityCase(IdentityId.CHEBYSHEV_EVEN, h=42, k=k, lmax=42 + offset, tolerance=TOL33)
         assert verify_identity(case, ctx).passed, (k, offset)
@@ -212,7 +209,7 @@ def general_gegenbauer_cases():
                 for k in GENERAL_KS:
                     yield IdentityCase(
                         IdentityId.GEGENBAUER_GENERAL, h=h, k=k, nu=nu, lam=lam,
-                        lmax=auto_lmax(IdentityId.GEGENBAUER_GENERAL, h, k),
+                        lmax=None,
                         tolerance=TOL30,
                     )
 
@@ -223,7 +220,7 @@ def general_chebyshev_cases():
             for k in GENERAL_KS:
                 yield IdentityCase(
                     IdentityId.CHEBYSHEV_GENERAL_NU, h=h, k=k, nu=nu,
-                    lmax=auto_lmax(IdentityId.CHEBYSHEV_GENERAL_NU, h, k),
+                    lmax=None,
                     tolerance=TOL30,
                 )
 
@@ -297,16 +294,16 @@ def _doubling_sample():
     for h in range(43):
         cases.append(IdentityCase(
             IdentityId.CHEBYSHEV_EVEN, h=h, k=8,
-            lmax=auto_lmax(IdentityId.CHEBYSHEV_EVEN, h, Fraction(8)), tolerance=TOL33,
+            lmax=None, tolerance=TOL33,
         ))
         cases.append(IdentityCase(
             IdentityId.CHEBYSHEV_ODD, h=h, k=5,
-            lmax=auto_lmax(IdentityId.CHEBYSHEV_ODD, h, Fraction(5)), tolerance=TOL33,
+            lmax=None, tolerance=TOL33,
         ))
     for h in range(11):
         cases.append(IdentityCase(
             IdentityId.LEGENDRE_J0, h=h, k=1,
-            lmax=auto_lmax(IdentityId.LEGENDRE_J0, h, Fraction(1)), tolerance=TOL33,
+            lmax=None, tolerance=TOL33,
         ))
     cases.extend(general_gegenbauer_cases())
     cases.extend(general_chebyshev_cases())

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from besselseries.cli import auto_lmax, build_parser, main, parse_exact
-from besselseries.identities import IdentityId
+from besselseries import cli
+from besselseries.cli import build_parser, main, parse_exact
 
 import reference_tables as ref
 
@@ -224,12 +224,27 @@ def test_missing_required_kind_parameter():
     assert err.value.code == 2
 
 
-def test_auto_lmax_prescriptions():
-    assert auto_lmax(IdentityId.LEGENDRE_J0, 0, Fraction(1)) == 44
-    assert auto_lmax(IdentityId.LEGENDRE_J0, 10, Fraction(1)) == 84
-    assert auto_lmax(IdentityId.CHEBYSHEV_EVEN, 42, Fraction(8)) == 68
-    assert auto_lmax(IdentityId.CHEBYSHEV_ODD, 0, Fraction(5)) == 21
-    assert auto_lmax(IdentityId.GEGENBAUER_GENERAL, 5, Fraction(1)) == 85
+def test_lmax_auto_stops_at_the_tail_bound(capsys):
+    # the reported lmax is the last order summed; the sum stops far earlier than a
+    # fixed h + 80 would, and an explicit lmax keeps its meaning
+    code, out = run_cli(
+        capsys, "verify", "--id", "gegenbauer-general", "--nu", "1/3", "--lambda", "1/4",
+        "--k", "1", "--h", "5", "--format", "json",
+    )
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["pass"] and report["terms_used"] <= 20
+    assert report["terms_used"] == report["params"]["lmax"] - 5 + 1
+    code, out = run_cli(capsys, "verify", "--id", "legendre-j0", "--h", "0", "--k", "1", "--lmax", "44")
+    assert code == 0 and " lmax=44 terms=23 " in out
+
+
+def test_parser_built_once_per_process():
+    assert build_parser() is not build_parser()
+    assert main(["coeffs", "--kind", "chebyshev", "--k", "1", "--lmax", "0"]) == 0
+    hits = cli._parser.cache_info().hits
+    assert main(["coeffs", "--kind", "chebyshev", "--k", "1", "--lmax", "0"]) == 0
+    assert cli._parser.cache_info().hits == hits + 1 and cli._parser.cache_info().currsize == 1
 
 
 def test_parser_rejects_garbage_numbers():

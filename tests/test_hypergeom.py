@@ -181,3 +181,72 @@ def test_full_legendre_coefficient_chain(ctx):
     f = hyp1f2(Fraction(1, 2), 1, Fraction(3, 2), Fraction(-1, 4), ctx)
     assert rel_diff(got, f) < Decimal("1e-62")
     assert format_decimal(got, 34) == "0.9197304100897602393144211940806200"
+
+
+# ----------------------------------------------------------------- tail bounds
+
+def _tail_bound_cases():
+    half = Fraction(1, 2)
+    for k in (1, 8, 30):
+        for sign in (-1, 1):
+            z = sign * Fraction(k * k, 4)
+            for L in (0, 7):
+                for nu in (Fraction(0), Fraction(1, 3)):
+                    yield f"cheb-L{L}-nu{nu}-k{k}{'+-'[sign < 0]}", (L + half,), (L + nu + 1, 2 * L + 1), z, 0
+                for nu, lam in ((Fraction(2, 3), Fraction(7, 3)), (Fraction(0), Fraction(-1, 4))):
+                    lower = (2 * L + lam + 1, L + nu + 1)
+                    yield f"geg-L{L}-lam{lam}-k{k}{'+-'[sign < 0]}", (L + half,), lower, z, 0
+            # regularized Legendre 2F~3: N = 2 <= L has no pole, N = 5 > L = 1 starts past b = -1 at m0 = 2
+            for L, N in ((4, 2), (1, 5)):
+                upper = (Fraction(L, 2) + half, Fraction(L, 2) + 1)
+                lower = (L + 3 * half, Fraction(L - N, 2) + 1, Fraction(L + N, 2) + 1)
+                m0 = max([0] + [1 - int(b) for b in lower if b.denominator == 1 and b <= 0])
+                yield f"leg-L{L}-N{N}-k{k}{'+-'[sign < 0]}", upper, lower, z, m0
+
+
+TAIL_CASES = list(_tail_bound_cases())
+
+
+@pytest.mark.parametrize("upper,lower,z,m0", [c[1:] for c in TAIL_CASES], ids=[c[0] for c in TAIL_CASES])
+def test_series_tail_is_within_the_reported_bound(upper, lower, z, m0, ctx):
+    # The series from t_m0 = 1: for m0 > 0 that is the regularized series over its first term, an
+    # exact-rational pFq with every parameter shifted by m0, one more upper 1 and one more lower m0 + 1.
+    shifted_upper = [a + m0 for a in upper] + ([1] if m0 else [])
+    shifted_lower = [b + m0 for b in lower] + ([m0 + 1] if m0 else [])
+    value, terms, bound = hypergeom._sum_from(HyperSpec(upper, lower, z), m0, Decimal(1), ctx, m0 > 0)
+    summed = pFq_rational_prefix(shifted_upper, shifted_lower, z, terms)
+    infinite = pFq_rational_prefix(shifted_upper, shifted_lower, z, terms + 300)
+    assert abs(infinite - summed) <= Fraction(bound)
+    if not m0:  # a plain series stops once the bound is below 10^-(working + 5) of max(1, |sum|)
+        assert Fraction(bound) < Fraction(ctx.negligible) * max(1, abs(summed))
+    assert rel_diff(value, fraction_to_decimal(summed, 120)) < Decimal("1e-45")
+
+
+def test_tail_bound_majorizes_every_later_ratio():
+    # r(m) = c prod(m + a) / prod(m + b) for random rational parameters; R(m) from TailBound
+    # must bound |r(m')| for all m' >= m and must not increase
+    from besselseries.mpcore import TailBound
+
+    rng = random.Random(7)
+    frac = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    for _ in range(300):
+        p = rng.randint(0, 3)
+        upper, lower = [frac() for _ in range(p)], [frac() for _ in range(p + rng.randint(0, 2))]
+        if not lower:
+            continue
+        c = frac() or Fraction(1)
+        pairs = lambda xs: [(x.numerator, x.denominator) for x in xs]
+        tail = TailBound(c, pairs(upper), pairs(lower))
+        ratios = [abs(c * math.prod(n + a for a in upper) / math.prod(n + b for b in lower))
+                  for n in range(tail.start, tail.start + 80)]
+        later = [max(ratios[i:]) for i in range(40)]  # the largest ratio from each index on, in the window
+        last = None
+        for i in range(40):
+            # after() returns size R/(1-R); size = 1 recovers R = bound/(1 + bound)
+            bound = tail.after(tail.start + i, Decimal(1))
+            if bound is None:
+                continue
+            R = Fraction(bound) / (1 + Fraction(bound))
+            assert later[i] <= R * (1 + Fraction(1, 10**20)), (upper, lower, c, tail.start + i)
+            assert last is None or R <= last * (1 + Fraction(1, 10**20))
+            last = R

@@ -1,4 +1,5 @@
 import json
+import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from besselseries import (
     verify_identity,
 )
 from besselseries import hypergeom, identities
-from besselseries.cli import auto_lmax, main
+from besselseries.cli import main
 from besselseries.hypergeom import pFq_rational_prefix
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
@@ -161,12 +162,13 @@ def test_shared_context_matches_fresh_contexts():
 
 def test_sweep_builds_each_coefficient_once(monkeypatch, capsys):
     series, coeffs = [], []
-    series_fn, coeff_fn = hypergeom._eval_pFq_series, identities._chebyshev_coeff
+    series_fn, parts_fn = hypergeom._eval_pFq_series, identities._chebyshev_parts
     monkeypatch.setattr(hypergeom, "_eval_pFq_series", lambda *a: series.append(a) or series_fn(*a))
-    monkeypatch.setattr(identities, "_chebyshev_coeff", lambda *a: coeffs.append(a) or coeff_fn(*a))
-    assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "1", "--format", "json"]) == 0
+    monkeypatch.setattr(identities, "_chebyshev_parts", lambda *a: coeffs.append(a) or parts_fn(*a))
+    # k = 8: at k = 1 the tail bound stops each h after about 12 orders, too few for a tenfold reuse
+    assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "8", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
-    orders = {L for h in range(21) for L in range(h, auto_lmax(IdentityId.CHEBYSHEV_EVEN, h, 1) + 1)}
+    orders = {L for h, r in enumerate(reports) for L in range(h, r["params"]["lmax"] + 1)}
     assert sum(r["terms_used"] for r in reports) > 10 * len(orders)
     assert len(series) == len(coeffs) == len(orders)
 
@@ -300,10 +302,7 @@ def test_lambda_independence(ctx):
 
 def test_scaling_law(ctx):
     for k in (Fraction(1, 2), Fraction(1), Fraction(5), Fraction(8)):
-        case = _case(
-            IdentityId.CHEBYSHEV_EVEN, h=2, k=k,
-            lmax=auto_lmax(IdentityId.CHEBYSHEV_EVEN, 2, k),
-        )
+        case = _case(IdentityId.CHEBYSHEV_EVEN, h=2, k=k, lmax=None)
         r = verify_identity(case, ctx)
         assert r.passed, k
         assert rel_diff(r.lhs, r.rhs) < Decimal("1e-33")
@@ -393,3 +392,71 @@ def test_oracle_matches_identity_rhs_sample(ctx):
         want = identity_rhs(case, ctx)
         assert rel_diff(row.maclaurin, want) < Decimal("1e-60")
         assert row.rel_diff < Decimal("1e-30")
+
+
+# ----------------------------------------------------------------- tail bound of the sum over L
+
+AUTO_IDS = [
+    (IdentityId.LEGENDRE_J0, {}),
+    (IdentityId.LEGENDRE_J1, {}),
+    (IdentityId.CHEBYSHEV_EVEN, {}),
+    (IdentityId.CHEBYSHEV_ODD, {}),
+    (IdentityId.CHEBYSHEV_GENERAL_NU, {"nu": Fraction(1, 3)}),
+    (IdentityId.GEGENBAUER_NU0, {"lam": Fraction(-1, 4)}),
+    (IdentityId.GEGENBAUER_GENERAL, {"nu": Fraction(2, 3), "lam": Fraction(7, 3)}),
+    (IdentityId.CLENSHAW_SUM_RULE, {}),
+]
+
+
+@pytest.mark.parametrize("sign_flip", [False, True], ids=["J", "I"])
+@pytest.mark.parametrize("k", [1, 5, 8, 12, 20])
+@pytest.mark.parametrize("identity,params", AUTO_IDS, ids=[i.value for i, _ in AUTO_IDS])
+def test_stop_by_tail_bound_passes_and_bounds_the_true_tail(identity, params, k, sign_flip, ctx, ctx_double):
+    # The sum stops by its proven bound; the 40 orders after the stop, summed in absolute
+    # value at doubled precision, must stay within the reported bound.
+    step = 2 if identity in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1) else 1
+    for h in ((0,) if identity == IdentityId.CLENSHAW_SUM_RULE else (0, 3, 10)):
+        case = _case(identity, h=h, k=k, lmax=None, sign_flip=sign_flip, **params)
+        r = verify_identity(case, ctx)
+        assert r.passed, (h, r.rel_diff)
+        assert r.tail_bound is not None and r.terms_used == sum(
+            1 for L in range(first_contributing_order(case), r.lmax + 1, step))
+        with localcontext(ctx_double.dec):
+            true_tail = sum(abs(identity_term(case, r.lmax + step * j, ctx_double)) for j in range(1, 41))
+            target = Decimal("1e-35") * abs(r.rhs)  # min(tolerance / 10, 10^-(34 + 1)) |rhs|
+        assert true_tail <= r.tail_bound <= target, (h, true_tail, r.tail_bound)
+
+
+def test_explicit_lmax_keeps_its_meaning(ctx):
+    case = _case(IdentityId.LEGENDRE_J0, h=0, k=1, lmax=45)
+    r = verify_identity(case, ctx, trace=True)
+    assert r.lmax == 45 and r.tail_bound is None and r.terms[-1][0] == 44
+    auto = verify_identity(_case(IdentityId.LEGENDRE_J0, h=0, k=1, lmax=None), ctx, trace=True)
+    assert auto.lmax == auto.terms[-1][0] < 45 and auto.passed
+
+
+def test_stop_by_tail_bound_is_capped(monkeypatch):
+    with pytest.raises(DomainError):
+        _case(IdentityId.CHEBYSHEV_EVEN, h=0, k=1, lmax=None, tolerance=0)
+    monkeypatch.setattr(identities, "_MAX_ORDER", 10)
+    with pytest.raises(RuntimeError, match="L = 10"):
+        verify_identity(_case(IdentityId.CHEBYSHEV_EVEN, h=0, k=20, lmax=None), PrecisionContext())
+
+
+LAMBDAS_FOR_PARTS = [Fraction(-1, 4), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20)]
+
+
+@pytest.mark.parametrize("lam", LAMBDAS_FOR_PARTS, ids=["-1/4", "2^-20", "1/3", "7/3", "2^20"])
+def test_gegenbauer_monomial_parts_equal_the_fraction_closed_form(lam):
+    # integer numerator over integer denominator against
+    # (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!) in Fraction arithmetic
+    ctx = PrecisionContext()
+    rising = [Fraction(1)]
+    for i in range(130):
+        rising.append(rising[-1] * (lam + i))
+    for n in range(131):
+        for m in range(n // 2 + 1):
+            num, den = identities._monomial_parts(GegenbauerC(lam), n, m, ctx)
+            want = (-1) ** m * 2 ** (n - 2 * m) * rising[n - m]
+            want /= math.factorial(m) * math.factorial(n - 2 * m)
+            assert den > 0 and Fraction(num, den) == want, (n, m)
