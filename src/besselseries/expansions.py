@@ -11,13 +11,12 @@ function f(x) = (kx)^-nu J_nu(kx) and apply to non-integer orders as well:
     J_nu(kx) = (kx)^nu sum_L C_Lnu(k) T_2L(x)
     J_nu(kx) = (kx)^nu sum_L b_Lnu(k) C^lam_2L(x)
 
-Two algorithms compute them and check each other.  Single coefficients (the
-public per-L functions, and the private cores the summed-series identities
-use) sum the paper's 1F2 (2F~3) series.  Their prefactor p_L (the coefficient
-over its series and sign) grows by an exact-rational ratio from one start
-value per family, nu, lambda and k, in a table cached in the context.
-Chebyshev and Gegenbauer start from p_0 = 2^-nu / Gamma(nu+1), the only gamma
-and fractional power of a table:
+Two algorithms compute them and check each other.  The public per-L
+functions sum the paper's 1F2 (2F~3) series.  Their prefactor p_L (the
+coefficient over its series and sign) grows by an exact-rational ratio from
+one start value per family, nu, lambda and k, in a table cached in the
+context.  Chebyshev and Gegenbauer start from p_0 = f(0) = 2^-nu / Gamma(nu+1),
+the only gamma and fractional power of a table:
 
     Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))
     Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
@@ -25,23 +24,29 @@ and fractional power of a table:
 Legendre steps by 2 in L, from the exact start values in its core functions.
 With the modified switch of the private cores, the same formulas give the
 coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign that
-rides on k^(2L) (k^L for Legendre) is dropped.
+rides on k^(2L) (k^L for Legendre) is dropped.  The identities take only p_L
+from here, to bound their terms.
 
-Whole tables (coefficient_table, so eval and the oracle too) sum no series,
-so nothing cancels at large k.  As f solves x f'' + (2nu+1) f' + k^2 x f = 0,
-the coefficients meet an order-3 recurrence in L (_recurrence_coefficients);
-a table is its minimal solution, by one backward pass (Miller) at working +
-10 digits from 1 at an index N*, scaled to f(0) = 2^-nu / Gamma(nu+1) by
+Whole tables (coefficient_table, so eval, the oracle and the identity terms)
+sum no series, so nothing cancels at large k.  As f solves
+x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified switch, f then
+(kx)^-nu I_nu(kx)), the coefficients meet an order-3 recurrence in L
+(_recurrence_coefficients); a table is its minimal solution, by one backward
+pass (Miller) at working + 10 digits from 1 at an index N*, scaled to f(0) at
+x = 0 for J and to f(1) = f(0) 0F1(; nu+1; k^2/4) at x = 1 for I (there every
+term is positive; at x = 0 they cancel about k/ln 10 digits):
 
-    sum_L (-1)^L C_L = f(0),   sum_L (-1)^L (lam)_L / L! b_L = f(0).
+    J: sum_L (-1)^L C_L = f(0),   sum_L (-1)^L (lam)_L / L! b_L = f(0)
+    I: sum_L C_L = f(1),          sum_L (2lam)_2L / (2L)! b_L = f(1)
 
 N* (_start_index) comes from a bound: |1F2| <= 1 (a Beta average of a bounded
-0F1), so the entry at N* is at most p_N*, and the other solutions leave entry
-L off by p_N* / p_L, times (2j+4+2lam-2nu) / (2j+2+2nu) for each step j where
-the next-smallest one shrinks forward (that factor > 1).  N* is the first
-index past lmax where this is below 10^-(working+10) at L = lmax, against
-min(p_0, p_lmax), as below the peak of p_L the entries are far smaller.  The
-Legendre table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
+0F1; exp(k^2 / (8L+2)) for I), so the entry at N* is at most p_N* times that,
+and the other solutions leave entry L off by p_N* / p_L, times
+(2j+4+2lam-2nu) / (2j+2+2nu) for each step j where the next-smallest one
+shrinks forward (that factor > 1).  N* is the first index past lmax where this
+is below 10^-(working+10) at L = lmax, against min(p_0, p_lmax), as below the
+peak of p_L the entries are far smaller.  The Legendre table is the lam = 1/2
+table of (kx)^-N J_N(kx) times x^N k^N.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation is a display option only.
@@ -116,6 +121,18 @@ class CoefficientTable:
     convention: str = "plain"
 
 
+def _pairs(*fractions) -> tuple:
+    """Numerators and denominators, for cache keys: Fraction.__hash__ takes a modular inverse."""
+    return tuple(v for f in fractions for v in (f.numerator, f.denominator))
+
+
+def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
+    """f(0) = 2^-nu / Gamma(nu+1), cached: the start of the Chebyshev and Gegenbauer prefactors and the
+    scale of every table."""
+    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), gamma(nuf + 1, ctx))
+    return ctx._cached(("f(0)", *_pairs(nuf)), build)
+
+
 def _parity_sign(half_steps: int) -> int:
     # i^(2m) folded to a real sign; half_steps = (L-N)/2 may be negative
     return 1 if half_steps % 2 == 0 else -1
@@ -160,7 +177,7 @@ def _legendre_parts(L: int, N: int, kf: Fraction, ctx: PrecisionContext, modifie
         n = N + 2 * j
         return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
 
-    pref = ctx._table(("legendre", N, kf), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
+    pref = ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
     sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
     return ctx.dec.multiply(sign, pref), spec
 
@@ -191,7 +208,7 @@ def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CO
         return Fraction((2 * n + 5) * (n + 1) * (n + 2), 16 * (2 * n + 1)) * kf * kf
 
     start = lambda: ctx.sqrt_pi * ctx.real(Fraction(2 * parity + 1, 2 ** (2 * parity + 1)) * kf**parity)
-    pref = ctx._table(("legendre-regularized", parity, kf), start, ratio, L // 2)
+    pref = ctx._table(("legendre-regularized", parity, *_pairs(kf)), start, ratio, L // 2)
     with localcontext(ctx.dec):
         return +(_parity_sign((L - N) // 2) * pref * f)
 
@@ -217,19 +234,15 @@ def _prefactor_ratio(nuf, lamf, kf):
     return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
 
 
-def _chebyshev_coeff(
-    L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
-) -> Real:
+def _chebyshev_coeff(L: int, nuf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
     return _lead_times_series(*_chebyshev_parts(L, nuf, kf, ctx, modified), ctx)
 
 
-def _chebyshev_parts(
-    L: int, nuf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
-) -> tuple:
+def _chebyshev_parts(L: int, nuf, kf, ctx: PrecisionContext, modified: bool = False) -> tuple:
     """(lead, spec) with C_Lnu = lead * 1F2(spec)."""
     spec = HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified))
-    start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
-    pref = ctx._table(("chebyshev", nuf, kf), start, _prefactor_ratio(nuf, None, kf), L)
+    start = lambda: _value_at_zero(nuf, ctx)
+    pref = ctx._table(("chebyshev", *_pairs(nuf, kf)), start, _prefactor_ratio(nuf, None, kf), L)
     sign = -1 if L % 2 and not modified else 1
     return ctx.dec.multiply(sign * (2 if L else 1), pref), spec
 
@@ -251,19 +264,15 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
     return _gegenbauer_coeff(L, nuf, lamf, to_fraction(k), ctx)
 
 
-def _gegenbauer_coeff(
-    L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
-) -> Real:
+def _gegenbauer_coeff(L: int, nuf, lamf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
     return _lead_times_series(*_gegenbauer_parts(L, nuf, lamf, kf, ctx, modified), ctx)
 
 
-def _gegenbauer_parts(
-    L: int, nuf: Fraction, lamf: Fraction, kf: Fraction, ctx: PrecisionContext, modified: bool = False
-) -> tuple:
+def _gegenbauer_parts(L: int, nuf, lamf, kf, ctx: PrecisionContext, modified: bool = False) -> tuple:
     """(lead, spec) with b_Lnu = lead * 1F2(spec)."""
     spec = HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified))
-    start = lambda: _pow(2, -nuf, ctx) / gamma(nuf + 1, ctx)
-    pref = ctx._table(("gegenbauer", nuf, lamf, kf), start, _prefactor_ratio(nuf, lamf, kf), L)
+    start = lambda: _value_at_zero(nuf, ctx)
+    pref = ctx._table(("gegenbauer", *_pairs(nuf, lamf, kf)), start, _prefactor_ratio(nuf, lamf, kf), L)
     sign = -1 if L % 2 and not modified else 1
     return ctx.dec.multiply(sign, pref), spec
 
@@ -293,45 +302,55 @@ def _recurrence_coefficients(L: int, nu, lam, K) -> tuple:
     )
 
 
-def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int) -> int:
+def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
     """N* for entries 0..count-1 at 10^-digits (module docstring), estimated in floats."""
-    nu, lam = float(nuf), float(lamf or 0)
+    nu, lam, k2 = float(nuf), float(lamf or 0), float(kf * kf) if modified else 0.0
     unit_ratio = _prefactor_ratio(nu, lamf and lam, 1.0)
     log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
     log_p = floor = growth = 0.0
     for j in itertools.count():
         if j == count - 1:
             floor = min(0.0, log_p)
-        if j >= count and log_p + growth - floor < -digits * math.log(10):
+        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (hypergeom._bound_1f2, c >= 2j + 1/2)
+        if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
             return j
         log_p += log_k2 + math.log(abs(unit_ratio(j)))
         if j >= count - 1:
             growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
 
 
-def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: PrecisionContext) -> list:
-    """Entries 0..count-1 of the Chebyshev (lamf None) or C^lamf table, unrounded, in the guard context."""
-    start = _start_index(nuf, lamf, kf, count, guard.working_digits)
+def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: PrecisionContext, modified=False):
+    """Entries 0..count-1 of the Chebyshev (lamf None) or C^lamf table, unrounded, in the guard context;
+    modified, of (kx)^-nu I_nu(kx)."""
+    start = _start_index(nuf, lamf, kf, count, guard.working_digits, modified)
     with localcontext(guard.dec):
-        K, nu, lam_d = guard.real(kf * kf), guard.real(nuf), guard.real(lamf or 0)
+        K, nu, lam_d = guard.real(-kf * kf if modified else kf * kf), guard.real(nuf), guard.real(lamf or 0)
         a = [Decimal(0)] * start + [Decimal(1), Decimal(0), Decimal(0)]
         for L in range(start - 1, -1, -1):
             bm3, bm1, b1, b3 = _recurrence_coefficients(L, nu, lam_d, K)
             a[L] = -(bm1 * a[L + 1] + b1 * a[L + 2] + b3 * a[L + 3]) / bm3
         entries = [a[0] / 2] + a[1:start] if lamf is None else [(2 * L + lam_d) * a[L] for L in range(start)]
-        at_zero, w = [], Decimal(1)  # T_2L(0) = (-1)^L, C^lam_2L(0) = (-1)^L (lam)_L / L!
+        # J: at x = 0, T_2L(0) = (-1)^L, C^lam_2L(0) = (-1)^L (lam)_L / L!.  I: at x = 1, where every
+        # term is positive (at x = 0 they cancel), T_2L(1) = 1, C^lam_2L(1) = (2lam)_2L / (2L)!.
+        at_x, w = [], Decimal(1)
         for L, e in enumerate(entries):
-            at_zero.append(w * e)
-            w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
-        scale = _pow(2, -nuf, guard) / gamma(nuf + 1, guard) / neumaier_sum(at_zero, guard)
+            at_x.append(w * e)
+            if not modified:
+                w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
+            elif lamf is not None:
+                w = w * (2 * lam_d + 2 * L) * (2 * lam_d + 2 * L + 1) / ((2 * L + 1) * (2 * L + 2))
+        f = _value_at_zero(nuf, guard)
+        if modified:  # f(1) = f(0) 0F1(; nu+1; k^2/4)
+            f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
+        scale = f / neumaier_sum(at_x, guard)
         return [e * scale for e in entries[:count]]
 
 
-def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext) -> list:
-    """a_LN for L = 0..lmax, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1) N times; the
-    t-th product is exact up to degree lmax + N - t."""
+def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext, modified=False) -> list:
+    """a_LN (modified, of I_N) for L = 0..lmax, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1)
+    N times; the t-th product is exact up to degree lmax + N - t."""
     top = lmax + N
-    b = _miller_table(Fraction(N), _HALF, kf, top // 2 + 1, guard)
+    b = _miller_table(Fraction(N), _HALF, kf, top // 2 + 1, guard, modified)
     with localcontext(guard.dec):
         d = [v for e in b for v in (e, Decimal(0))][: top + 1]  # degrees 0..top, odd ones 0
         for t in range(1, N + 1):
@@ -343,17 +362,23 @@ def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext) ->
         return [v * k_n for v in d[: lmax + 1]]
 
 
+def _table_values(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
+    """Entries 0..count-1 of the kind's table (modified: of I_nu), each rounded once from the guard pass."""
+    guard = ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
+    if isinstance(kind, Legendre):
+        values = _legendre_table(kind.N, kf, count - 1, guard, modified)
+    elif isinstance(kind, (Chebyshev, Gegenbauer)):
+        lam = kind.lam if isinstance(kind, Gegenbauer) else None
+        values = _miller_table(kind.nu, lam, kf, count, guard, modified)
+    else:
+        raise TypeError(f"unknown expansion kind {kind!r}")
+    return [ctx.dec.plus(v) for v in values]
+
+
 def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:
     """Coefficients for L = 0..lmax (Legendre keeps its parity zeros), by backward recurrence."""
     kf = _table_args(k, lmax)
-    guard = PrecisionContext(ctx.working_digits + 10, ctx.display_digits)  # each entry is rounded once, at the end
-    if isinstance(kind, Legendre):
-        values = _legendre_table(kind.N, kf, lmax, guard)
-    elif isinstance(kind, (Chebyshev, Gegenbauer)):
-        values = _miller_table(kind.nu, kind.lam if isinstance(kind, Gegenbauer) else None, kf, lmax + 1, guard)
-    else:
-        raise TypeError(f"unknown expansion kind {kind!r}")
-    return CoefficientTable(kind=kind, k=kf, entries=tuple((L, ctx.dec.plus(v)) for L, v in enumerate(values)))
+    return CoefficientTable(kind=kind, k=kf, entries=tuple(enumerate(_table_values(kind, kf, lmax + 1, ctx))))
 
 
 def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

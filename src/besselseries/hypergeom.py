@@ -66,7 +66,8 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Plain pFq(a; b; z) by direct summation.
 
     Results are memoized in the context, keyed on the parameters and the
-    argument, so one context returns the same object for the same series.
+    argument as integer pairs, so one context returns the same object for the
+    same series.
     """
     poles = _pole_parameters(spec)
     if poles:
@@ -74,7 +75,8 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use eval_regularized_pFq"
         )
-    key = ("pFq", spec.upper, spec.lower, spec.z)
+    params = (*spec.upper, *spec.lower, spec.z)
+    key = ("pFq", len(spec.upper), *((f.numerator, f.denominator) for f in params))
     return ctx._cached(key, lambda: _eval_pFq_series(spec, ctx))
 
 
@@ -174,26 +176,3 @@ def _bound_1f2(spec: HyperSpec) -> Real:
 
 def hyp1f2(a1, b1, b2, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     return eval_pFq(HyperSpec((a1,), (b1, b2), z), ctx)
-
-
-def pFq_rational_prefix(upper, lower, z: Fraction, terms: int) -> Fraction:
-    """Exact partial sum of pFq with rational parameters (brute-force oracle).
-
-    Sums the first `terms` terms in Fraction arithmetic with no rounding at
-    all.  Lower parameters at nonpositive integers are handled the regularized
-    way only by the caller; here they raise ZeroDivisionError naturally.
-    """
-    upper = [Fraction(a) for a in upper]
-    lower = [Fraction(b) for b in lower]
-    term = Fraction(1)
-    total = Fraction(1)
-    for m in range(terms - 1):
-        num = Fraction(z)
-        for a in upper:
-            num *= a + m
-        den = Fraction(m + 1)
-        for b in lower:
-            den *= b + m
-        term = term * num / den
-        total += term
-    return total

@@ -1,8 +1,8 @@
 """Summed series of 1F2 hypergeometric functions and their verification.
 
 Each identity family equates an infinite sum over expansion order L (one 1F2
-evaluation per term) with a single closed-form number: the Maclaurin
-coefficient of J_nu(kx) at the power x^(2h+nu),
+value per term) with a single closed-form number: the Maclaurin coefficient
+of J_nu(kx) at the power x^(2h+nu),
 
     rhs = (-1)^h 2^(-2h-nu) k^(2h+nu) / (h! Gamma(h+nu+1)).
 
@@ -15,17 +15,20 @@ The sign_flip switch realizes the modified-Bessel variant: substituting
 k^2 -> -k^2 flips the 1F2 argument to +k^2/4, cancels the alternating sign
 that rides on k^(2L), and removes the (-1)^h from the right-hand side.
 
-Each term is the expansion coefficient of order L (from expansions, with the
-modified-Bessel switch set by sign_flip) times the exact x^(2h+nu) monomial
+Each term is the order-L entry of the family's backward-recurrence table
+(expansions; of I_nu with sign_flip) times the exact x^(2h+nu) monomial
 coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_parts, an
-integer over an integer, divided once in Decimal), times k^nu for the
-Chebyshev and Gegenbauer families.  Only the monomial factor depends on h:
-the coefficients and k^nu are cached in the context, so an h-sweep on one
-context computes each order's coefficient once.  An
-independent brute-force check lives in power_gather_oracle: expand every basis
-polynomial into exact-rational monomials by its three-term recurrence, multiply
-by the tabulated expansion coefficients, and gather the coefficient of one
-fixed power.
+integer over an integer, divided once in Decimal), times k^nu for Chebyshev
+and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k, and the
+table is cached in the context, so an h-sweep builds it once.  The stopping
+order comes first, from bounds on the terms (_bound_factor); only then are
+table entries read.  The right-hand side is f(0) k^nu times an exact
+rational, or for integer nu one exact rational, rounded once.
+
+An independent brute-force check lives in power_gather_oracle: expand every
+basis polynomial into exact-rational monomials by its three-term recurrence,
+multiply by the tabulated expansion coefficients, and gather the coefficient
+of one fixed power.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .mpcore import (
     TailBound,
     _pow,
     double_factorial,
-    gamma,
     neumaier_sum,
     pochhammer_fraction,
     to_fraction,
@@ -56,9 +58,11 @@ from .expansions import (
     _chebyshev_parts,
     _gegenbauer_parts,
     _legendre_parts,
+    _table_values,
+    _value_at_zero,
     coefficient_table,
 )
-from .hypergeom import _bound_1f2, eval_pFq
+from .hypergeom import _bound_1f2
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
 _HALF = Fraction(1, 2)
@@ -102,8 +106,8 @@ class IdentityCase:
     lmax: int | None = 21
     tolerance: Fraction = Fraction(1, 10**33)
     sign_flip: bool = False
-    # identity_term's cache key, built once from integer pairs (Fraction.__hash__
-    # takes a modular inverse on every call)
+    # the key of the case's table and bound caches, built once from integer pairs
+    # (Fraction.__hash__ takes a modular inverse on every call)
     _key: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,36 +179,43 @@ def _parity_skip(case: IdentityCase, L: int) -> bool:
 
 
 def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """The L-th summand; exactly zero below the first contributing order.
-
-    The summand is the order-L expansion coefficient times k^nu (Chebyshev and
-    Gegenbauer expand J_nu(kx) (kx)^-nu) times the exact x^(2h+nu) monomial
-    coefficient of the basis polynomial.  Only the monomial factor depends on
-    h, so the coefficient and k^nu are cached in the context and an h-sweep
-    computes each order's coefficient once.
-    """
+    """The L-th summand, the order-L table entry times _weight; zero below the first contributing order."""
     if L < 0:
         raise DomainError("L must be >= 0")
     if _parity_skip(case, L) or L < first_contributing_order(case):
         return Decimal(0)
+    return ctx.dec.multiply(_coefficients(case, L + 1, ctx)[L], _weight(case, L, ctx))
+
+
+def _weight(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
+    """k^nu (none for Legendre) times the x^(2h+nu) monomial coefficient of P_L, T_2L or C^lam_2L."""
     if case._key[0]:
         num, den = _monomial_parts(LegendreP(), L, (L - int(case.nu)) // 2 - case.h)
     elif case.lam is not None:
         num, den = _monomial_parts(GegenbauerC(case.lam), 2 * L, L - case.h, ctx)
     else:  # the Chebyshev ids; the Clenshaw sum rule is chebyshev-even at h = 0
         num, den = _monomial_parts(ChebyshevT(), 2 * L, L - case.h)
-    coeff = _coefficient(case, L, ctx)[0]
-    with localcontext(ctx.dec):
-        mono = Decimal(num) / Decimal(den)
-        if case._key[0]:  # Legendre expands J_N(kx) itself: no k^nu factor
-            return +(coeff * mono)
-        k_nu = ctx._cached(("k^nu", *case._key[1:3]), lambda: _pow(case.k, case.nu, ctx))
-        return +(coeff * k_nu * mono)
+    mono = ctx.dec.divide(num, den)
+    return mono if case._key[0] else ctx.dec.multiply(_k_nu(case.k, case.nu, ctx), mono)
 
 
-def _coefficient(case: IdentityCase, L: int, ctx: PrecisionContext) -> tuple:
-    """(c_L, M_L / |c_L|), cached: the order-L expansion coefficient c_L = lead * 1F2 and how far
-    M_L = |lead| _bound_1f2 >= |c_L| exceeds it (None where the 1F2 is 0)."""
+def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
+    key = ("k^nu", k.numerator, k.denominator, nu.numerator, nu.denominator)  # once per term: no generator
+    return ctx._cached(key, lambda: _pow(k, nu, ctx))
+
+
+def _coefficients(case: IdentityCase, count: int, ctx: PrecisionContext) -> list:
+    """At least count entries of the case's table (of I_nu with sign_flip), cached under case._key
+    (family, k, nu, lambda, sign_flip) and rebuilt twice as long as asked when a later h or L needs more."""
+    nu, lam = case.nu, case.lam
+    kind = Legendre(int(nu)) if case._key[0] else Chebyshev(nu) if lam is None else Gegenbauer(nu, lam)
+    build = lambda n: _table_values(kind, case.k, n, ctx, case.sign_flip)
+    return ctx._grown(("table", case._key), count, build)
+
+
+def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
+    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (expansions' exact-ratio table)
+    times _bound_1f2 of its 1F2, which is never summed."""
 
     def build():
         k, nu, flip = case.k, case.nu, case.sign_flip
@@ -214,11 +225,9 @@ def _coefficient(case: IdentityCase, L: int, ctx: PrecisionContext) -> tuple:
             lead, spec = _gegenbauer_parts(L, nu, case.lam, k, ctx, flip)
         else:
             lead, spec = _chebyshev_parts(L, nu, k, ctx, flip)
-        series = eval_pFq(spec, ctx)
-        with localcontext(ctx.dec):
-            return lead * series, (_bound_1f2(spec) / abs(series) if series else None)
+        return ctx.dec.multiply(abs(lead), _bound_1f2(spec))
 
-    return ctx._cached(("coeff", L, case._key), build)  # the key tells the families apart
+    return ctx._cached(("bound", L, case._key), build)  # the key tells the families apart
 
 
 def _order_tail(case: IdentityCase) -> TailBound:
@@ -298,11 +307,15 @@ def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 
 def _maclaurin(h: int, nu: Fraction, k: Fraction, sign_flip: bool, ctx: PrecisionContext) -> Real:
-    """(-1)^h 2^(-2h-nu) k^(2h+nu) / (h! Gamma(h+nu+1)); no (-1)^h with sign_flip."""
-    sign = 1 if sign_flip else (-1 if h % 2 else 1)
+    """(-1)^h (k/2)^(2h+nu) / (h! Gamma(h+nu+1)), no (-1)^h with sign_flip: for integer nu an exact rational
+    rounded once, else f(0) k^nu (both cached) times the exact rational (-1)^h (k^2/4)^h / (h! (nu+1)_h)."""
+    sign = 1 if sign_flip or h % 2 == 0 else -1
+    if nu.denominator == 1:
+        n = int(nu)
+        return ctx.real(sign * (k / 2) ** (2 * h + n) / (math.factorial(h) * math.factorial(h + n)))
+    ratio = sign * (k * k / 4) ** h / (math.factorial(h) * _rising_factorial(nu + 1, h, ctx))
     with localcontext(ctx.dec):
-        value = sign * _pow(2, Fraction(-2 * h) - nu, ctx) * _pow(k, 2 * h + nu, ctx)
-        return +(value / (Decimal(math.factorial(h)) * gamma(h + nu + 1, ctx)))
+        return _value_at_zero(nu, ctx) * _k_nu(k, nu, ctx) * ctx.real(ratio)
 
 
 def verify_identity(
@@ -324,25 +337,25 @@ def verify_identity(
         with localcontext(ctx.dec):
             digits = Decimal(1).scaleb(-(ctx.display_digits + 1))
             target = min(ctx.real(case.tolerance / 10), digits) * abs(rhs)
-    rows, bound = [], None
+    zeros, weights, bound = [], [], None  # the stop is decided before any coefficient is read
     for L in range(_MAX_ORDER + 1 if case.lmax is None else case.lmax + 1):
         if _parity_skip(case, L):
             continue
         if L < start:
-            rows.append((L, Decimal(0)))
+            zeros.append((L, Decimal(0)))
             continue
-        term = identity_term(case, L, ctx)
-        rows.append((L, term))
+        weights.append((L, _weight(case, L, ctx)))
         if case.lmax is None:
-            excess = _coefficient(case, L, ctx)[1]
             with localcontext(ctx.dec):
-                bound = None if excess is None else tail.after(L, abs(term) * excess)
+                bound = tail.after(L, _bound_factor(case, L, ctx) * abs(weights[-1][1]))
             if bound is not None and bound <= target:
                 break
     else:
         if case.lmax is None:
             raise RuntimeError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
-    lhs = neumaier_sum((term for L, term in rows if L >= start), ctx)
+    table = _coefficients(case, weights[-1][0] + 1, ctx) if weights else []
+    terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
+    lhs = neumaier_sum((term for L, term in terms), ctx)
     with localcontext(ctx.dec):
         abs_diff = abs(lhs - rhs)
         rel_diff = abs_diff / abs(rhs)
@@ -352,10 +365,10 @@ def verify_identity(
         rhs=rhs,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
-        terms_used=sum(1 for L, _ in rows if L >= start),
+        terms_used=len(terms),
         passed=bool(passed),
-        terms=tuple(rows) if trace else None,
-        lmax=case.lmax if case.lmax is not None else rows[-1][0],
+        terms=tuple(zeros + terms) if trace else None,
+        lmax=case.lmax if case.lmax is not None else terms[-1][0],
         tail_bound=bound,
     )
 
@@ -456,7 +469,7 @@ def power_gather_oracle(
         with localcontext(ctx.dec):
             gathered = neumaier_sum(gathered_terms(powers[h]), ctx)
             if k_power:
-                gathered = +(gathered * _pow(kf, k_power, ctx))
+                gathered = +(gathered * _k_nu(kf, k_power, ctx))
             maclaurin = _maclaurin(h, nu, kf, False, ctx)
             rel = abs(gathered - maclaurin) / abs(maclaurin)
             rows.append(OracleRow(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=+rel))

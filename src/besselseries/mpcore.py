@@ -122,6 +122,15 @@ class PrecisionContext:
                         table.append(table[-1] * r.numerator / r.denominator)
         return table[n]
 
+    def _grown(self, key, count: int, build):
+        """The cached list under key, rebuilt as build(2 * count) while it holds fewer than count entries."""
+        if len(self._cache.get(key, ())) < count:
+            table = build(2 * count)
+            with self._lock:  # another thread may have rebuilt it longer meanwhile
+                if len(self._cache.get(key, ())) < len(table):
+                    self._cache[key] = table
+        return self._cache[key]
+
     @property
     def pi(self) -> Real:
         return _compute_pi(self.working_digits)
@@ -279,18 +288,19 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     fx = to_fraction(x)
     if fx <= 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
+    key = ("gamma", fx.numerator, fx.denominator)  # integers: Fraction.__hash__ takes a modular inverse
     if fx.denominator == 1:
         def build_int():
             with localcontext(ctx.dec):
                 return +Decimal(math.factorial(fx.numerator - 1))
-        return ctx._cached(("gamma", fx), build_int)
+        return ctx._cached(key, build_int)
     if fx.denominator == 2:
         def build_half():
             n = (fx.numerator - 1) // 2  # x = n + 1/2
             with localcontext(ctx.dec):
                 return ctx.sqrt_pi * Decimal(double_factorial(2 * n - 1)) / (_TWO ** n)
-        return ctx._cached(("gamma", fx), build_half)
-    return ctx._cached(("gamma", fx), lambda: _gamma_general(fx, ctx))
+        return ctx._cached(key, build_half)
+    return ctx._cached(key, lambda: _gamma_general(fx, ctx))
 
 
 def reciprocal_gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -46,3 +46,26 @@ def bernoulli_by_definition(n: int) -> list:
     for m in range(1, n + 1):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
     return b
+
+
+def pFq_rational_prefix(upper, lower, z: Fraction, terms: int) -> Fraction:
+    """Exact partial sum of pFq with rational parameters (brute-force test oracle).
+
+    Sums the first `terms` terms in Fraction arithmetic with no rounding at
+    all.  Lower parameters at nonpositive integers are handled the regularized
+    way only by the caller; here they raise ZeroDivisionError naturally.
+    """
+    upper = [Fraction(a) for a in upper]
+    lower = [Fraction(b) for b in lower]
+    term = Fraction(1)
+    total = Fraction(1)
+    for m in range(terms - 1):
+        num = Fraction(z)
+        for a in upper:
+            num *= a + m
+        den = Fraction(m + 1)
+        for b in lower:
+            den *= b + m
+        term = term * num / den
+        total += term
+    return total

@@ -30,12 +30,13 @@ from besselseries.expansions import (
     _legendre_coeff_reduced,
     _miller_table,
     _recurrence_coefficients,
+    _table_values,
 )
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
-from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq, pFq_rational_prefix
+from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
 from besselseries.mpcore import _pow, binomial, double_factorial, gamma, pochhammer, pochhammer_fraction
 
-from helpers import fraction_to_decimal, rel_diff, sig_digit_count
+from helpers import fraction_to_decimal, pFq_rational_prefix, rel_diff, sig_digit_count
 import reference_tables as ref
 
 
@@ -279,6 +280,27 @@ def test_k100_table_matches_series_at_doubled_precision(kind):
     series_ctx = PrecisionContext(working_digits=2 * 64 + 60)
     table = coefficient_table(kind, 100, 60, ctx).entries
     _assert_tables_agree(table, [_series_entry(kind, L, 100, series_ctx) for L in range(61)], 64)
+
+
+MODIFIED_KINDS = [Chebyshev(0), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(7, 3)),
+                  Gegenbauer(0, Fraction(-1, 4)), Legendre(0), Legendre(1)]
+
+
+@pytest.mark.parametrize("kind", MODIFIED_KINDS, ids=["cheb0", "cheb1/3", "geg1/3,7/3", "geg0,-1/4", "leg0", "leg1"])
+def test_modified_table_matches_series_at_doubled_precision(kind):
+    # The I_nu table (recurrence at K = -k^2, scaled at x = 1) against the per-L 1F2 at +k^2/4,
+    # whose terms are all positive; at x = 0 the scaling sum would cancel about k/ln 10 digits.
+    ctx, series_ctx = PrecisionContext(), PrecisionContext(working_digits=128)
+    for k in (Fraction(1), Fraction(8), Fraction(30), Fraction(60), Fraction(100)):
+        table = enumerate(_table_values(kind, k, 41, ctx, modified=True))
+        if isinstance(kind, Legendre):
+            want = [_legendre_coeff_reduced(L, kind.N, k, series_ctx, True) if (L + kind.N) % 2 == 0 else 0
+                    for L in range(41)]
+        elif isinstance(kind, Chebyshev):
+            want = [_chebyshev_coeff(L, kind.nu, k, series_ctx, True) for L in range(41)]
+        else:
+            want = [_gegenbauer_coeff(L, kind.nu, kind.lam, k, series_ctx, True) for L in range(41)]
+        _assert_tables_agree(table, want, 64)
 
 
 @pytest.mark.parametrize("digits", [64, 128])

@@ -12,10 +12,9 @@ from besselseries.hypergeom import (
     eval_pFq,
     eval_regularized_pFq,
     hyp1f2,
-    pFq_rational_prefix,
 )
 
-from helpers import fraction_to_decimal, rel_diff
+from helpers import fraction_to_decimal, pFq_rational_prefix, rel_diff
 
 
 def test_series_at_zero_is_one(ctx):

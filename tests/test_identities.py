@@ -28,10 +28,9 @@ from besselseries import (
 )
 from besselseries import hypergeom, identities
 from besselseries.cli import main
-from besselseries.hypergeom import pFq_rational_prefix
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
-from helpers import fraction_to_decimal, rel_diff, sig_digit_count, sin_rational_series
+from helpers import fraction_to_decimal, pFq_rational_prefix, rel_diff, sig_digit_count, sin_rational_series
 import reference_tables as ref
 
 
@@ -161,16 +160,38 @@ def test_shared_context_matches_fresh_contexts():
 
 
 def test_sweep_builds_each_coefficient_once(monkeypatch, capsys):
-    series, coeffs = [], []
-    series_fn, parts_fn = hypergeom._eval_pFq_series, identities._chebyshev_parts
+    # The terms read one backward-recurrence table: the sweep builds it once and sums no series.
+    series, tables = [], []
+    series_fn, table_fn = hypergeom._eval_pFq_series, identities._table_values
     monkeypatch.setattr(hypergeom, "_eval_pFq_series", lambda *a: series.append(a) or series_fn(*a))
-    monkeypatch.setattr(identities, "_chebyshev_parts", lambda *a: coeffs.append(a) or parts_fn(*a))
+    monkeypatch.setattr(identities, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
     # k = 8: at k = 1 the tail bound stops each h after about 12 orders, too few for a tenfold reuse
     assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "8", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     orders = {L for h, r in enumerate(reports) for L in range(h, r["params"]["lmax"] + 1)}
     assert sum(r["terms_used"] for r in reports) > 10 * len(orders)
-    assert len(series) == len(coeffs) == len(orders)
+    assert len(tables) == 1 and tables[0][2] > max(orders) and series == []
+
+
+SWEEP_ROW_CASES = [
+    ["--id", "chebyshev-even", "--k", "1"],
+    ["--id", "legendre-j1", "--k", "1"],
+    ["--id", "gegenbauer-general", "--nu", "1/3", "--lambda", "7/3", "--k", "1/2", "--sign-flip"],
+]
+
+
+@pytest.mark.parametrize("args", SWEEP_ROW_CASES, ids=["cheb-even", "leg-j1", "geg-general-I"])
+def test_sweep_row_equals_the_single_h_run(args, monkeypatch, capsys):
+    # h = 0..20 at small k outgrows the table built for h = 0, so the sweep rebuilds it
+    # on one context; every row must still print as that h run alone does.
+    tables, table_fn = [], identities._table_values
+    monkeypatch.setattr(identities, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
+    assert main(["verify", *args, "--h", "0..20", "--format", "json"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert len(tables) >= 2
+    for h, row in enumerate(sweep):
+        assert main(["verify", *args, "--h", str(h), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [row], h
 
 
 # ----------------------------------------------------------------- rhs
@@ -185,6 +206,22 @@ def test_rhs_values(ctx):
     got = identity_rhs(case, ctx)
     want = ctx.dec.divide(Decimal(2), ctx.sqrt_pi)
     assert rel_diff(got, want) < Decimal("1e-62")
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_integer_order_rhs_is_the_exact_rational_rounded_once(digits):
+    # (-1)^h (k/2)^(2h+nu) / (h! (h+nu)!), no (-1)^h with sign_flip, rounded once at working precision
+    ctx = PrecisionContext(working_digits=digits)
+    for identity, nu in ((IdentityId.CHEBYSHEV_EVEN, None), (IdentityId.CHEBYSHEV_ODD, None),
+                         (IdentityId.CHEBYSHEV_GENERAL_NU, Fraction(3))):
+        for k in (Fraction(7, 3), Fraction(20)):
+            for sign_flip in (False, True):
+                for h in range(31):
+                    case = _case(identity, h=h, k=k, nu=nu, lmax=None, sign_flip=sign_flip)
+                    n = int(case.nu)
+                    exact = (k / 2) ** (2 * h + n) / (math.factorial(h) * math.factorial(h + n))
+                    want = fraction_to_decimal(exact if sign_flip or h % 2 == 0 else -exact, digits)
+                    assert identity_rhs(case, ctx) == want, (identity, k, sign_flip, h)
 
 
 def test_rhs_equals_sin_taylor_coefficient_at_half_order(ctx):
@@ -425,6 +462,25 @@ def test_stop_by_tail_bound_passes_and_bounds_the_true_tail(identity, params, k,
             true_tail = sum(abs(identity_term(case, r.lmax + step * j, ctx_double)) for j in range(1, 41))
             target = Decimal("1e-35") * abs(r.rhs)  # min(tolerance / 10, 10^-(34 + 1)) |rhs|
         assert true_tail <= r.tail_bound <= target, (h, true_tail, r.tail_bound)
+
+
+LARGE_K_IDS = [
+    (IdentityId.CHEBYSHEV_EVEN, {}),
+    (IdentityId.CHEBYSHEV_GENERAL_NU, {"nu": Fraction(1, 3)}),
+    (IdentityId.GEGENBAUER_GENERAL, {"nu": Fraction(2, 3), "lam": Fraction(7, 3)}),
+    (IdentityId.LEGENDRE_J0, {}),
+]
+LARGE_K_CASES = [(i, p, k) for i, p in LARGE_K_IDS for k in (30, 60, 100)] + [(IdentityId.CHEBYSHEV_EVEN, {}, 200)]
+
+
+@pytest.mark.parametrize("identity,params,k", LARGE_K_CASES,
+                         ids=[f"{i.value}-k{k}" for i, _, k in LARGE_K_CASES])
+def test_stop_by_tail_bound_passes_at_large_k(identity, params, k, ctx):
+    # The terms come from the backward-recurrence tables, so nothing cancels: at k = 100 a summed
+    # 1F2 loses about 43 of the 64 working digits.
+    for h in (0, 3, 10):
+        r = verify_identity(_case(identity, h=h, k=k, lmax=None, **params), ctx)
+        assert r.passed, (h, r.rel_diff)
 
 
 def test_explicit_lmax_keeps_its_meaning(ctx):
