@@ -22,9 +22,9 @@ for L in range(8):
 # the same coefficients power an alternating sum rule: the constant terms of
 # T_2L(x) have magnitude one and alternating sign, so sum_L (-1)^L C_L0(k)
 # telescopes to J0(0) = 1
-from besselseries import clenshaw_sum_rule
+from besselseries import IdentityCase, IdentityId, verify_identity
 
 for k in (1, 8):
-    report = clenshaw_sum_rule(k, 26, ctx)
+    report = verify_identity(IdentityCase(IdentityId.CLENSHAW_SUM_RULE, k=k, lmax=26), ctx)
     print(f"\nsum rule at k={k}: lhs = {format_decimal(report.lhs, 34)}")
     print(f"  |lhs - 1| = {format_decimal(report.abs_diff, 3)}")

@@ -7,8 +7,6 @@ from .mpcore import (
     PrecisionContext,
     Real,
     agreement_digits,
-    beta,
-    binomial,
     double_factorial,
     format_decimal,
     gamma,
@@ -18,12 +16,11 @@ from .mpcore import (
     reciprocal_gamma,
     to_fraction,
 )
-from .hypergeom import HyperSpec, PoleError, eval_pFq, eval_regularized_pFq, hyp1f2
+from .hypergeom import HyperSpec, PoleError, eval_pFq, eval_regularized_pFq
 from .orthopoly import (
     ChebyshevT,
     GegenbauerC,
     LegendreP,
-    MonomialExpansion,
     eval_poly,
     monomial_coeffs,
 )
@@ -32,7 +29,6 @@ from .expansions import (
     CoefficientTable,
     Gegenbauer,
     Legendre,
-    bessel_i_ref,
     bessel_j_ref,
     chebyshev_coeff,
     coefficient_table,
@@ -47,7 +43,6 @@ from .identities import (
     OracleRow,
     VerificationReport,
     brace_factor_legendre,
-    clenshaw_sum_rule,
     first_contributing_order,
     identity_rhs,
     identity_term,

@@ -49,7 +49,8 @@ peak of p_L the entries are far smaller.  The Legendre table is the lam = 1/2
 table of (kx)^-N J_N(kx) times x^N k^N.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
-the halved-leading-term presentation is a display option only.
+the halved-leading-term presentation of Chebyshev tables is a display option
+only.
 """
 
 from __future__ import annotations
@@ -160,30 +161,30 @@ def _series_argument(kf: Fraction, modified: bool) -> Fraction:
 
 
 def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: bool = False) -> Real:
-    return _lead_times_series(*_legendre_parts(L, N, to_fraction(k), ctx, modified), ctx)
-
-
-def _legendre_parts(L: int, N: int, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> tuple:
-    """(lead, spec) with a_LN = lead * 1F2(spec), for N in {0, 1}."""
+    """a_LN = sign p_L 1F2 for N in {0, 1} (modified: of I_N)."""
+    kf = to_fraction(k)
     z = _series_argument(kf, modified)
     if N == 0:
         spec = HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z)
     else:
         spec = HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z)
+    sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
+    return _times_series(sign, _legendre_prefactor(L, N, kf, ctx), spec, ctx)
 
-    # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational;
-    # ratio(j) = p_(L+2)/p_L at L = N + 2j
-    def ratio(j):
+
+def _legendre_prefactor(L: int, N: int, kf: Fraction, ctx: PrecisionContext) -> Real:
+    """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational, from its table
+    (N in {0, 1}, L - N even)."""
+
+    def ratio(j):  # p_(L+2)/p_L at L = N + 2j
         n = N + 2 * j
         return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
 
-    pref = ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
-    sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
-    return ctx.dec.multiply(sign, pref), spec
+    return ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
 
 
-def _lead_times_series(lead: Real, spec: HyperSpec, ctx: PrecisionContext) -> Real:
-    return ctx.dec.multiply(lead, eval_pFq(spec, ctx))
+def _times_series(sign: int, pref: Real, spec: HyperSpec, ctx: PrecisionContext) -> Real:
+    return ctx.dec.multiply(ctx.dec.multiply(sign, pref), eval_pFq(spec, ctx))
 
 
 def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -235,16 +236,16 @@ def _prefactor_ratio(nuf, lamf, kf):
 
 
 def _chebyshev_coeff(L: int, nuf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
-    return _lead_times_series(*_chebyshev_parts(L, nuf, kf, ctx, modified), ctx)
-
-
-def _chebyshev_parts(L: int, nuf, kf, ctx: PrecisionContext, modified: bool = False) -> tuple:
-    """(lead, spec) with C_Lnu = lead * 1F2(spec)."""
     spec = HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified))
-    start = lambda: _value_at_zero(nuf, ctx)
-    pref = ctx._table(("chebyshev", *_pairs(nuf, kf)), start, _prefactor_ratio(nuf, None, kf), L)
     sign = -1 if L % 2 and not modified else 1
-    return ctx.dec.multiply(sign * (2 if L else 1), pref), spec
+    return _times_series(sign * (2 if L else 1), _prefactor(L, nuf, None, kf, ctx), spec, ctx)
+
+
+def _prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
+    """p_L of the Chebyshev (lamf None; without its factor 2 for L >= 1) or Gegenbauer coefficient,
+    from the table that grows by _prefactor_ratio from f(0)."""
+    start = lambda: _value_at_zero(nuf, ctx)
+    return ctx._table(("prefactor", *_pairs(nuf, lamf or 0, kf)), start, _prefactor_ratio(nuf, lamf, kf), L)
 
 
 def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -265,16 +266,9 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 
 def _gegenbauer_coeff(L: int, nuf, lamf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
-    return _lead_times_series(*_gegenbauer_parts(L, nuf, lamf, kf, ctx, modified), ctx)
-
-
-def _gegenbauer_parts(L: int, nuf, lamf, kf, ctx: PrecisionContext, modified: bool = False) -> tuple:
-    """(lead, spec) with b_Lnu = lead * 1F2(spec)."""
     spec = HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified))
-    start = lambda: _value_at_zero(nuf, ctx)
-    pref = ctx._table(("gegenbauer", *_pairs(nuf, lamf, kf)), start, _prefactor_ratio(nuf, lamf, kf), L)
     sign = -1 if L % 2 and not modified else 1
-    return ctx.dec.multiply(sign, pref), spec
+    return _times_series(sign, _prefactor(L, nuf, lamf, kf, ctx), spec, ctx)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -311,7 +305,7 @@ def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, mod
     for j in itertools.count():
         if j == count - 1:
             floor = min(0.0, log_p)
-        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (hypergeom._bound_1f2, c >= 2j + 1/2)
+        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_1f2, c >= 2j + 1/2)
         if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
             return j
         log_p += log_k2 + math.log(abs(unit_ratio(j)))
@@ -422,18 +416,7 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     zf = to_fraction(z)
     if zf < 0 and nuf.denominator != 1:
         raise DomainError("non-integer nu needs z >= 0")
-    return _bessel_series(nuf, zf, ctx, alternating=True)
-
-
-def bessel_i_ref(n: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Modified Bessel I_n(z) via the all-positive-term series."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be an integer >= 0")
-    return _bessel_series(Fraction(n), to_fraction(z), ctx, alternating=False)
-
-
-def _bessel_series(nuf: Fraction, zf: Fraction, ctx: PrecisionContext, alternating: bool) -> Real:
-    # t_(m+1)/t_m = -+(z/2)^2 / ((m + 1) (m + nu + 1)): the bound holds from m = 0
+    # t_(m+1)/t_m = -(z/2)^2 / ((m + 1) (m + nu + 1)): the bound holds from m = 0
     tail = TailBound(zf * zf / 4, (), ((1, 1), (nuf.numerator + nuf.denominator, nuf.denominator)))
     with localcontext(ctx.dec):
         half_z = ctx.real(zf) / 2
@@ -444,9 +427,7 @@ def _bessel_series(nuf: Fraction, zf: Fraction, ctx: PrecisionContext, alternati
         else:
             lead = ctx.dec.power(half_z, ctx.real(nuf))
         term = lead / gamma(nuf + 1, ctx)
-        w = half_z * half_z
-        if alternating:
-            w = -w
+        w = -half_z * half_z
         total = term
         comp = Decimal(0)
         negligible = ctx.negligible

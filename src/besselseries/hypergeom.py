@@ -15,15 +15,13 @@ so every term left out is accounted for, however the signs fall.  The bound
 is only tried from the first term below that limit on: where it could pass
 earlier, R(m) < 1/2 and the next term is already below the limit, so this
 stops at most one term later and spares the bound on every term before.
-
-_bound_1f2 bounds a 1F2 value without summing it, for the identity sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .mpcore import (
@@ -132,7 +130,8 @@ def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEX
     Nonpositive-integer lower parameters are legal: 1/Gamma(b_j + m) is 0 until
     b_j + m passes the pole, so the series starts at the first m0 where no
     factor vanishes (0 without poles), with the exact prod (a_i)_m0 z^m0 / m0!
-    times one reciprocal_gamma(b_j + m0) per lower parameter.  Later terms take
+    times one reciprocal_gamma(b_j + m0) per lower parameter (a DomainError if
+    some b_j + m0 is negative and not an integer).  Later terms take
     the plain ratio: 1/Gamma(b + m + 1) = 1/Gamma(b + m) / (b + m).  The
     stopping scale is the largest term magnitude seen so far rather than 1: a
     regularized value can be uniformly tiny (every term carries the same
@@ -150,29 +149,3 @@ def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEX
         return Decimal(0)  # z = 0 past a pole, or a terminating upper parameter: every term vanishes
     return _sum_from(spec, m0, term, ctx, regularized=True)[0]
 
-
-def _bound_1f2(spec: HyperSpec) -> Real:
-    """F with |1F2(a; b, c; z)| <= F, for 0 < a <= b <= c, without summing the series.
-
-    1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
-    0F1 itself):
-
-        1F2(a; b, c; z) = Gamma(b) / (Gamma(a) Gamma(b-a)) int_0^1 t^(a-1) (1-t)^(b-a-1) 0F1(; c; z t) dt.
-
-    For z <= 0, |0F1(; c; -y)| = |Gamma(c) y^((1-c)/2) J_(c-1)(2 sqrt(y))| <= 1
-    when c >= 1/2 (DLMF 10.14.4), so F = 1.  For z > 0 every term is positive,
-    (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
-    0F1(; c; z) <= exp(z/c), taken to 20 digits and rounded up.
-    """
-    (a,), (b, c) = spec.upper, sorted(spec.lower)
-    if not 0 < a <= b or 2 * c < 1:
-        raise ValueError(f"no 1F2 bound for parameters {spec.upper}; {spec.lower}")
-    if spec.z <= 0:
-        return Decimal(1)
-    up = Context(prec=20, rounding=ROUND_CEILING)
-    x = up.divide(spec.z.numerator * c.denominator, spec.z.denominator * c.numerator)
-    return up.next_plus(up.exp(x))  # exp rounds half-even whatever the context: one step up covers it
-
-
-def hyp1f2(a1, b1, b2, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    return eval_pFq(HyperSpec((a1,), (b1, b2), z), ctx)

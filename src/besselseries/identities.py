@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .mpcore import (
@@ -46,23 +46,19 @@ from .mpcore import (
     Real,
     TailBound,
     _pow,
-    double_factorial,
     neumaier_sum,
-    pochhammer_fraction,
     to_fraction,
 )
 from .expansions import (
     Chebyshev,
     Gegenbauer,
     Legendre,
-    _chebyshev_parts,
-    _gegenbauer_parts,
-    _legendre_parts,
+    _legendre_prefactor,
+    _prefactor,
     _table_values,
     _value_at_zero,
     coefficient_table,
 )
-from .hypergeom import _bound_1f2
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
 _HALF = Fraction(1, 2)
@@ -115,6 +111,8 @@ class IdentityCase:
         object.__setattr__(self, "tolerance", to_fraction(self.tolerance))
         if self.h < 0:
             raise DomainError("h must be >= 0")
+        if self.id == IdentityId.CLENSHAW_SUM_RULE and self.h != 0:
+            raise DomainError("clenshaw-sum-rule has h fixed to 0")
         if self.k <= 0:
             raise DomainError("k must be > 0")
         if self.lmax is None and self.tolerance <= 0:
@@ -214,20 +212,46 @@ def _coefficients(case: IdentityCase, count: int, ctx: PrecisionContext) -> list
 
 
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (expansions' exact-ratio table)
-    times _bound_1f2 of its 1F2, which is never summed."""
+    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (expansions' exact-ratio tables,
+    with the factor 2 of Chebyshev L >= 1) times F_L = _bound_1f2 of its 1F2, which is never summed.
+
+    That 1F2 has the upper parameter a = L/2 + 1/2, L/2 + 1 (Legendre) or L + 1/2 and the larger lower
+    one c = L + 3/2 (Legendre), max(L + nu + 1, 2L + 1) (Chebyshev) or max(L + nu + 1, 2L + lam + 1)
+    (Gegenbauer); the smaller lower one b meets 0 < a <= b (lam > -1/2), and 2c >= 1.
+    """
 
     def build():
-        k, nu, flip = case.k, case.nu, case.sign_flip
+        k, nu, lam = case.k, case.nu, case.lam
         if case._key[0]:
-            lead, spec = _legendre_parts(L, int(nu), k, ctx, flip)
-        elif case.lam is not None:
-            lead, spec = _gegenbauer_parts(L, nu, case.lam, k, ctx, flip)
+            pref, c = _legendre_prefactor(L, int(nu), k, ctx), L + Fraction(3, 2)
+        elif lam is None:
+            pref, c = ctx.dec.multiply(2 if L else 1, _prefactor(L, nu, None, k, ctx)), max(L + nu + 1, 2 * L + 1)
         else:
-            lead, spec = _chebyshev_parts(L, nu, k, ctx, flip)
-        return ctx.dec.multiply(abs(lead), _bound_1f2(spec))
+            pref, c = _prefactor(L, nu, lam, k, ctx), max(L + nu + 1, 2 * L + lam + 1)
+        z = k * k / 4 if case.sign_flip else -k * k / 4
+        return ctx.dec.multiply(abs(pref), _bound_1f2(z, c))
 
     return ctx._cached(("bound", L, case._key), build)  # the key tells the families apart
+
+
+def _bound_1f2(z: Fraction, c: Fraction) -> Real:
+    """F >= |1F2(a; b, c; z)| for 0 < a <= b <= c and 2c >= 1, without summing the series.
+
+    1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
+    0F1 itself):
+
+        1F2(a; b, c; z) = Gamma(b) / (Gamma(a) Gamma(b-a)) int_0^1 t^(a-1) (1-t)^(b-a-1) 0F1(; c; z t) dt.
+
+    For z <= 0, |0F1(; c; -y)| = |Gamma(c) y^((1-c)/2) J_(c-1)(2 sqrt(y))| <= 1
+    when c >= 1/2 (DLMF 10.14.4), so F = 1.  For z > 0 every term is positive,
+    (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
+    0F1(; c; z) <= exp(z/c), taken to 20 digits and rounded up.
+    """
+    if z <= 0:
+        return Decimal(1)
+    up = Context(prec=20, rounding=ROUND_CEILING)
+    x = up.divide(z.numerator * c.denominator, z.denominator * c.numerator)
+    return up.next_plus(up.exp(x))  # exp rounds half-even whatever the context: one step up covers it
 
 
 def _order_tail(case: IdentityCase) -> TailBound:
@@ -264,11 +288,6 @@ def _order_tail(case: IdentityCase) -> TailBound:
         c, upper, lower = k2 / 16, (h,), (0, nu + 1, 1 - h)
     pairs = lambda xs: [(f.numerator, f.denominator) for f in map(Fraction, xs)]
     return TailBound(c, pairs(upper), pairs(lower))
-
-
-def _monomial_coefficient(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Fraction:
-    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n (_monomial_parts, reduced)."""
-    return Fraction(*_monomial_parts(poly, n, m, ctx))
 
 
 def _monomial_parts(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
@@ -373,46 +392,15 @@ def verify_identity(
     )
 
 
-def clenshaw_sum_rule(k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                      tolerance=Fraction(1, 10**33)) -> VerificationReport:
-    """Alternating sum of the nu=0 Chebyshev coefficients equals J_0(0) = 1."""
-    case = IdentityCase(IdentityId.CLENSHAW_SUM_RULE, h=0, k=k, lmax=lmax, tolerance=tolerance)
-    return verify_identity(case, ctx)
-
-
-def brace_factor_legendre(L: int, h: int, variant: str = "eq11", order: int = 0) -> Fraction:
-    """Combinatorial bracket multiplying the 1F2 in the Legendre families.
-
-    Both variants are exact rationals and equal the coefficient of
-    x^(2h+order) in P_L; they differ only in how that number is assembled
-    (eq11: integer binomial closed form; eq10: double factorial climbed by
-    Pochhammer ratios), which is what makes the cross-variant agreement test
-    meaningful.
-    """
-    if variant not in ("eq10", "eq11"):
-        raise DomainError("variant must be 'eq10' or 'eq11'")
+def brace_factor_legendre(L: int, h: int, order: int = 0) -> Fraction:
+    """Combinatorial bracket multiplying the 1F2 in the Legendre families: the coefficient of
+    x^(2h+order) in P_L, an exact rational from the integer closed form of _monomial_parts."""
     if order not in (0, 1):
         raise DomainError("order must be 0 or 1")
-    if L % 2 != order:
-        return Fraction(0)
     m = (L - order) // 2 - h
-    if m < 0:
+    if L % 2 != order or m < 0:
         return Fraction(0)
-    if variant == "eq11":
-        return _monomial_coefficient(LegendreP(), L, m)
-    # eq10 route, stated for the even family only: build from the constant
-    # term (L-1)!!/(2^(L/2) (L/2)!) and climb h powers with Pochhammer ratios.
-    if order != 0:
-        raise DomainError("the eq10 variant is defined for the even (order 0) family")
-    half = L // 2
-    sign = Fraction(-1) ** half
-    lead = sign * Fraction(double_factorial(L - 1), 2**half * math.factorial(half))
-    return (
-        lead
-        * pochhammer_fraction(Fraction(L, 2) + _HALF, h)
-        * pochhammer_fraction(Fraction(-L, 2), h)
-        / (math.factorial(h) * pochhammer_fraction(_HALF, h))
-    )
+    return Fraction(*_monomial_parts(LegendreP(), L, m))
 
 
 @dataclass(frozen=True)

@@ -214,13 +214,6 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2)) if n > 0 else 1
 
 
-def binomial(n: int, k: int) -> int:
-    """Pascal-triangle binomial; 0 outside the triangle (k < 0 or k > n)."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _stirling_log_gamma(x: Decimal, work: Context, digits: int) -> Decimal:
     """log Gamma(x) for x at or above the shift threshold.
 
@@ -304,64 +297,32 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
 
 
 def reciprocal_gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """1/Gamma(x) for any real x; exactly 0 at the poles (x = 0, -1, -2, ...)."""
+    """1/Gamma(x) for x > 0, and exactly 0 at the poles x = 0, -1, -2, ..."""
     fx = to_fraction(x)
     if fx.denominator == 1 and fx <= 0:
         return _ZERO
-    if fx > 0:
-        with localcontext(ctx.dec):
-            return _ONE / gamma(fx, ctx)
-    # negative non-integer: reflection 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
     with localcontext(ctx.dec):
-        return gamma(1 - fx, ctx) * _sin_pi(fx, ctx) / ctx.pi
-
-
-def _sin_pi(fx: Fraction, ctx: PrecisionContext) -> Decimal:
-    """sin(pi x) with exact range reduction on the rational argument."""
-    r = fx - 2 * (fx.numerator // (2 * fx.denominator))  # x mod 2, in [0, 2)
-    sign = 1
-    if r > 1:
-        r -= 1
-        sign = -1
-    if r > Fraction(1, 2):
-        r = 1 - r
-    # now 0 <= r <= 1/2; Taylor series of sin(pi r)
-    work = Context(prec=ctx.working_digits + 5, rounding=ROUND_HALF_EVEN)
-    with localcontext(work):
-        u = ctx.pi * Decimal(r.numerator) / Decimal(r.denominator)
-        u2 = u * u
-        term = u
-        acc = u
-        tol = Decimal(10) ** (-(ctx.working_digits + 4))
-        m = 1
-        while abs(term) > tol:
-            term *= -u2 / ((2 * m) * (2 * m + 1))
-            acc += term
-            m += 1
-        value = sign * acc
-    return ctx.dec.create_decimal(value)
+        return _ONE / gamma(fx, ctx)
 
 
 def pochhammer(x, n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Rising factorial (x)_n.
-
-    Integer n >= 0 is the finite product x (x+1) ... (x+n-1), defined for any
-    x (and possibly 0).  Any other n goes through Gamma(x+n)/Gamma(x), which
-    needs x > 0 and x + n > 0.
-    """
+    """Rising factorial (x)_n: for integer n >= 0 the product x (x+1) ... (x+n-1), for any x; otherwise
+    Gamma(x+n)/Gamma(x), which needs x > 0 and x + n > 0."""
     fn = to_fraction(n)
-    if fn.denominator == 1 and fn >= 0:
-        with localcontext(ctx.dec):
-            acc = _ONE
-            base = ctx.real(x)
-            for i in range(int(fn)):
-                acc *= base + i
-            return +acc
-    fx = to_fraction(x)
-    if fx <= 0 or fx + fn <= 0:
-        raise DomainError("pochhammer with non-integer count requires x > 0 and x + n > 0")
     with localcontext(ctx.dec):
+        if fn.denominator == 1 and fn >= 0:
+            return +math.prod((ctx.real(x) + i for i in range(int(fn))), start=_ONE)
+        fx = to_fraction(x)
+        if fx <= 0 or fx + fn <= 0:
+            raise DomainError("pochhammer with non-integer count requires x > 0 and x + n > 0")
         return gamma(fx + fn, ctx) / gamma(fx, ctx)
+
+
+def pochhammer_fraction(x: Fraction, n: int) -> Fraction:
+    """Exact rational rising factorial (x)_n for integer n >= 0."""
+    if n < 0:
+        raise DomainError("pochhammer_fraction requires n >= 0")
+    return math.prod((x + i for i in range(n)), start=Fraction(1))
 
 
 def _pow(base, e, ctx: PrecisionContext) -> Decimal:
@@ -370,38 +331,6 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
     if e.denominator == 1:
         return ctx.dec.power(b, Decimal(int(e)))
     return ctx.dec.power(b, ctx.real(e))
-
-
-def pochhammer_fraction(x: Fraction, n: int) -> Fraction:
-    """Exact rational rising factorial for integer n >= 0."""
-    if n < 0:
-        raise DomainError("pochhammer_fraction requires n >= 0")
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= x + i
-    return acc
-
-
-def beta(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b).
-
-    When either argument is a positive integer m the ratio collapses to
-    (m-1)! / (other)_m, which avoids evaluating Gamma at a huge shifted
-    argument (the scale parameter can be as large as 2^20 here).  That form
-    holds for any other argument that is not a pole (0, -1, -2, ...), so a
-    negative Gegenbauer weight in (-1/2, 0) is accepted; the gamma-ratio
-    path needs a, b > 0.
-    """
-    fa, fb = to_fraction(a), to_fraction(b)
-    if fb.denominator != 1 and fa.denominator == 1:
-        fa, fb = fb, fa
-    with localcontext(ctx.dec):
-        if fb.denominator == 1 and fb > 0 and not (fa.denominator == 1 and fa <= 0):
-            m = int(fb)
-            return +(Decimal(math.factorial(m - 1)) / pochhammer(fa, m, ctx))
-        if fa <= 0 or fb <= 0:
-            raise DomainError("beta requires positive arguments")
-        return gamma(fa, ctx) * gamma(fb, ctx) / gamma(fa + fb, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -38,24 +38,6 @@ class GegenbauerC:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class MonomialExpansion:
-    """poly(x) = sum c_j x^j with only parity-matching powers present."""
-
-    degree: int
-    coeffs: tuple  # ((j, Fraction), ...) ascending in j
-
-    def coefficient(self, j: int) -> Fraction:
-        for power, c in self.coeffs:
-            if power == j:
-                return c
-        return Fraction(0)
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**j for j, c in self.coeffs), Fraction(0))
-
-
 def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Value of the degree-n polynomial of the given family at x."""
     if n < 0:
@@ -137,7 +119,6 @@ def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
     return [[Fraction(v, d) if v else 0 for v in row] for row, d in rows]
 
 
-def monomial_coeffs(kind, n: int) -> MonomialExpansion:
-    """Exact monomial coefficients of the degree-n polynomial (last recurrence row)."""
-    row = monomial_rows(kind, n)[n]
-    return MonomialExpansion(degree=n, coeffs=tuple((j, c) for j, c in enumerate(row) if c != 0))
+def monomial_coeffs(kind, n: int) -> list:
+    """Exact coefficients of x^0 .. x^n of the degree-n polynomial: the last row of monomial_rows."""
+    return monomial_rows(kind, n)[n]

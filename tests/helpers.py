@@ -4,6 +4,8 @@ import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
+from besselseries.mpcore import pochhammer_fraction
+
 
 def sig_digit_count(text: str) -> int:
     """Number of significant digits in a decimal string like '-1.23e-7'."""
@@ -69,3 +71,22 @@ def pFq_rational_prefix(upper, lower, z: Fraction, terms: int) -> Fraction:
         term = term * num / den
         total += term
     return total
+
+
+def brace_factor_eq10(L: int, h: int) -> Fraction:
+    """The coefficient of x^(2h) in P_L by the eq10 route of the even Legendre family: the constant
+    term (-1)^(L/2) (L-1)!! / (2^(L/2) (L/2)!), climbed h powers by Pochhammer ratios; 0 for odd L.
+
+    It shares nothing with the integer closed form of identities.brace_factor_legendre, which makes
+    their agreement a check.
+    """
+    if L % 2:
+        return Fraction(0)
+    half = L // 2
+    lead = Fraction((-1) ** half * math.prod(range(L - 1, 0, -2)), 2**half * math.factorial(half))
+    return (
+        lead
+        * pochhammer_fraction(Fraction(L + 1, 2), h)
+        * pochhammer_fraction(Fraction(-L, 2), h)
+        / (math.factorial(h) * pochhammer_fraction(Fraction(1, 2), h))
+    )

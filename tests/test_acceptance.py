@@ -29,7 +29,6 @@ from besselseries import (
     bessel_j_ref,
     brace_factor_legendre,
     chebyshev_coeff,
-    clenshaw_sum_rule,
     eval_expansion,
     first_contributing_order,
     format_decimal,
@@ -39,9 +38,9 @@ from besselseries import (
     power_gather_oracle,
     verify_identity,
 )
-from besselseries.orthopoly import LegendreP, monomial_coeffs
+from besselseries.orthopoly import LegendreP, monomial_rows
 
-from helpers import fraction_to_decimal, sig_digit_count, sin_rational_series, ulp_at
+from helpers import brace_factor_eq10, fraction_to_decimal, sig_digit_count, sin_rational_series, ulp_at
 import reference_tables as ref
 
 TOL33 = Fraction(1, 10**33)
@@ -312,8 +311,9 @@ def _doubling_sample():
 
 def test_criterion_8_sum_rules_and_invariants(ctx, ctx_double):
     # Clenshaw sum rule; k = 8 carries a ~1e-29 truncation tail at 22 terms
-    assert clenshaw_sum_rule(1, 21, ctx).passed
-    assert clenshaw_sum_rule(8, 21, ctx, tolerance=Fraction(1, 10**25)).passed
+    rule = IdentityId.CLENSHAW_SUM_RULE
+    assert verify_identity(IdentityCase(rule, k=1, lmax=21), ctx).passed
+    assert verify_identity(IdentityCase(rule, k=8, lmax=21, tolerance=Fraction(1, 10**25)), ctx).passed
 
     # vanishing prefix for every family
     probes = [
@@ -333,12 +333,11 @@ def test_criterion_8_sum_rules_and_invariants(ctx, ctx_double):
             assert identity_term(case, L, ctx) == 0, (case.id, L)
 
     # bracket variants agree exactly and equal the Legendre monomials
+    rows = monomial_rows(LegendreP(), 40)
     for L in range(0, 41, 2):
-        mono = monomial_coeffs(LegendreP(), L)
         for h in range(11):
-            eq10 = brace_factor_legendre(L, h, "eq10")
-            eq11 = brace_factor_legendre(L, h, "eq11")
-            assert eq10 == eq11 == mono.coefficient(2 * h)
+            mono = rows[L][2 * h] if 2 * h <= L else 0
+            assert brace_factor_eq10(L, h) == brace_factor_legendre(L, h) == mono
 
     # doubling the working precision moves the displayed digits by <= 1 ulp
     sample = _doubling_sample()

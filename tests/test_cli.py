@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +253,43 @@ def test_parser_rejects_garbage_numbers():
     with pytest.raises(SystemExit) as err:
         parser.parse_args(["coeffs", "--kind", "chebyshev", "--k", "eight"])
     assert err.value.code == 2
+
+
+# stdout bytes and exit codes captured from the CLI at commit c3b6165, before the commands shared
+# one renderer; eval csv is the one exception, as that commit printed the text layout for it
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:3] + c["argv"][-1:]))
+def test_golden_bytes(case, capsys):
+    code, out = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_eval_csv_is_a_header_and_one_row(capsys):
+    code, out = run_cli(
+        capsys, "eval", "--kind", "chebyshev", "--nu", "0", "--k", "1", "--x", "1", "--digits", "33",
+        "--format", "csv",
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "expansion,reference,agreement_digits"
+    expansion, reference, agreement = row.split(",")
+    assert reference == ref.J0_AT_1 and int(agreement) >= 33
+
+
+def test_clenshaw_sum_rule_refuses_h_other_than_zero(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--id", "clenshaw-sum-rule", "--h", "5", "--k", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out = run_cli(capsys, "verify", "--id", "clenshaw-sum-rule", "--h", "0", "--k", "2")
+    assert code == 0 and out.startswith("PASS clenshaw-sum-rule h=0 ")
+
+
+@pytest.mark.parametrize("kind", [["legendre", "--N", "0"], ["gegenbauer", "--lambda", "1/4"]], ids=lambda k: k[0])
+def test_clenshaw_convention_is_chebyshev_only(kind, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["coeffs", "--kind", *kind, "--k", "2", "--lmax", "0", "--convention", "clenshaw"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""

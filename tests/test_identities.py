@@ -13,10 +13,8 @@ from besselseries import (
     IdentityId,
     Legendre,
     PrecisionContext,
-    bessel_i_ref,
     brace_factor_legendre,
     chebyshev_coeff,
-    clenshaw_sum_rule,
     first_contributing_order,
     format_decimal,
     gegenbauer_coeff,
@@ -30,7 +28,14 @@ from besselseries import hypergeom, identities
 from besselseries.cli import main
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
-from helpers import fraction_to_decimal, pFq_rational_prefix, rel_diff, sig_digit_count, sin_rational_series
+from helpers import (
+    brace_factor_eq10,
+    fraction_to_decimal,
+    pFq_rational_prefix,
+    rel_diff,
+    sig_digit_count,
+    sin_rational_series,
+)
 import reference_tables as ref
 
 
@@ -240,30 +245,32 @@ def test_rhs_equals_sin_taylor_coefficient_at_half_order(ctx):
 # ----------------------------------------------------------------- braces
 
 def test_brace_below_range_is_zero():
-    assert brace_factor_legendre(4, 3, "eq11") == 0
-    assert brace_factor_legendre(4, 3, "eq10") == 0
+    assert brace_factor_legendre(4, 3) == 0
+    assert brace_factor_eq10(4, 3) == 0
 
 
 def test_brace_direct_value():
-    assert brace_factor_legendre(2, 1, "eq11") == Fraction(3, 2)
+    assert brace_factor_legendre(2, 1) == Fraction(3, 2)
 
 
 def test_brace_variants_agree_and_match_monomials():
-    # eq11 is the integer closed form; eq10 and the recurrence rows are the references
+    # the library's bracket is the integer closed form; eq10 and the recurrence rows are the references
     rows = monomial_rows(LegendreP(), 128)
     for L in range(0, 129, 2):
         for h in range(0, L // 2 + 2):
-            eq11 = brace_factor_legendre(L, h, "eq11")
-            eq10 = brace_factor_legendre(L, h, "eq10")
-            assert eq10 == eq11, (L, h)
+            eq11 = brace_factor_legendre(L, h)
+            assert brace_factor_eq10(L, h) == eq11, (L, h)
             assert eq11 == (rows[L][2 * h] if 2 * h <= L else 0), (L, h)
+    for L in range(1, 129, 2):  # the odd family, order 1, against the rows alone
+        for h in range(0, L // 2 + 2):
+            want = rows[L][2 * h + 1] if 2 * h + 1 <= L else 0
+            assert brace_factor_legendre(L, h, order=1) == want, (L, h)
 
 
-def test_brace_variant_validation():
+def test_brace_order_validation():
     with pytest.raises(DomainError):
-        brace_factor_legendre(2, 0, "eq12")
-    with pytest.raises(DomainError):
-        brace_factor_legendre(3, 0, "eq10", order=1)
+        brace_factor_legendre(2, 0, order=2)
+    assert brace_factor_legendre(3, 0) == 0 and brace_factor_legendre(2, 0, order=1) == 0
 
 
 # ----------------------------------------------------------------- verify
@@ -351,7 +358,6 @@ def test_sign_flip_realizes_modified_bessel(ctx):
     r = verify_identity(case, ctx)
     assert r.passed
     assert r.rhs == 1
-    assert rel_diff(bessel_i_ref(0, 0, ctx), r.rhs) == 0
     # h = 2: the x^4 Maclaurin coefficient of I_0(x) is 2^-4/(2! Gamma(3))
     case = _case(IdentityId.CHEBYSHEV_EVEN, h=2, k=1, lmax=26, sign_flip=True)
     r = verify_identity(case, ctx)
@@ -374,12 +380,13 @@ def test_sign_flip_gegenbauer(ctx):
 
 
 def test_clenshaw_sum_rule(ctx):
-    r = clenshaw_sum_rule(8, 21, ctx, tolerance=Fraction(1, 10**25))
+    r = verify_identity(_case(IdentityId.CLENSHAW_SUM_RULE, k=8, lmax=21, tolerance=Fraction(1, 10**25)), ctx)
     assert r.passed and r.rhs == 1
-    r = clenshaw_sum_rule(1, 21, ctx)
+    r = verify_identity(_case(IdentityId.CLENSHAW_SUM_RULE, k=1, lmax=21), ctx)
     assert r.passed
     # k -> 0: the single L = 0 term already carries the whole rule
-    r = clenshaw_sum_rule(Fraction(1, 10**30), 0, ctx, tolerance=Fraction(1, 10**59))
+    tiny = _case(IdentityId.CLENSHAW_SUM_RULE, k=Fraction(1, 10**30), lmax=0, tolerance=Fraction(1, 10**59))
+    r = verify_identity(tiny, ctx)
     assert r.passed and r.terms_used == 1
 
 
@@ -394,6 +401,8 @@ def test_case_validation():
         IdentityCase(IdentityId.CHEBYSHEV_GENERAL_NU, h=0, lmax=5)  # nu missing
     with pytest.raises(DomainError):
         IdentityCase(IdentityId.CHEBYSHEV_ODD, h=0, lmax=5, nu=Fraction(1, 2))
+    with pytest.raises(DomainError):
+        IdentityCase(IdentityId.CLENSHAW_SUM_RULE, h=5)  # the rule is the h = 0 sum only
 
 
 # ----------------------------------------------------------------- oracle

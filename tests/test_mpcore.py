@@ -8,8 +8,6 @@ from besselseries import (
     DomainError,
     PrecisionContext,
     agreement_digits,
-    beta,
-    binomial,
     double_factorial,
     format_decimal,
     gamma,
@@ -92,11 +90,9 @@ def test_reciprocal_gamma_poles_and_inverse(ctx):
         assert rel_diff(prod, 1) < Decimal("1e-60")
 
 
-def test_reciprocal_gamma_negative_reflection(ctx):
-    # 1/Gamma(-1/2) = -1/(2 sqrt(pi)); reflection route
-    got = reciprocal_gamma(Fraction(-1, 2), ctx)
-    expected = ctx.dec.divide(Decimal(-1), ctx.dec.multiply(Decimal(2), ctx.sqrt_pi))
-    assert rel_diff(got, expected) < Decimal("1e-60")
+def test_reciprocal_gamma_refuses_negative_non_integers(ctx):
+    with pytest.raises(DomainError):
+        reciprocal_gamma(Fraction(-1, 2), ctx)
 
 
 def test_pochhammer_basics(ctx):
@@ -124,34 +120,10 @@ def test_pochhammer_real_count_matches_gamma_ratio(ctx):
     assert rel_diff(got, expected) < Decimal("1e-62")
 
 
-def test_double_factorial_and_binomial():
+def test_double_factorial():
     assert double_factorial(5) == 15
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1
-    assert binomial(0, -1) == 0
-    assert binomial(4, 2) == 6
-    assert binomial(3, 7) == 0
-
-
-def test_beta(ctx):
-    assert beta(1, 1, ctx) == 1
-    # integer-argument reduction must agree with the gamma ratio
-    lam = Fraction(1, 4)
-    via_reduction = beta(lam, 6, ctx)
-    via_gamma = ctx.dec.divide(
-        ctx.dec.multiply(gamma(lam, ctx), gamma(6, ctx)), gamma(lam + 6, ctx)
-    )
-    assert rel_diff(via_reduction, via_gamma) < Decimal("1e-62")
-    # huge first argument stays cheap and finite through the reduction
-    huge = beta(Fraction(2**20), 3, ctx)
-    assert 0 < huge < 1
-    # the reduction holds for a negative non-integer partner: B(-1/4, 3) = 2!/(-1/4)_3
-    want = ctx.real(Fraction(2) / pochhammer_fraction(Fraction(-1, 4), 3))
-    assert beta(Fraction(-1, 4), 3, ctx) == want == beta(3, Fraction(-1, 4), ctx)
-    with pytest.raises(DomainError):
-        beta(0, 1, ctx)
-    with pytest.raises(DomainError):
-        beta(Fraction(-1, 4), Fraction(1, 3), ctx)
 
 
 @pytest.mark.parametrize(
