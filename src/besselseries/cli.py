@@ -69,25 +69,17 @@ def _parse_h_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _build_kind(args, parser):
+def _build_kind(args):
     if args.kind == "legendre":
         if args.N is None:
-            parser.error("--kind legendre requires --N")
+            args.parser.error("--kind legendre requires --N")
         return Legendre(args.N)
     nu = args.nu if args.nu is not None else Fraction(0)
     if args.kind == "chebyshev":
         return Chebyshev(nu)
     if args.lam is None:
-        parser.error("--kind gegenbauer requires --lambda")
+        args.parser.error("--kind gegenbauer requires --lambda")
     return Gegenbauer(nu, args.lam)
-
-
-def _kind_fields(kind):
-    if isinstance(kind, Legendre):
-        return "legendre", str(kind.N), None
-    if isinstance(kind, Chebyshev):
-        return "chebyshev", _frac_str(kind.nu), None
-    return "gegenbauer", _frac_str(kind.nu), _frac_str(kind.lam)
 
 
 def _frac_str(f):
@@ -111,15 +103,15 @@ def _emit(args, rows, text, wrap=None) -> None:
             fh.write(out)
 
 
-def _cmd_coeffs(args, parser) -> int:
-    kind = _build_kind(args, parser)
+def _cmd_coeffs(args) -> int:
+    kind = _build_kind(args)
     if args.convention == "clenshaw" and not isinstance(kind, Chebyshev):
-        parser.error("--convention clenshaw (the halved first term) is for --kind chebyshev only")
+        args.parser.error("--convention clenshaw (the halved first term) is for --kind chebyshev only")
     ctx = PrecisionContext(args.working_digits, args.digits)
     entries = list(coefficient_table(kind, args.k, args.lmax, ctx).entries)
     if args.convention == "clenshaw":
         entries[0] = (0, ctx.dec.multiply(entries[0][1], Decimal(2)))
-    name, nu, lam = _kind_fields(kind)
+    name, nu, lam = type(kind).__name__.lower(), _frac_str(kind.nu), _frac_str(kind.lam)
     rows = [{"L": L, "value": format_decimal(v, args.digits)} for L, v in entries]
     meta = {"kind": name, "nu": nu, "lambda": lam, "k": _frac_str(args.k), "convention": args.convention}
     head = f"# {name} coefficients, k={meta['k']}, convention={args.convention}"
@@ -132,22 +124,19 @@ def _cmd_coeffs(args, parser) -> int:
 _PARAMS = ("h", "k", "nu", "lambda", "lmax", "tolerance", "sign_flip")  # verify's json nests these
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     identity = _IDS.get(args.id)
     if identity is None:
-        parser.error(f"unknown identity id {args.id!r}; choose from {sorted(_IDS)}")
+        args.parser.error(f"unknown identity id {args.id!r}; choose from {sorted(_IDS)}")
     ctx = PrecisionContext(args.working_digits, args.digits)
     digits = args.digits
     rows, reports = [], []
-    try:
-        lmax = None if args.lmax == "auto" else int(args.lmax)
-        cases = [
-            IdentityCase(identity, h=h, k=args.k, nu=args.nu, lam=args.lam, lmax=lmax,
-                         tolerance=args.tol, sign_flip=args.sign_flip)
-            for h in _parse_h_range(args.h)
-        ]
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
+    lmax = None if args.lmax == "auto" else int(args.lmax)
+    cases = [
+        IdentityCase(identity, h=h, k=args.k, nu=args.nu, lam=args.lam, lmax=lmax,
+                     tolerance=args.tol, sign_flip=args.sign_flip)
+        for h in _parse_h_range(args.h)
+    ]
     tol = format_decimal(Decimal(args.tol.numerator) / args.tol.denominator, 3)
     for c in cases:
         r = verify_identity(c, ctx, trace=args.trace)
@@ -183,17 +172,13 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_eval(args, parser) -> int:
-    kind = _build_kind(args, parser)
+def _cmd_eval(args) -> int:
+    kind = _build_kind(args)
     ctx = PrecisionContext(args.working_digits, args.digits)
     if abs(args.x) > 1:
-        parser.error("--x must lie in [-1, 1]")
-    nu = Fraction(kind.N) if isinstance(kind, Legendre) else kind.nu
-    try:
-        value = eval_expansion(kind, args.k, args.x, args.lmax, ctx)
-        reference = bessel_j_ref(nu, args.k * args.x, ctx)
-    except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error("--x must lie in [-1, 1]")
+    value = eval_expansion(kind, args.k, args.x, args.lmax, ctx)
+    reference = bessel_j_ref(kind.nu, args.k * args.x, ctx)
     row = {
         "expansion": format_decimal(value, args.digits),
         "reference": format_decimal(reference, args.digits),
@@ -208,10 +193,10 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
-    kind = _build_kind(args, parser)
+def _cmd_oracle(args) -> int:
+    kind = _build_kind(args)
     if args.lmax < 2 * args.hmax:
-        parser.error("--lmax must be at least 2*hmax")
+        args.parser.error("--lmax must be at least 2*hmax")
     ctx = PrecisionContext(args.working_digits, args.digits)
     digits = args.digits
     rows = [
@@ -253,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = subs.add_parser("coeffs", help="print a coefficient table")
     _add_common(coeffs)
+    coeffs.set_defaults(run=_cmd_coeffs, parser=coeffs)
     coeffs.add_argument("--lmax", type=int, default=21)
     coeffs.add_argument("--convention", choices=["plain", "clenshaw"], default="plain",
                         help="clenshaw doubles the L = 0 entry, for a sum with a halved first term (chebyshev only)")
@@ -268,14 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--sign-flip", action="store_true", help="modified-Bessel variant")
     verify.add_argument("--trace", action="store_true", help="include per-term values")
     _add_common(verify, with_kind=False)
+    verify.set_defaults(run=_cmd_verify, parser=verify)
 
     ev = subs.add_parser("eval", help="evaluate an expansion against the reference series")
     _add_common(ev)
+    ev.set_defaults(run=_cmd_eval, parser=ev)
     ev.add_argument("--x", type=_exact, required=True)
     ev.add_argument("--lmax", type=int, default=21)
 
     oracle = subs.add_parser("oracle", help="power-gathering brute-force comparison")
     _add_common(oracle)
+    oracle.set_defaults(run=_cmd_oracle, parser=oracle)
     oracle.add_argument("--hmax", type=int, required=True)
     oracle.add_argument("--lmax", type=int, required=True)
 
@@ -289,13 +278,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    command = {"coeffs": _cmd_coeffs, "verify": _cmd_verify, "eval": _cmd_eval, "oracle": _cmd_oracle}
+    """Run one subcommand; a usage error (exit 2) prints that subcommand's usage."""
+    args = _parser().parse_args(argv)
     try:
-        return command[args.command](args, parser)
+        return args.run(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

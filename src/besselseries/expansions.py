@@ -11,21 +11,34 @@ function f(x) = (kx)^-nu J_nu(kx) and apply to non-integer orders as well:
     J_nu(kx) = (kx)^nu sum_L C_Lnu(k) T_2L(x)
     J_nu(kx) = (kx)^nu sum_L b_Lnu(k) C^lam_2L(x)
 
-Two algorithms compute them and check each other.  The public per-L
-functions sum the paper's 1F2 (2F~3) series.  Their prefactor p_L (the
-coefficient over its series and sign) grows by an exact-rational ratio from
-one start value per family, nu, lambda and k, in a table cached in the
-context.  Chebyshev and Gegenbauer start from p_0 = f(0) = 2^-nu / Gamma(nu+1),
-the only gamma and fractional power of a table:
+The kinds Legendre, Chebyshev and Gegenbauer are the one place that knows a
+family; every other layer reads what a kind carries:
 
-    Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))
+    nu      the Bessel order
+    poly    the basis: the L-th coefficient multiplies the polynomial of
+            degree step L (step 1 for Legendre, 2 for the others)
+    offset  the lowest power of x in the sum, N or 0, so that the sign
+            (-1)^((step L - offset)/2) rides on k^(step L)
+    outer   the power of kx outside the sum, 0 or nu
+    lam     the Gegenbauer lambda, None for the other two
+    _series(L)             the 1F2's upper and lower parameters
+    _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
+
+Two algorithms compute the coefficients and check each other.  The public
+per-L functions sum the paper's 1F2 (2F~3) series (_series_coeff).  Their
+prefactor p_L grows by an exact-rational ratio from one start value per
+family, nu, lambda and k, in a table cached in the context.  Chebyshev and
+Gegenbauer start from p_0 = f(0) = 2^-nu / Gamma(nu+1), the only gamma and
+fractional power of a table:
+
+    Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))    (times 2 for L >= 1)
     Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
 
-Legendre steps by 2 in L, from the exact start values in its core functions.
-With the modified switch of the private cores, the same formulas give the
-coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign that
-rides on k^(2L) (k^L for Legendre) is dropped.  The identities take only p_L
-from here, to bound their terms.
+Legendre steps by 2 in L, from the exact start values in its prefactor.
+With the modified switch of _series_coeff, the same formulas give the
+coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign is
+dropped.  The identities take only p_L and the series parameters from here,
+to bound their terms.
 
 Whole tables (coefficient_table, so eval, the oracle and the identity terms)
 sum no series, so nothing cancels at large k.  As f solves
@@ -72,7 +85,7 @@ from .mpcore import (
     neumaier_sum,
     to_fraction,
 )
-from .hypergeom import _MAX_TERMS, HyperSpec, eval_pFq, eval_regularized_pFq
+from .hypergeom import HyperSpec, _sum_series, eval_pFq, eval_regularized_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
@@ -80,38 +93,78 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class Legendre:
+    """J_N(kx) = sum_L a_LN(k) P_L(x); the 1F2 form of a_LN holds for N in {0, 1}."""
+
     N: int
+
+    poly, step, outer, lam = LegendreP(), 1, 0, None
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 0:
             raise DomainError("Legendre expansion order N must be an integer >= 0")
+        object.__setattr__(self, "nu", Fraction(self.N))
+        object.__setattr__(self, "offset", self.N)
+
+    def _series(self, L: int) -> tuple:
+        return (Fraction(L + self.N + 1, 2),), (Fraction(L + self.N, 2) + 1, L + Fraction(3, 2))
+
+    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
+        """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational, from its
+        table (L - N even)."""
+        N = self.N
+
+        def ratio(j):  # p_(L+2)/p_L at L = N + 2j
+            n = N + 2 * j
+            return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
+
+        return ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
 
 
 @dataclass(frozen=True)
 class Chebyshev:
+    """f(x) = (kx)^-nu J_nu(kx) = sum_L C_Lnu(k) T_2L(x), plain-sum convention."""
+
     nu: Fraction = Fraction(0)
+
+    poly, step, offset, lam = ChebyshevT(), 2, 0, None
 
     def __post_init__(self):
         nu = to_fraction(self.nu)
         if nu < 0:
             raise DomainError("Chebyshev expansion order nu must be >= 0")
         object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "outer", nu)
+
+    def _series(self, L: int) -> tuple:
+        return (L + _HALF,), (L + self.nu + 1, 2 * L + 1)
+
+    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
+        p = _even_prefactor(L, self.nu, None, kf, ctx)
+        return ctx.dec.multiply(2, p) if L else p
 
 
 @dataclass(frozen=True)
 class Gegenbauer:
+    """f(x) = (kx)^-nu J_nu(kx) = sum_L b_Lnu(k) C^lam_2L(x), lam > -1/2 and nonzero."""
+
     nu: Fraction = Fraction(0)
     lam: Fraction = Fraction(1, 2)
 
+    step, offset = 2, 0
+
     def __post_init__(self):
         nu = to_fraction(self.nu)
-        lam = to_fraction(self.lam)
         if nu < 0:
             raise DomainError("Gegenbauer expansion order nu must be >= 0")
-        if lam <= Fraction(-1, 2) or lam == 0:
-            raise DomainError("Gegenbauer requires lambda > -1/2 and lambda != 0")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "lam", lam)
+        poly = GegenbauerC(self.lam)  # checks lambda
+        for name, value in (("nu", nu), ("outer", nu), ("lam", poly.lam), ("poly", poly)):
+            object.__setattr__(self, name, value)
+
+    def _series(self, L: int) -> tuple:
+        return (L + _HALF,), (2 * L + self.lam + 1, L + self.nu + 1)
+
+    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
+        return _even_prefactor(L, self.nu, self.lam, kf, ctx)
 
 
 @dataclass(frozen=True)
@@ -119,7 +172,6 @@ class CoefficientTable:
     kind: object
     k: Fraction
     entries: tuple  # ((L, Decimal), ...) for L = 0..Lmax
-    convention: str = "plain"
 
 
 def _pairs(*fractions) -> tuple:
@@ -134,9 +186,16 @@ def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
-def _parity_sign(half_steps: int) -> int:
-    # i^(2m) folded to a real sign; half_steps = (L-N)/2 may be negative
-    return 1 if half_steps % 2 == 0 else -1
+def _series_coeff(kind, L: int, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
+    """The order-L coefficient as (-1)^((step L - offset)/2) p_L 1F2(upper; lower; -k^2/4); modified, of
+    I_nu: the argument +k^2/4 and no sign."""
+    if L < 0:
+        raise DomainError("L must be >= 0")
+    upper, lower = kind._series(L)
+    z = kf * kf / 4
+    sign = 1 if modified or (kind.step * L - kind.offset) % 4 == 0 else -1
+    pref = ctx.dec.multiply(sign, kind._prefactor(L, kf, ctx))
+    return ctx.dec.multiply(pref, eval_pFq(HyperSpec(upper, lower, z if modified else -z), ctx))
 
 
 def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -146,45 +205,14 @@ def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     regularized 2F~3 so the b-parameter poles that appear when N > L of the
     same parity stay finite.
     """
-    if L < 0 or N < 0:
-        raise DomainError("L and N must be >= 0")
+    kind = Legendre(N)
+    if L < 0:
+        raise DomainError("L must be >= 0")
     if (L + N) % 2:
         return Decimal(0)
-    if N in (0, 1):
-        return _legendre_coeff_reduced(L, N, k, ctx)
-    return legendre_coeff_general(L, N, k, ctx)
-
-
-def _series_argument(kf: Fraction, modified: bool) -> Fraction:
-    # the modified-Bessel switch substitutes k^2 -> -k^2: the 1F2 argument turns to +k^2/4
-    return (kf * kf) / 4 if modified else -(kf * kf) / 4
-
-
-def _legendre_coeff_reduced(L: int, N: int, k, ctx: PrecisionContext, modified: bool = False) -> Real:
-    """a_LN = sign p_L 1F2 for N in {0, 1} (modified: of I_N)."""
-    kf = to_fraction(k)
-    z = _series_argument(kf, modified)
-    if N == 0:
-        spec = HyperSpec((Fraction(L, 2) + _HALF,), (Fraction(L, 2) + 1, L + Fraction(3, 2)), z)
-    else:
-        spec = HyperSpec((Fraction(L, 2) + 1,), (Fraction(L, 2) + Fraction(3, 2), L + Fraction(3, 2)), z)
-    sign = 1 if modified else _parity_sign((L - N) // 2)  # the sign riding on k^L
-    return _times_series(sign, _legendre_prefactor(L, N, kf, ctx), spec, ctx)
-
-
-def _legendre_prefactor(L: int, N: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-    """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational, from its table
-    (N in {0, 1}, L - N even)."""
-
-    def ratio(j):  # p_(L+2)/p_L at L = N + 2j
-        n = N + 2 * j
-        return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
-
-    return ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
-
-
-def _times_series(sign: int, pref: Real, spec: HyperSpec, ctx: PrecisionContext) -> Real:
-    return ctx.dec.multiply(ctx.dec.multiply(sign, pref), eval_pFq(spec, ctx))
+    if N > 1:
+        return legendre_coeff_general(L, N, k, ctx)
+    return _series_coeff(kind, L, to_fraction(k), ctx)
 
 
 def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -211,7 +239,7 @@ def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CO
     start = lambda: ctx.sqrt_pi * ctx.real(Fraction(2 * parity + 1, 2 ** (2 * parity + 1)) * kf**parity)
     pref = ctx._table(("legendre-regularized", parity, *_pairs(kf)), start, ratio, L // 2)
     with localcontext(ctx.dec):
-        return +(_parity_sign((L - N) // 2) * pref * f)
+        return +((1 if (L - N) % 4 == 0 else -1) * pref * f)
 
 
 def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -220,12 +248,7 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
     C_Lnu(k) = (-1)^L k^(2L) 2^(-4L-nu) (2 - delta_L0) / (L! Gamma(L+nu+1))
                * 1F2(L+1/2; L+nu+1, 2L+1; -k^2/4)
     """
-    if L < 0:
-        raise DomainError("L must be >= 0")
-    nuf = to_fraction(nu)
-    if nuf < 0:
-        raise DomainError("nu must be >= 0")
-    return _chebyshev_coeff(L, nuf, to_fraction(k), ctx)
+    return _series_coeff(Chebyshev(nu), L, to_fraction(k), ctx)
 
 
 def _prefactor_ratio(nuf, lamf, kf):
@@ -235,13 +258,7 @@ def _prefactor_ratio(nuf, lamf, kf):
     return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
 
 
-def _chebyshev_coeff(L: int, nuf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
-    spec = HyperSpec((L + _HALF,), (L + nuf + 1, 2 * L + 1), _series_argument(kf, modified))
-    sign = -1 if L % 2 and not modified else 1
-    return _times_series(sign * (2 if L else 1), _prefactor(L, nuf, None, kf, ctx), spec, ctx)
-
-
-def _prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
+def _even_prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
     """p_L of the Chebyshev (lamf None; without its factor 2 for L >= 1) or Gegenbauer coefficient,
     from the table that grows by _prefactor_ratio from f(0)."""
     start = lambda: _value_at_zero(nuf, ctx)
@@ -255,20 +272,7 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
                / (sqrt(pi) (2lam)_2L (2L+2lam)_2L (L+1/2)_{nu+1/2})
                * 1F2(L+1/2; 2L+lam+1, L+nu+1; -k^2/4)
     """
-    if L < 0:
-        raise DomainError("L must be >= 0")
-    nuf, lamf = to_fraction(nu), to_fraction(lam)
-    if nuf < 0:
-        raise DomainError("nu must be >= 0")
-    if lamf <= Fraction(-1, 2) or lamf == 0:
-        raise DomainError("lambda must be > -1/2 and nonzero")
-    return _gegenbauer_coeff(L, nuf, lamf, to_fraction(k), ctx)
-
-
-def _gegenbauer_coeff(L: int, nuf, lamf, kf, ctx: PrecisionContext, modified: bool = False) -> Real:
-    spec = HyperSpec((L + _HALF,), (2 * L + lamf + 1, L + nuf + 1), _series_argument(kf, modified))
-    sign = -1 if L % 2 and not modified else 1
-    return _times_series(sign, _prefactor(L, nuf, lamf, kf, ctx), spec, ctx)
+    return _series_coeff(Gegenbauer(nu, lam), L, to_fraction(k), ctx)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -361,11 +365,8 @@ def _table_values(kind, kf: Fraction, count: int, ctx: PrecisionContext, modifie
     guard = ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
     if isinstance(kind, Legendre):
         values = _legendre_table(kind.N, kf, count - 1, guard, modified)
-    elif isinstance(kind, (Chebyshev, Gegenbauer)):
-        lam = kind.lam if isinstance(kind, Gegenbauer) else None
-        values = _miller_table(kind.nu, lam, kf, count, guard, modified)
     else:
-        raise TypeError(f"unknown expansion kind {kind!r}")
+        values = _miller_table(kind.nu, kind.lam, kf, count, guard, modified)
     return [ctx.dec.plus(v) for v in values]
 
 
@@ -381,34 +382,28 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     if abs(xf) > 1:
         raise DomainError("x must lie in [-1, 1]")
     kf = _table_args(k, lmax)
-    if isinstance(kind, Legendre):
-        if xf == 0 and kind.N > 0:
-            return Decimal(0)  # J_N(0) = 0 exactly; the sum would only leave rounding residue
-        nu, poly, step = 0, LegendreP(), 1  # the sum is J_N(kx) itself
-    elif isinstance(kind, (Chebyshev, Gegenbauer)):
-        nu, step = kind.nu, 2  # the L-th coefficient multiplies the degree-2L polynomial
-        poly = ChebyshevT() if isinstance(kind, Chebyshev) else GegenbauerC(kind.lam)
-        if nu.denominator != 1 and xf < 0:
-            raise DomainError("non-integer nu needs x >= 0 (fractional power of kx)")
-    else:
-        raise TypeError(f"unknown expansion kind {kind!r}")
-    coeffs = [Decimal(0)] * (step * lmax + 1)
-    coeffs[::step] = [c for _, c in coefficient_table(kind, kf, lmax, ctx).entries]
-    s = clenshaw_sum(poly, coeffs, xf, ctx)
-    if nu == 0:
+    if xf == 0 and kind.offset:
+        return Decimal(0)  # the sum is J_N(kx) itself, exactly 0 at x = 0; it would only leave rounding residue
+    if kind.outer.denominator != 1 and xf < 0:
+        raise DomainError("non-integer nu needs x >= 0 (fractional power of kx)")
+    coeffs = [Decimal(0)] * (kind.step * lmax + 1)
+    coeffs[::kind.step] = [c for _, c in coefficient_table(kind, kf, lmax, ctx).entries]
+    s = clenshaw_sum(kind.poly, coeffs, xf, ctx)
+    if kind.outer == 0:
         return s
     with localcontext(ctx.dec):
         kx = ctx.real(kf) * ctx.real(xf)
-        return +(s * _pow(kx, nu, ctx)) if kx else Decimal(0)
+        return +(s * _pow(kx, kind.outer, ctx)) if kx else Decimal(0)
 
 
 def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Independent reference: Maclaurin series of J_nu(z).
 
-    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), summed in its
-    own loop until the proven tail bound (mpcore.TailBound, shared with the
-    hypergeometric evaluator, and tried the same way) is below
-    10^-(working_digits + 5) of the larger of 1 and the sum.
+    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), summed by the
+    loop of the hypergeometric evaluator (hypergeom._sum_series, one loop for
+    both series) until the proven tail bound is below 10^-(working_digits + 5)
+    of the larger of 1 and the sum.  It shares no table, prefactor or cache
+    with the coefficients it checks.
     """
     nuf = to_fraction(nu)
     if nuf < 0:
@@ -426,22 +421,6 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             lead = half_z ** int(nuf)
         else:
             lead = ctx.dec.power(half_z, ctx.real(nuf))
-        term = lead / gamma(nuf + 1, ctx)
-        w = -half_z * half_z
-        total = term
-        comp = Decimal(0)
-        negligible = ctx.negligible
-        for m in range(_MAX_TERMS):
-            size, limit = abs(term), negligible * max(1, abs(total))
-            if size < limit:  # as in hypergeom: past the peak the bound is tried from here on
-                bound = tail.after(m, size)
-                if bound is not None and bound < limit:
-                    return +(total + comp)
-            term = term * w / ((m + 1) * (ctx.real(nuf) + m + 1))
-            new_total = total + term
-            if abs(total) >= abs(term):
-                comp += (total - new_total) + term
-            else:
-                comp += (term - new_total) + total
-            total = new_total
-        raise RuntimeError("Bessel series did not converge")
+        w, nu_d = -half_z * half_z, ctx.real(nuf)
+        step = lambda m, term: term * w / ((m + 1) * (nu_d + m + 1))
+        return _sum_series(tail, 0, lead / gamma(nuf + 1, ctx), step, ctx, regularized=False)[0]

@@ -15,6 +15,10 @@ so every term left out is accounted for, however the signs fall.  The bound
 is only tried from the first term below that limit on: where it could pass
 earlier, R(m) < 1/2 and the next term is already below the limit, so this
 stops at most one term later and spares the bound on every term before.
+
+One loop, _sum_series, sums both these series and the Maclaurin series of
+expansions.bessel_j_ref: it takes the next term from a step function and the
+tail bound from the caller.
 """
 
 from __future__ import annotations
@@ -83,16 +87,30 @@ def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:
 
 
 def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, regularized: bool) -> tuple:
-    """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) from t_m = term.
-
-    The scale of the stopping test is the larger of 1 and |partial sum|, or
-    for a regularized series the larger of the largest term and |partial sum|.
-    """
+    """_sum_series of spec's terms from t_m = term, each next term one integer ratio away."""
     upper = [(a.numerator, a.denominator) for a in spec.upper]
     lower = [(b.numerator, b.denominator) for b in spec.lower]
     num_z = spec.z.numerator * math.prod(q for _, q in lower)
     den_z = spec.z.denominator * math.prod(q for _, q in upper)
-    tail = TailBound(spec.z, upper, lower + [(1, 1)])
+
+    def step(m, term):
+        num, den = num_z, den_z * (m + 1)
+        for p, q in upper:
+            num *= p + m * q
+        for p, q in lower:
+            den *= p + m * q
+        return term * num / den
+
+    return _sum_series(TailBound(spec.z, upper, lower + [(1, 1)]), m, term, step, ctx, regularized)
+
+
+def _sum_series(tail: TailBound, m: int, term: Decimal, step, ctx: PrecisionContext, regularized: bool) -> tuple:
+    """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) from t_m = term and
+    t_(j+1) = step(j, t_j), with compensated (Neumaier) summation; tail bounds the ratio t_(j+1)/t_j.
+
+    The scale of the stopping test is the larger of 1 and |partial sum|, or
+    for a regularized series the larger of the largest term and |partial sum|.
+    """
     first = m
     with localcontext(ctx.dec):
         negligible = ctx.negligible
@@ -108,12 +126,7 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, reg
                 bound = tail.after(m, size)
                 if bound is not None and bound < limit:
                     return +(total + comp), m - first + 1, bound
-            num, den = num_z, den_z * (m + 1)
-            for p, q in upper:
-                num *= p + m * q
-            for p, q in lower:
-                den *= p + m * q
-            term = term * num / den
+            term = step(m, term)
             size = abs(term)
             new_total = total + term
             if total_size >= size:
@@ -121,7 +134,7 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, reg
             else:
                 comp += (term - new_total) + total
             total = new_total
-    raise RuntimeError(f"pFq did not converge within {_MAX_TERMS} terms")
+    raise RuntimeError(f"series did not converge within {_MAX_TERMS} terms")
 
 
 def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -25,6 +25,11 @@ order comes first, from bounds on the terms (_bound_factor); only then are
 table entries read.  The right-hand side is f(0) k^nu times an exact
 rational, or for integer nu one exact rational, rounded once.
 
+Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
+step, offset, outer power, series parameters, prefactor) every helper here
+reads; only the closed forms of _order_tail and _monomial_parts differ by
+family.
+
 An independent brute-force check lives in power_gather_oracle: expand every
 basis polynomial into exact-rational monomials by its three-term recurrence,
 multiply by the tabulated expansion coefficients, and gather the coefficient
@@ -49,17 +54,8 @@ from .mpcore import (
     neumaier_sum,
     to_fraction,
 )
-from .expansions import (
-    Chebyshev,
-    Gegenbauer,
-    Legendre,
-    _legendre_prefactor,
-    _prefactor,
-    _table_values,
-    _value_at_zero,
-    coefficient_table,
-)
-from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
+from .expansions import Chebyshev, Gegenbauer, Legendre, _table_values, _value_at_zero, coefficient_table
+from .orthopoly import GegenbauerC, LegendreP, monomial_rows
 
 _HALF = Fraction(1, 2)
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
@@ -76,13 +72,15 @@ class IdentityId(enum.Enum):
     CLENSHAW_SUM_RULE = "clenshaw-sum-rule"
 
 
-_FIXED_NU = {
-    IdentityId.LEGENDRE_J0: Fraction(0),
-    IdentityId.LEGENDRE_J1: Fraction(1),
-    IdentityId.CHEBYSHEV_EVEN: Fraction(0),
-    IdentityId.CHEBYSHEV_ODD: Fraction(1),
-    IdentityId.GEGENBAUER_NU0: Fraction(0),
-    IdentityId.CLENSHAW_SUM_RULE: Fraction(0),
+_FAMILY = {  # the expansion kind of each id and its fixed nu; None: the case gives nu
+    IdentityId.LEGENDRE_J0: (Legendre, 0),
+    IdentityId.LEGENDRE_J1: (Legendre, 1),
+    IdentityId.CHEBYSHEV_EVEN: (Chebyshev, 0),
+    IdentityId.CHEBYSHEV_ODD: (Chebyshev, 1),
+    IdentityId.CHEBYSHEV_GENERAL_NU: (Chebyshev, None),
+    IdentityId.GEGENBAUER_NU0: (Gegenbauer, 0),
+    IdentityId.GEGENBAUER_GENERAL: (Gegenbauer, None),
+    IdentityId.CLENSHAW_SUM_RULE: (Chebyshev, 0),  # chebyshev-even at h = 0
 }
 
 
@@ -91,7 +89,8 @@ class IdentityCase:
     """One verification instance of a summed-series family.
 
     lmax is the last order summed, or None to stop where the tail bound allows
-    (verify_identity).
+    (verify_identity).  kind is the id's expansion kind at the case's nu and
+    lambda, which it checks; nu and lam are read back from it.
     """
 
     id: IdentityId
@@ -102,6 +101,7 @@ class IdentityCase:
     lmax: int | None = 21
     tolerance: Fraction = Fraction(1, 10**33)
     sign_flip: bool = False
+    kind: object = field(default=None, init=False, repr=False, compare=False)
     # the key of the case's table and bound caches, built once from integer pairs
     # (Fraction.__hash__ takes a modular inverse on every call)
     _key: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -119,29 +119,21 @@ class IdentityCase:
             raise DomainError("a sum stopped by its tail bound needs a tolerance > 0")
         if self.lmax is not None and self.lmax < self.h:
             raise DomainError("lmax must be >= h")
-        nu = self.nu
-        if self.id in _FIXED_NU:
-            fixed = _FIXED_NU[self.id]
-            if nu is not None and to_fraction(nu) != fixed:
-                raise DomainError(f"{self.id.value} has nu fixed to {fixed}")
-            nu = fixed
-        elif nu is None:
-            raise DomainError(f"{self.id.value} requires nu")
-        object.__setattr__(self, "nu", to_fraction(nu))
-        if self.nu < 0:
-            raise DomainError("nu must be >= 0")
-        if self.id in (IdentityId.GEGENBAUER_NU0, IdentityId.GEGENBAUER_GENERAL):
-            if self.lam is None:
-                raise DomainError(f"{self.id.value} requires lambda")
-            lam = to_fraction(self.lam)
-            if lam <= Fraction(-1, 2) or lam == 0:
-                raise DomainError("lambda must be > -1/2 and nonzero")
-            object.__setattr__(self, "lam", lam)
-        elif self.lam is not None:
-            raise DomainError(f"{self.id.value} takes no lambda")
+        family, nu = _FAMILY[self.id]
+        if nu is None:
+            if self.nu is None:
+                raise DomainError(f"{self.id.value} requires nu")
+            nu = self.nu
+        elif self.nu is not None and to_fraction(self.nu) != nu:
+            raise DomainError(f"{self.id.value} has nu fixed to {nu}")
+        takes_lam = family.lam is not None  # Gegenbauer's lam is a field (default 1/2); the others carry None
+        if takes_lam != (self.lam is not None):
+            raise DomainError(f"{self.id.value} {'requires' if takes_lam else 'takes no'} lambda")
+        kind = family(nu, self.lam) if takes_lam else family(nu)
+        for name, value in (("kind", kind), ("nu", kind.nu), ("lam", kind.lam)):
+            object.__setattr__(self, name, value)
         pairs = (None if f is None else (f.numerator, f.denominator) for f in (self.k, self.nu, self.lam))
-        legendre = self.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1)
-        object.__setattr__(self, "_key", (legendre, *pairs, self.sign_flip))
+        object.__setattr__(self, "_key", (family, *pairs, self.sign_flip))
 
 
 @dataclass(frozen=True)
@@ -158,43 +150,26 @@ class VerificationReport:
 
 
 def first_contributing_order(case: IdentityCase) -> int:
-    """Smallest L whose summand is not identically zero."""
-    if case.id == IdentityId.LEGENDRE_J0:
-        return 2 * case.h
-    if case.id == IdentityId.LEGENDRE_J1:
-        return 2 * case.h + 1
-    if case.id == IdentityId.CLENSHAW_SUM_RULE:
-        return 0
-    return case.h
-
-
-def _parity_skip(case: IdentityCase, L: int) -> bool:
-    if case.id == IdentityId.LEGENDRE_J0:
-        return L % 2 == 1
-    if case.id == IdentityId.LEGENDRE_J1:
-        return L % 2 == 0
-    return False
+    """Smallest L whose summand is not identically zero: the first basis polynomial of degree
+    step L >= 2h + offset, the power the family gathers."""
+    return (2 * case.h + case.kind.offset) // case.kind.step
 
 
 def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """The L-th summand, the order-L table entry times _weight; zero below the first contributing order."""
     if L < 0:
         raise DomainError("L must be >= 0")
-    if _parity_skip(case, L) or L < first_contributing_order(case):
-        return Decimal(0)
+    if (case.kind.step * L - case.kind.offset) % 2 or L < first_contributing_order(case):
+        return Decimal(0)  # a polynomial of the wrong parity or too low a degree has no x^(2h+offset)
     return ctx.dec.multiply(_coefficients(case, L + 1, ctx)[L], _weight(case, L, ctx))
 
 
 def _weight(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """k^nu (none for Legendre) times the x^(2h+nu) monomial coefficient of P_L, T_2L or C^lam_2L."""
-    if case._key[0]:
-        num, den = _monomial_parts(LegendreP(), L, (L - int(case.nu)) // 2 - case.h)
-    elif case.lam is not None:
-        num, den = _monomial_parts(GegenbauerC(case.lam), 2 * L, L - case.h, ctx)
-    else:  # the Chebyshev ids; the Clenshaw sum rule is chebyshev-even at h = 0
-        num, den = _monomial_parts(ChebyshevT(), 2 * L, L - case.h)
+    """k^outer times the x^(2h+offset) monomial coefficient of the degree-(step L) basis polynomial."""
+    kind, n = case.kind, case.kind.step * L
+    num, den = _monomial_parts(kind.poly, n, (n - kind.offset) // 2 - case.h, ctx)
     mono = ctx.dec.divide(num, den)
-    return mono if case._key[0] else ctx.dec.multiply(_k_nu(case.k, case.nu, ctx), mono)
+    return ctx.dec.multiply(_k_nu(case.k, kind.outer, ctx), mono) if kind.outer else mono
 
 
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
@@ -205,31 +180,23 @@ def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
 def _coefficients(case: IdentityCase, count: int, ctx: PrecisionContext) -> list:
     """At least count entries of the case's table (of I_nu with sign_flip), cached under case._key
     (family, k, nu, lambda, sign_flip) and rebuilt twice as long as asked when a later h or L needs more."""
-    nu, lam = case.nu, case.lam
-    kind = Legendre(int(nu)) if case._key[0] else Chebyshev(nu) if lam is None else Gegenbauer(nu, lam)
-    build = lambda n: _table_values(kind, case.k, n, ctx, case.sign_flip)
+    build = lambda n: _table_values(case.kind, case.k, n, ctx, case.sign_flip)
     return ctx._grown(("table", case._key), count, build)
 
 
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (expansions' exact-ratio tables,
-    with the factor 2 of Chebyshev L >= 1) times F_L = _bound_1f2 of its 1F2, which is never summed.
+    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (the kind's exact-ratio table)
+    times F_L = _bound_1f2 of its 1F2, which is never summed, at c_L, the larger lower parameter.
 
-    That 1F2 has the upper parameter a = L/2 + 1/2, L/2 + 1 (Legendre) or L + 1/2 and the larger lower
-    one c = L + 3/2 (Legendre), max(L + nu + 1, 2L + 1) (Chebyshev) or max(L + nu + 1, 2L + lam + 1)
-    (Gegenbauer); the smaller lower one b meets 0 < a <= b (lam > -1/2), and 2c >= 1.
+    In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),
+    and 2c_L >= 1.
     """
 
     def build():
-        k, nu, lam = case.k, case.nu, case.lam
-        if case._key[0]:
-            pref, c = _legendre_prefactor(L, int(nu), k, ctx), L + Fraction(3, 2)
-        elif lam is None:
-            pref, c = ctx.dec.multiply(2 if L else 1, _prefactor(L, nu, None, k, ctx)), max(L + nu + 1, 2 * L + 1)
-        else:
-            pref, c = _prefactor(L, nu, lam, k, ctx), max(L + nu + 1, 2 * L + lam + 1)
+        k = case.k
         z = k * k / 4 if case.sign_flip else -k * k / 4
-        return ctx.dec.multiply(abs(pref), _bound_1f2(z, c))
+        pref = case.kind._prefactor(L, k, ctx)
+        return ctx.dec.multiply(abs(pref), _bound_1f2(z, max(case.kind._series(L)[1])))
 
     return ctx._cached(("bound", L, case._key), build)  # the key tells the families apart
 
@@ -279,7 +246,7 @@ def _order_tail(case: IdentityCase) -> TailBound:
     terms after L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
     """
     k2, h, nu, lam = case.k * case.k, case.h, case.nu, case.lam
-    if case._key[0]:
+    if isinstance(case.kind, Legendre):
         N = int(nu)
         c, upper, lower = k2 / 4, (1, 2, N + 2 * h + 1), (_HALF, 3 * _HALF, 2 - N, 2 + N, 2 - N - 2 * h)
     elif lam is not None:
@@ -319,9 +286,7 @@ def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Closed-form right-hand side: the x^(2h+nu) Maclaurin coefficient of
-    J_nu(kx) (or of I_nu with sign_flip), times nothing else."""
-    if case.id == IdentityId.CLENSHAW_SUM_RULE:
-        return ctx.real(1)
+    J_nu(kx) (or of I_nu with sign_flip), times nothing else; 1 for the Clenshaw sum rule."""
     return _maclaurin(case.h, case.nu, case.k, case.sign_flip, ctx)
 
 
@@ -358,7 +323,7 @@ def verify_identity(
             target = min(ctx.real(case.tolerance / 10), digits) * abs(rhs)
     zeros, weights, bound = [], [], None  # the stop is decided before any coefficient is read
     for L in range(_MAX_ORDER + 1 if case.lmax is None else case.lmax + 1):
-        if _parity_skip(case, L):
+        if (case.kind.step * L - case.kind.offset) % 2:
             continue
         if L < start:
             zeros.append((L, Decimal(0)))
@@ -427,23 +392,9 @@ def power_gather_oracle(
         raise DomainError("lmax must be at least 2*hmax for a meaningful gather")
     kf = to_fraction(k)
     table = coefficient_table(kind, kf, lmax, ctx)
-    if isinstance(kind, Legendre):
-        nu = Fraction(kind.N)
-        poly, step = LegendreP(), 1  # a_LN multiplies P_L
-        powers = [2 * h + kind.N for h in range(hmax + 1)]
-        k_power = Fraction(0)
-    else:
-        if isinstance(kind, Chebyshev):
-            poly = ChebyshevT()
-        elif isinstance(kind, Gegenbauer):
-            poly = GegenbauerC(kind.lam)
-        else:
-            raise TypeError(f"unknown expansion kind {kind!r}")
-        nu = kind.nu
-        step = 2  # the L-th coefficient multiplies the degree-2L polynomial
-        powers = [2 * h for h in range(hmax + 1)]
-        k_power = nu  # (kx)^nu prefactor contributes k^nu to each gathered power
-    monos = monomial_rows(poly, step * lmax, powers[-1])
+    step = kind.step  # the L-th coefficient multiplies the degree-(step L) polynomial
+    powers = [2 * h + kind.offset for h in range(hmax + 1)]
+    monos = monomial_rows(kind.poly, step * lmax, powers[-1])
 
     def gathered_terms(power):
         for L, c in table.entries:
@@ -456,9 +407,9 @@ def power_gather_oracle(
     for h in range(hmax + 1):
         with localcontext(ctx.dec):
             gathered = neumaier_sum(gathered_terms(powers[h]), ctx)
-            if k_power:
-                gathered = +(gathered * _k_nu(kf, k_power, ctx))
-            maclaurin = _maclaurin(h, nu, kf, False, ctx)
+            if kind.outer:  # the (kx)^nu outside the sum contributes k^nu to each gathered power
+                gathered = +(gathered * _k_nu(kf, kind.outer, ctx))
+            maclaurin = _maclaurin(h, kind.nu, kf, False, ctx)
             rel = abs(gathered - maclaurin) / abs(maclaurin)
             rows.append(OracleRow(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=+rel))
     return rows

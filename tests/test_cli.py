@@ -255,12 +255,14 @@ def test_parser_rejects_garbage_numbers():
     assert err.value.code == 2
 
 
-# stdout bytes and exit codes captured from the CLI at commit c3b6165, before the commands shared
-# one renderer; eval csv is the one exception, as that commit printed the text layout for it
+# stdout bytes and exit codes captured from the CLI: the first 18 cases at commit c3b6165, before the
+# commands shared one renderer (eval csv is the one exception, as that commit printed the text layout
+# for it), the rest, which take every family through every command, at 45ae2f7, before the expansion
+# kinds carried their family's basis, step, series parameters and prefactor
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:3] + c["argv"][-1:]))
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
 def test_golden_bytes(case, capsys):
     code, out = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
@@ -282,7 +284,8 @@ def test_clenshaw_sum_rule_refuses_h_other_than_zero(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--id", "clenshaw-sum-rule", "--h", "5", "--k", "2"])
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: besselseries verify")
     code, out = run_cli(capsys, "verify", "--id", "clenshaw-sum-rule", "--h", "0", "--k", "2")
     assert code == 0 and out.startswith("PASS clenshaw-sum-rule h=0 ")
 
@@ -292,4 +295,7 @@ def test_clenshaw_convention_is_chebyshev_only(kind, capsys):
     with pytest.raises(SystemExit) as err:
         main(["coeffs", "--kind", *kind, "--k", "2", "--lmax", "0", "--convention", "clenshaw"])
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # a usage error found by the command prints the subcommand's usage, with the options that apply
+    assert captured.err.startswith("usage: besselseries coeffs")

@@ -23,14 +23,7 @@ from besselseries import (
     neumaier_sum,
 )
 from besselseries import expansions, mpcore
-from besselseries.expansions import (
-    _chebyshev_coeff,
-    _gegenbauer_coeff,
-    _legendre_coeff_reduced,
-    _miller_table,
-    _recurrence_coefficients,
-    _table_values,
-)
+from besselseries.expansions import _miller_table, _recurrence_coefficients, _series_coeff, _table_values
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
 from besselseries.mpcore import _pow, double_factorial, gamma, pochhammer, pochhammer_fraction
@@ -143,7 +136,7 @@ def _core_and_series(family, L, params, modified, ctx):
         (N,) = params
         upper = (Fraction(L, 2) + half + N * half,)
         spec = HyperSpec(upper, (Fraction(L, 2) + 1 + N * half, L + Fraction(3, 2)), z)
-        core = _legendre_coeff_reduced(L, N, RATIO_K, ctx, modified)
+        core = _series_coeff(Legendre(N), L, RATIO_K, ctx, modified)
         sign = 1 if modified or (L - N) % 4 == 0 else -1
         return core, eval_pFq(spec, ctx), sign, 1
     if family == "legendre-regularized":
@@ -155,10 +148,10 @@ def _core_and_series(family, L, params, modified, ctx):
     sign = -1 if L % 2 and not modified else 1
     if family == "chebyshev":
         (nu,) = params
-        core = _chebyshev_coeff(L, nu, RATIO_K, ctx, modified)
+        core = _series_coeff(Chebyshev(nu), L, RATIO_K, ctx, modified)
         return core, eval_pFq(HyperSpec((L + half,), (L + nu + 1, 2 * L + 1), z), ctx), sign, 2 if L else 1
     nu, lam = params
-    core = _gegenbauer_coeff(L, nu, lam, RATIO_K, ctx, modified)
+    core = _series_coeff(Gegenbauer(nu, lam), L, RATIO_K, ctx, modified)
     return core, eval_pFq(HyperSpec((L + half,), (2 * L + lam + 1, L + nu + 1), z), ctx), sign, 1
 
 
@@ -292,13 +285,8 @@ def test_modified_table_matches_series_at_doubled_precision(kind):
     ctx, series_ctx = PrecisionContext(), PrecisionContext(working_digits=128)
     for k in (Fraction(1), Fraction(8), Fraction(30), Fraction(60), Fraction(100)):
         table = enumerate(_table_values(kind, k, 41, ctx, modified=True))
-        if isinstance(kind, Legendre):
-            want = [_legendre_coeff_reduced(L, kind.N, k, series_ctx, True) if (L + kind.N) % 2 == 0 else 0
-                    for L in range(41)]
-        elif isinstance(kind, Chebyshev):
-            want = [_chebyshev_coeff(L, kind.nu, k, series_ctx, True) for L in range(41)]
-        else:
-            want = [_gegenbauer_coeff(L, kind.nu, kind.lam, k, series_ctx, True) for L in range(41)]
+        want = [_series_coeff(kind, L, k, series_ctx, True) if (kind.step * L - kind.offset) % 2 == 0 else 0
+                for L in range(41)]
         _assert_tables_agree(table, want, 64)
 
 

@@ -403,6 +403,16 @@ def test_case_validation():
         IdentityCase(IdentityId.CHEBYSHEV_ODD, h=0, lmax=5, nu=Fraction(1, 2))
     with pytest.raises(DomainError):
         IdentityCase(IdentityId.CLENSHAW_SUM_RULE, h=5)  # the rule is the h = 0 sum only
+    # the expansion kind checks nu and lambda
+    with pytest.raises(DomainError):
+        IdentityCase(IdentityId.CHEBYSHEV_GENERAL_NU, h=0, lmax=5, nu=Fraction(-1, 3))
+    with pytest.raises(DomainError):
+        IdentityCase(IdentityId.GEGENBAUER_GENERAL, h=0, lmax=5, nu=Fraction(-1), lam=Fraction(1, 4))
+    for lam in (Fraction(-1, 2), Fraction(0)):
+        with pytest.raises(DomainError):
+            IdentityCase(IdentityId.GEGENBAUER_NU0, h=0, lmax=5, lam=lam)
+    with pytest.raises(DomainError):
+        IdentityCase(IdentityId.LEGENDRE_J0, h=0, lmax=5, lam=Fraction(1, 2))
 
 
 # ----------------------------------------------------------------- oracle
