@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -80,6 +79,7 @@ from .mpcore import (
     PrecisionContext,
     Real,
     TailBound,
+    Value,
     _pow,
     gamma,
     neumaier_sum,
@@ -91,19 +91,16 @@ from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Legendre:
+class Legendre(Value):
     """J_N(kx) = sum_L a_LN(k) P_L(x); the 1F2 form of a_LN holds for N in {0, 1}."""
 
-    N: int
-
+    _fields = ("N",)
     poly, step, outer, lam = LegendreP(), 1, 0, None
 
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 0:
+    def __init__(self, N: int):
+        if not isinstance(N, int) or N < 0:
             raise DomainError("Legendre expansion order N must be an integer >= 0")
-        object.__setattr__(self, "nu", Fraction(self.N))
-        object.__setattr__(self, "offset", self.N)
+        self._set(N=N, nu=Fraction(N), offset=N)
 
     def _series(self, L: int) -> tuple:
         return (Fraction(L + self.N + 1, 2),), (Fraction(L + self.N, 2) + 1, L + Fraction(3, 2))
@@ -120,20 +117,17 @@ class Legendre:
         return ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
 
 
-@dataclass(frozen=True)
-class Chebyshev:
+class Chebyshev(Value):
     """f(x) = (kx)^-nu J_nu(kx) = sum_L C_Lnu(k) T_2L(x), plain-sum convention."""
 
-    nu: Fraction = Fraction(0)
-
+    _fields = ("nu",)
     poly, step, offset, lam = ChebyshevT(), 2, 0, None
 
-    def __post_init__(self):
-        nu = to_fraction(self.nu)
+    def __init__(self, nu: Fraction = Fraction(0)):
+        nu = to_fraction(nu)
         if nu < 0:
             raise DomainError("Chebyshev expansion order nu must be >= 0")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "outer", nu)
+        self._set(nu=nu, outer=nu)
 
     def _series(self, L: int) -> tuple:
         return (L + _HALF,), (L + self.nu + 1, 2 * L + 1)
@@ -143,22 +137,18 @@ class Chebyshev:
         return ctx.dec.multiply(2, p) if L else p
 
 
-@dataclass(frozen=True)
-class Gegenbauer:
+class Gegenbauer(Value):
     """f(x) = (kx)^-nu J_nu(kx) = sum_L b_Lnu(k) C^lam_2L(x), lam > -1/2 and nonzero."""
 
-    nu: Fraction = Fraction(0)
-    lam: Fraction = Fraction(1, 2)
-
+    _fields = ("nu", "lam")
     step, offset = 2, 0
 
-    def __post_init__(self):
-        nu = to_fraction(self.nu)
+    def __init__(self, nu: Fraction = Fraction(0), lam: Fraction = Fraction(1, 2)):
+        nu = to_fraction(nu)
         if nu < 0:
             raise DomainError("Gegenbauer expansion order nu must be >= 0")
-        poly = GegenbauerC(self.lam)  # checks lambda
-        for name, value in (("nu", nu), ("outer", nu), ("lam", poly.lam), ("poly", poly)):
-            object.__setattr__(self, name, value)
+        poly = GegenbauerC(lam)  # checks lambda
+        self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly)
 
     def _series(self, L: int) -> tuple:
         return (L + _HALF,), (2 * L + self.lam + 1, L + self.nu + 1)
@@ -167,11 +157,11 @@ class Gegenbauer:
         return _even_prefactor(L, self.nu, self.lam, kf, ctx)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    kind: object
-    k: Fraction
-    entries: tuple  # ((L, Decimal), ...) for L = 0..Lmax
+class CoefficientTable(Value):
+    _fields = ("kind", "k", "entries")
+
+    def __init__(self, kind, k: Fraction, entries: tuple):  # entries: ((L, Decimal), ...) for L = 0..Lmax
+        self._set(kind=kind, k=k, entries=entries)
 
 
 def _pairs(*fractions) -> tuple:

@@ -24,7 +24,6 @@ tail bound from the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .mpcore import (
     PrecisionContext,
     Real,
     TailBound,
+    Value,
     reciprocal_gamma,
     to_fraction,
 )
@@ -44,19 +44,15 @@ class PoleError(ValueError):
     """A lower parameter hits a gamma pole; use eval_regularized_pFq instead."""
 
 
-@dataclass(frozen=True)
-class HyperSpec:
+class HyperSpec(Value):
     """Parameter set a_1..a_p; b_1..b_q and argument z for pFq."""
 
-    upper: tuple
-    lower: tuple
-    z: object
+    _fields = ("upper", "lower", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(to_fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(to_fraction(b) for b in self.lower))
-        object.__setattr__(self, "z", to_fraction(self.z))
-        if len(self.upper) > len(self.lower):
+    def __init__(self, upper: tuple, lower: tuple, z):
+        upper, lower = tuple(to_fraction(a) for a in upper), tuple(to_fraction(b) for b in lower)
+        self._set(upper=upper, lower=lower, z=to_fraction(z))
+        if len(upper) > len(lower):
             raise ValueError("only p <= q series are supported (entire in z)")
 
 

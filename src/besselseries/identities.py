@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -50,12 +49,13 @@ from .mpcore import (
     PrecisionContext,
     Real,
     TailBound,
+    Value,
     _pow,
     neumaier_sum,
     to_fraction,
 )
 from .expansions import Chebyshev, Gegenbauer, Legendre, _table_values, _value_at_zero, coefficient_table
-from .orthopoly import GegenbauerC, LegendreP, monomial_rows
+from .orthopoly import GegenbauerC, LegendreP, monomial_numerators
 
 _HALF = Fraction(1, 2)
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
@@ -84,69 +84,60 @@ _FAMILY = {  # the expansion kind of each id and its fixed nu; None: the case gi
 }
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(Value):
     """One verification instance of a summed-series family.
 
     lmax is the last order summed, or None to stop where the tail bound allows
     (verify_identity).  kind is the id's expansion kind at the case's nu and
-    lambda, which it checks; nu and lam are read back from it.
+    lambda, which it checks; nu and lam are read back from it.  _key is the key
+    of the case's table and bound caches, built once from integer pairs
+    (Fraction.__hash__ takes a modular inverse on every call).  Neither is a
+    field: they follow from the fields.
     """
 
-    id: IdentityId
-    h: int = 0
-    k: Fraction = Fraction(1)
-    nu: Fraction | None = None
-    lam: Fraction | None = None
-    lmax: int | None = 21
-    tolerance: Fraction = Fraction(1, 10**33)
-    sign_flip: bool = False
-    kind: object = field(default=None, init=False, repr=False, compare=False)
-    # the key of the case's table and bound caches, built once from integer pairs
-    # (Fraction.__hash__ takes a modular inverse on every call)
-    _key: tuple = field(default=(), init=False, repr=False, compare=False)
+    _fields = ("id", "h", "k", "nu", "lam", "lmax", "tolerance", "sign_flip")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", to_fraction(self.k))
-        object.__setattr__(self, "tolerance", to_fraction(self.tolerance))
-        if self.h < 0:
+    def __init__(self, id: IdentityId, h: int = 0, k: Fraction = Fraction(1), nu: Fraction | None = None,
+                 lam: Fraction | None = None, lmax: int | None = 21, tolerance: Fraction = Fraction(1, 10**33),
+                 sign_flip: bool = False):
+        k, tolerance = to_fraction(k), to_fraction(tolerance)
+        if h < 0:
             raise DomainError("h must be >= 0")
-        if self.id == IdentityId.CLENSHAW_SUM_RULE and self.h != 0:
+        if id == IdentityId.CLENSHAW_SUM_RULE and h != 0:
             raise DomainError("clenshaw-sum-rule has h fixed to 0")
-        if self.k <= 0:
+        if k <= 0:
             raise DomainError("k must be > 0")
-        if self.lmax is None and self.tolerance <= 0:
+        if lmax is None and tolerance <= 0:
             raise DomainError("a sum stopped by its tail bound needs a tolerance > 0")
-        if self.lmax is not None and self.lmax < self.h:
+        if lmax is not None and lmax < h:
             raise DomainError("lmax must be >= h")
-        family, nu = _FAMILY[self.id]
-        if nu is None:
-            if self.nu is None:
-                raise DomainError(f"{self.id.value} requires nu")
-            nu = self.nu
-        elif self.nu is not None and to_fraction(self.nu) != nu:
-            raise DomainError(f"{self.id.value} has nu fixed to {nu}")
-        takes_lam = family.lam is not None  # Gegenbauer's lam is a field (default 1/2); the others carry None
-        if takes_lam != (self.lam is not None):
-            raise DomainError(f"{self.id.value} {'requires' if takes_lam else 'takes no'} lambda")
-        kind = family(nu, self.lam) if takes_lam else family(nu)
-        for name, value in (("kind", kind), ("nu", kind.nu), ("lam", kind.lam)):
-            object.__setattr__(self, name, value)
-        pairs = (None if f is None else (f.numerator, f.denominator) for f in (self.k, self.nu, self.lam))
-        object.__setattr__(self, "_key", (family, *pairs, self.sign_flip))
+        family, fixed_nu = _FAMILY[id]
+        if fixed_nu is None:
+            if nu is None:
+                raise DomainError(f"{id.value} requires nu")
+        elif nu is not None and to_fraction(nu) != fixed_nu:
+            raise DomainError(f"{id.value} has nu fixed to {fixed_nu}")
+        else:
+            nu = fixed_nu
+        takes_lam = "lam" in family._fields  # Gegenbauer's lam is a field; the others carry None
+        if takes_lam != (lam is not None):
+            raise DomainError(f"{id.value} {'requires' if takes_lam else 'takes no'} lambda")
+        kind = family(nu, lam) if takes_lam else family(nu)
+        self._set(id=id, h=h, k=k, nu=kind.nu, lam=kind.lam, lmax=lmax, tolerance=tolerance, sign_flip=sign_flip)
+        pairs = (None if f is None else (f.numerator, f.denominator) for f in (k, kind.nu, kind.lam))
+        self._set(kind=kind, _key=(family, *pairs, sign_flip))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    lhs: Real
-    rhs: Real
-    abs_diff: Real
-    rel_diff: Real
-    terms_used: int
-    passed: bool
-    terms: tuple | None = None  # ((L, term), ...) when tracing
-    lmax: int | None = None  # the last order summed: the case's lmax, or where the tail bound stopped
-    tail_bound: Real | None = None  # the proven bound on the terms after lmax, when the bound stopped the sum
+class VerificationReport(Value):
+    """terms is ((L, term), ...) when tracing; lmax is the last order summed, the case's lmax or where the
+    tail bound stopped; tail_bound is the proven bound on the terms after lmax, when the bound stopped the sum."""
+
+    _fields = ("lhs", "rhs", "abs_diff", "rel_diff", "terms_used", "passed", "terms", "lmax", "tail_bound")
+
+    def __init__(self, lhs: Real, rhs: Real, abs_diff: Real, rel_diff: Real, terms_used: int, passed: bool,
+                 terms: tuple | None = None, lmax: int | None = None, tail_bound: Real | None = None):
+        self._set(lhs=lhs, rhs=rhs, abs_diff=abs_diff, rel_diff=rel_diff, terms_used=terms_used, passed=passed)
+        self._set(terms=terms, lmax=lmax, tail_bound=tail_bound)
 
 
 def first_contributing_order(case: IdentityCase) -> int:
@@ -368,12 +359,11 @@ def brace_factor_legendre(L: int, h: int, order: int = 0) -> Fraction:
     return Fraction(*_monomial_parts(LegendreP(), L, m))
 
 
-@dataclass(frozen=True)
-class OracleRow:
-    h: int
-    gathered: Real
-    maclaurin: Real
-    rel_diff: Real
+class OracleRow(Value):
+    _fields = ("h", "gathered", "maclaurin", "rel_diff")
+
+    def __init__(self, h: int, gathered: Real, maclaurin: Real, rel_diff: Real):
+        self._set(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=rel_diff)
 
 
 def power_gather_oracle(
@@ -394,14 +384,14 @@ def power_gather_oracle(
     table = coefficient_table(kind, kf, lmax, ctx)
     step = kind.step  # the L-th coefficient multiplies the degree-(step L) polynomial
     powers = [2 * h + kind.offset for h in range(hmax + 1)]
-    monos = monomial_rows(kind.poly, step * lmax, powers[-1])
+    monos = monomial_numerators(kind.poly, step * lmax, powers[-1])
 
     def gathered_terms(power):
         for L, c in table.entries:
-            mono = monos[step * L]
-            frac = mono[power] if power < len(mono) else 0
-            if frac and c != 0:
-                yield c * ctx.real(frac)
+            mono, den = monos[step * L]
+            num = mono[power] if power < len(mono) else 0
+            if num and c != 0:  # the quotient rounds once, as ctx.real(Fraction(num, den)) does
+                yield c * ctx.dec.divide(num, den)
 
     rows = []
     for h in range(hmax + 1):

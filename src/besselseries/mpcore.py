@@ -28,6 +28,40 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation supports."""
 
 
+class Value:
+    """An immutable value: equality, hash and repr over the attributes a class names in _fields.
+
+    Constructors validate their arguments and store them with _set; assigning
+    or deleting an attribute afterwards raises AttributeError.  Objects of
+    different classes are never equal.
+    """
+
+    _fields: tuple = ()
+
+    def _set(self, **attributes):
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
 def to_fraction(x) -> Fraction:
     """Exact rational value of any accepted numeric input.
 

@@ -10,32 +10,28 @@ shares no closed form with the identity brackets it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, to_fraction
+from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, Value, to_fraction
 
 
-@dataclass(frozen=True)
-class LegendreP:
+class LegendreP(Value):
     pass
 
 
-@dataclass(frozen=True)
-class ChebyshevT:
+class ChebyshevT(Value):
     pass
 
 
-@dataclass(frozen=True)
-class GegenbauerC:
-    lam: Fraction
+class GegenbauerC(Value):
+    _fields = ("lam",)
 
-    def __post_init__(self):
-        lam = to_fraction(self.lam)
+    def __init__(self, lam: Fraction):
+        lam = to_fraction(lam)
         if lam <= Fraction(-1, 2) or lam == 0:
             raise DomainError("Gegenbauer requires lambda > -1/2 and lambda != 0")
-        object.__setattr__(self, "lam", lam)
+        self._set(lam=lam)
 
 
 def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -90,13 +86,18 @@ def _recurrence_step(kind, m: int) -> tuple:
 
 
 def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
-    """Exact monomial coefficients of the degree 0..n polynomials.
+    """Exact monomial coefficients of the degree 0..n polynomials: row m lists the Fraction coefficients of
+    x^0 .. x^min(m, pmax) of the degree-m polynomial (0 where parity rules a power out)."""
+    return [[Fraction(v, d) if v else 0 for v in row] for row, d in monomial_numerators(kind, n, pmax)]
 
-    Row m lists the coefficients of x^0 .. x^min(m, pmax) of the degree-m
-    polynomial (0 where parity rules a power out), built by the three-term
-    recurrence on integer numerators over one denominator per row, reduced by
-    the gcd of the whole row.  Dropping the powers above pmax is exact: the
-    x^j coefficient of p_{m+1} needs only x^(j-1) of p_m and x^j of p_{m-1}.
+
+def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
+    """The rows of monomial_rows as (integer numerators, one positive integer denominator) per degree.
+
+    Built by the three-term recurrence on integer numerators over one
+    denominator per row, reduced by the gcd of the whole row.  Dropping the
+    powers above pmax is exact: the x^j coefficient of p_{m+1} needs only
+    x^(j-1) of p_m and x^j of p_{m-1}.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
@@ -116,7 +117,7 @@ def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
             new[j] = c - fb * prev[j] if j < len(prev) else c
         g = math.gcd(den, *new)
         rows.append(([v // g for v in new], den // g))
-    return [[Fraction(v, d) if v else 0 for v in row] for row, d in rows]
+    return rows
 
 
 def monomial_coeffs(kind, n: int) -> list:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,3 +301,14 @@ def test_clenshaw_convention_is_chebyshev_only(kind, capsys):
     assert captured.out == ""
     # a usage error found by the command prints the subcommand's usage, with the options that apply
     assert captured.err.startswith("usage: besselseries coeffs")
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Every CLI call starts a fresh interpreter: importing the CLI must not load dataclasses or what it pulls in.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import besselseries.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout == "\n"

@@ -8,7 +8,15 @@ import pytest
 from besselseries import DomainError
 from besselseries.identities import _monomial_parts
 from besselseries.mpcore import pochhammer_fraction
-from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly, monomial_coeffs, monomial_rows
+from besselseries.orthopoly import (
+    ChebyshevT,
+    GegenbauerC,
+    LegendreP,
+    eval_poly,
+    monomial_coeffs,
+    monomial_numerators,
+    monomial_rows,
+)
 
 from helpers import rel_diff
 
@@ -96,6 +104,15 @@ def test_recurrence_rows_match_closed_forms(kind):
     for pmax in (0, 1, 23):
         short = monomial_rows(kind, 130, pmax)
         assert all(s == r[: pmax + 1] for s, r in zip(short, rows))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_numerator_rows_round_as_their_fractions(kind, ctx):
+    # the oracle divides a numerator by its row's denominator in the context, unreduced: the result must be
+    # the same Decimal, digits and exponent, as the reduced Fraction gives
+    for row, den in monomial_numerators(kind, 80, 21):
+        for v in row:
+            assert ctx.dec.divide(v, den).as_tuple() == ctx.real(Fraction(v, den)).as_tuple()
 
 
 def test_even_constant_terms():
