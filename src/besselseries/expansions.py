@@ -52,6 +52,10 @@ term is positive; at x = 0 they cancel about k/ln 10 digits):
     J: sum_L (-1)^L C_L = f(0),   sum_L (-1)^L (lam)_L / L! b_L = f(0)
     I: sum_L C_L = f(1),          sum_L (2lam)_2L / (2L)! b_L = f(1)
 
+The recurrence's coefficients are exact integers, and a row of the pass rounds
+four times: one product, two fused multiply-adds, one division (rounding each
+apart, the 64-digit table at (nu, lam) = (0, -1/4), k = 100 drifts 4x as far).
+
 N* (_start_index) comes from a bound: |1F2| <= 1 (a Beta average of a bounded
 0F1; exp(k^2 / (8L+2)) for I), so the entry at N* is at most p_N* times that,
 and the other solutions leave entry L off by p_N* / p_L, times
@@ -274,20 +278,27 @@ def _table_args(k, lmax: int) -> Fraction:
     return kf
 
 
-def _recurrence_coefficients(L: int, nu, lam, K) -> tuple:
-    """(B_-3, B_-1, B_1, B_3) with B_-3 a_L + B_-1 a_(L+1) + B_1 a_(L+2) + B_3 a_(L+3) = 0, K = k^2,
+def _recurrence_coefficients(nuf: Fraction, lamf: Fraction, K: Fraction):
+    """row(L) = (B_-3, B_-1, B_1, B_3) with B_-3 a_L + B_-1 a_(L+1) + B_1 a_(L+2) + B_3 a_(L+3) = 0, K = k^2,
     for a_L = b_L / (2L + lam), b_L the C^lam_2L coefficients of f(x) = (kx)^-nu J_nu(kx) (at lam = 0,
     a_0 = 2 C_0 and a_L = C_L for Chebyshev): the C_(2L+3) coefficient of the ODE integrated twice,
     x f + (2nu-1) I f + k^2 I(I(x f)) = const + const x, by x C_m = ((m+1) C_(m+1) + (m+2lam-1) C_(m-1))
-    / (2(m+lam)) and the antiderivative I C_m = (C_(m+1) - C_(m-1)) / (2(m+lam))."""
-    c = 2 * L + 3
-    v = c + lam
-    return (
-        K * (c - 2) * (v + 1) * (v + 2),
-        (v - 1) * (v + 2) * (4 * (v + 1) * (v - 2) * (c + 2 * nu - 1) - K * (c - 2 * lam - 2)),
-        (v - 2) * (v + 1) * (4 * (v - 1) * (v + 2) * (c + 2 * lam - 2 * nu + 1) - K * (c + 4 * lam + 2)),
-        K * (v - 2) * (v - 1) * (c + 2 * lam + 2),
-    )
+    / (2(m+lam)) and the antiderivative I C_m = (C_(m+1) - C_(m-1)) / (2(m+lam)).  Each B sums products of
+    five factors linear in nu and lam, or of K and three, so row gives them times den(K) d^5 as exact ints."""
+    d = math.lcm(nuf.denominator, lamf.denominator)
+    dnu, dlam, kn, kd = int(nuf * d), int(lamf * d), K.numerator * d * d, 4 * K.denominator
+
+    def row(L: int) -> tuple:
+        c = (2 * L + 3) * d  # c = 2L + 3 and v = c + lam (+-1, +-2) below, each times d = lcm(den nu, den lam)
+        vm2, vm1, vp1, vp2 = c + dlam - 2 * d, c + dlam - d, c + dlam + d, c + dlam + 2 * d
+        return (
+            kn * (c - 2 * d) * vp1 * vp2,
+            vm1 * vp2 * (kd * vp1 * vm2 * (c + 2 * dnu - d) - kn * (c - 2 * dlam - 2 * d)),
+            vm2 * vp1 * (kd * vm1 * vp2 * (c + 2 * dlam - 2 * dnu + d) - kn * (c + 4 * dlam + 2 * d)),
+            kn * vm2 * vm1 * (c + 2 * dlam + 2 * d),
+        )
+
+    return row
 
 
 def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
@@ -311,12 +322,13 @@ def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: Precisio
     """Entries 0..count-1 of the Chebyshev (lamf None) or C^lamf table, unrounded, in the guard context;
     modified, of (kx)^-nu I_nu(kx)."""
     start = _start_index(nuf, lamf, kf, count, guard.working_digits, modified)
+    row, fma = _recurrence_coefficients(nuf, lamf or Fraction(0), -kf * kf if modified else kf * kf), guard.dec.fma
     with localcontext(guard.dec):
-        K, nu, lam_d = guard.real(-kf * kf if modified else kf * kf), guard.real(nuf), guard.real(lamf or 0)
+        lam_d = guard.real(lamf or 0)
         a = [Decimal(0)] * start + [Decimal(1), Decimal(0), Decimal(0)]
         for L in range(start - 1, -1, -1):
-            bm3, bm1, b1, b3 = _recurrence_coefficients(L, nu, lam_d, K)
-            a[L] = -(bm1 * a[L + 1] + b1 * a[L + 2] + b3 * a[L + 3]) / bm3
+            bm3, bm1, b1, b3 = row(L)
+            a[L] = fma(bm1, a[L + 1], fma(b1, a[L + 2], b3 * a[L + 3])) / -bm3
         entries = [a[0] / 2] + a[1:start] if lamf is None else [(2 * L + lam_d) * a[L] for L in range(start)]
         # J: at x = 0, T_2L(0) = (-1)^L, C^lam_2L(0) = (-1)^L (lam)_L / L!.  I: at x = 1, where every
         # term is positive (at x = 0 they cancel), T_2L(1) = 1, C^lam_2L(1) = (2lam)_2L / (2L)!.

@@ -373,31 +373,27 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
 def format_decimal(v, sig_digits: int) -> str:
     """Decimal string with exactly sig_digits significant digits.
 
-    Rounding is half-even.  Positional notation is used while the leading
-    digit sits at 10^-5 or above and no trailing zeros would be needed left
-    of the decimal point; otherwise scientific notation with a lowercase 'e'.
-    Output is bit-exact across platforms.
+    One rounding, half-even, to a context of sig_digits digits (a carry such
+    as 9.99 -> 10.0 just raises the exponent); the 'e' format then pads the
+    digits with zeros to sig_digits.  Positional notation is used while the
+    leading digit sits at 10^-5 or above and no trailing zeros would be needed
+    left of the decimal point; otherwise scientific notation with a lowercase
+    'e'.  Output is bit-exact across platforms.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
     d = v if isinstance(v, Decimal) else Decimal(str(v))
     if d == 0:
         return "0"
-    work = Context(prec=sig_digits + 8, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
-    exp_target = d.adjusted() - sig_digits + 1
-    q = d.quantize(Decimal(1).scaleb(exp_target), rounding=ROUND_HALF_EVEN, context=work)
-    if len(q.as_tuple().digits) > sig_digits:  # rounding carried into a new digit
-        q = q.quantize(Decimal(1).scaleb(exp_target + 1), rounding=ROUND_HALF_EVEN, context=work)
-    sign, digits, exponent = q.as_tuple()
-    body = "".join(map(str, digits))
-    adjusted = exponent + len(digits) - 1
-    prefix = "-" if sign else ""
-    if adjusted < -5 or exponent > 0:
-        mantissa = body[0] + ("." + body[1:] if len(body) > 1 else "")
-        return f"{prefix}{mantissa}e{adjusted:+d}"
-    if exponent == 0:
+    q = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999).plus(d)
+    text = format(q, f".{sig_digits - 1}e")
+    mantissa, adjusted = text.split("e")
+    int_len = int(adjusted) + 1  # digits left of the point
+    if int_len < -4 or int_len > sig_digits:
+        return text
+    prefix, body = "-" if q.is_signed() else "", mantissa.lstrip("-").replace(".", "")
+    if int_len == sig_digits:
         return prefix + body
-    int_len = len(digits) + exponent
     if int_len > 0:
         return prefix + body[:int_len] + "." + body[int_len:]
     return prefix + "0." + "0" * (-int_len) + body

@@ -69,19 +69,21 @@ def clenshaw_sum(kind, coeffs, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Re
         y1 = y2 = b_up = Decimal(0)
         for m in range(len(coeffs) - 1, -1, -1):
             a, b = _recurrence_step(kind, m)
-            y1, y2 = coeffs[m] + ctx.real(a) * xv * y1 - b_up * y2, y1
-            b_up = ctx.real(b)
+            y1, y2 = coeffs[m] + ctx.dec.divide(*a) * xv * y1 - b_up * y2, y1
+            b_up = ctx.dec.divide(*b)
         return +y1
 
 
 def _recurrence_step(kind, m: int) -> tuple:
-    """(a_m, b_m) with p_{m+1} = a_m x p_m - b_m p_{m-1} and p_{-1} = 0."""
+    """(a_m, b_m) with p_{m+1} = a_m x p_m - b_m p_{m-1} and p_{-1} = 0, each an integer (numerator,
+    positive denominator) pair, not always in lowest terms."""
     if isinstance(kind, LegendreP):
-        return Fraction(2 * m + 1, m + 1), Fraction(m, m + 1)
+        return (2 * m + 1, m + 1), (m, m + 1)
     if isinstance(kind, ChebyshevT):
-        return (2 if m else 1), 1
+        return (2 if m else 1, 1), (1, 1)
     if isinstance(kind, GegenbauerC):
-        return 2 * (m + kind.lam) / (m + 1), (m + 2 * kind.lam - 1) / (m + 1)
+        p, q = kind.lam.numerator, kind.lam.denominator
+        return (2 * (m * q + p), q * (m + 1)), (m * q + 2 * p - q, q * (m + 1))
     raise TypeError(f"unknown polynomial kind {kind!r}")
 
 
@@ -105,12 +107,12 @@ def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
         pmax = n
     rows = [([1], 1)]  # (numerators, denominator) per degree
     for m in range(n):
-        a, b = map(Fraction, _recurrence_step(kind, m))
+        (a, a_den), (b, b_den) = _recurrence_step(kind, m)
         (cur, d_cur), (prev, d_prev) = rows[m], (rows[m - 1] if m else ([], 1))
         # p_{m+1} = a x p_m - b p_{m-1} over the common denominator den
-        den = math.lcm(a.denominator * d_cur, b.denominator * d_prev)
-        fa = a.numerator * (den // (a.denominator * d_cur))
-        fb = b.numerator * (den // (b.denominator * d_prev))
+        den = math.lcm(a_den * d_cur, b_den * d_prev)
+        fa = a * (den // (a_den * d_cur))
+        fb = b * (den // (b_den * d_prev))
         new = [0] * (min(m + 1, pmax) + 1)
         for j in range((m + 1) % 2, len(new), 2):
             c = fa * cur[j - 1] if j else 0

@@ -7,6 +7,47 @@ from fractions import Fraction
 from besselseries.mpcore import pochhammer_fraction
 
 
+def format_decimal_by_quantize(v, sig_digits: int) -> str:
+    """mpcore.format_decimal as it was written first, the oracle of the one-rounding version: quantize to
+    the exponent of the last significant digit, and once more one place up when the rounding carried."""
+    if sig_digits < 1:
+        raise ValueError("sig_digits must be >= 1")
+    d = v if isinstance(v, Decimal) else Decimal(str(v))
+    if d == 0:
+        return "0"
+    work = Context(prec=sig_digits + 8, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
+    exp_target = d.adjusted() - sig_digits + 1
+    q = d.quantize(Decimal(1).scaleb(exp_target), rounding=ROUND_HALF_EVEN, context=work)
+    if len(q.as_tuple().digits) > sig_digits:  # rounding carried into a new digit
+        q = q.quantize(Decimal(1).scaleb(exp_target + 1), rounding=ROUND_HALF_EVEN, context=work)
+    sign, digits, exponent = q.as_tuple()
+    body = "".join(map(str, digits))
+    adjusted = exponent + len(digits) - 1
+    prefix = "-" if sign else ""
+    if adjusted < -5 or exponent > 0:
+        mantissa = body[0] + ("." + body[1:] if len(body) > 1 else "")
+        return f"{prefix}{mantissa}e{adjusted:+d}"
+    if exponent == 0:
+        return prefix + body
+    int_len = len(digits) + exponent
+    if int_len > 0:
+        return prefix + body[:int_len] + "." + body[int_len:]
+    return prefix + "0." + "0" * (-int_len) + body
+
+
+def recurrence_coefficients_exact(L: int, nu: Fraction, lam: Fraction, K: Fraction) -> tuple:
+    """(B_-3, B_-1, B_1, B_3) of the order-3 recurrence of the C^lam_2L coefficients (expansions.
+    _recurrence_coefficients) in exact rationals, straight from the formula with c = 2L + 3, v = c + lam."""
+    c = 2 * L + 3
+    v = c + lam
+    return (
+        K * (c - 2) * (v + 1) * (v + 2),
+        (v - 1) * (v + 2) * (4 * (v + 1) * (v - 2) * (c + 2 * nu - 1) - K * (c - 2 * lam - 2)),
+        (v - 2) * (v + 1) * (4 * (v - 1) * (v + 2) * (c + 2 * lam - 2 * nu + 1) - K * (c + 4 * lam + 2)),
+        K * (v - 2) * (v - 1) * (c + 2 * lam + 2),
+    )
+
+
 def sig_digit_count(text: str) -> int:
     """Number of significant digits in a decimal string like '-1.23e-7'."""
     mantissa = text.split("e")[0]

@@ -28,7 +28,7 @@ from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
 from besselseries.mpcore import _pow, double_factorial, gamma, pochhammer, pochhammer_fraction
 
-from helpers import fraction_to_decimal, pFq_rational_prefix, rel_diff, sig_digit_count
+from helpers import fraction_to_decimal, pFq_rational_prefix, recurrence_coefficients_exact, rel_diff, sig_digit_count
 import reference_tables as ref
 
 
@@ -306,13 +306,16 @@ def test_table_started_at_twice_the_start_index_agrees(digits, monkeypatch):
             assert rel_diff(a, b) < Decimal(10) ** -(digits + 5), (cases[i // 3], L)
 
 
-@pytest.mark.parametrize(
+RECURRENCE_CASES = pytest.mark.parametrize(
     "nu,lam",
     [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)), (Fraction(5, 3), Fraction(0)),
      (Fraction(1, 3), Fraction(7, 3)), (Fraction(0), Fraction(-1, 4)), (Fraction(3), Fraction(1, 2)),
      (Fraction(1), Fraction(2**20)), (Fraction(1, 3), Fraction(1, 2**20))],
     ids=["cheb0", "cheb1/3", "cheb5/3", "geg1/3,7/3", "geg0,-1/4", "geg3,1/2", "geg1,2^20", "geg1/3,2^-20"],
 )
+
+
+@RECURRENCE_CASES
 def test_series_coefficients_satisfy_the_recurrence(nu, lam):
     # 1F2 coefficients at 160 digits, fed to the recurrence the tables run:
     # a_L = C_L (2 C_0 at L = 0) for Chebyshev (lam = 0), b_L / (2L + lam) otherwise
@@ -323,10 +326,23 @@ def test_series_coefficients_satisfy_the_recurrence(nu, lam):
             a = [chebyshev_coeff(L, nu, k, ctx) * (2 if L == 0 else 1) for L in range(34)]
         else:
             a = [gegenbauer_coeff(L, nu, lam, k, ctx) / ctx.real(2 * L + lam) for L in range(34)]
+        row = _recurrence_coefficients(nu, lam, k * k)
         for L in range(30):
-            coeffs = _recurrence_coefficients(L, ctx.real(nu), ctx.real(lam), ctx.real(k * k))
-            terms = [c * v for c, v in zip(coeffs, a[L : L + 4])]
+            terms = [c * v for c, v in zip(row(L), a[L : L + 4])]
             assert abs(sum(terms)) < Decimal("1e-150") * max(abs(t) for t in terms), L
+
+
+@RECURRENCE_CASES
+@pytest.mark.parametrize("K", [Fraction(64), Fraction(-64), Fraction(49, 9), Fraction(-49, 9)],
+                         ids=["k8", "k8-modified", "k7/3", "k7/3-modified"])
+def test_integer_recurrence_coefficients_are_the_rational_ones_scaled(nu, lam, K):
+    # The table's pass runs on exact ints: the rational coefficients times den(K) d^5, d = lcm(den nu, den lam)
+    scale = K.denominator * math.lcm(nu.denominator, lam.denominator) ** 5
+    row = _recurrence_coefficients(nu, lam, K)
+    for L in range(40):
+        coefficients = row(L)
+        assert all(type(b) is int for b in coefficients)
+        assert [Fraction(b, scale) for b in coefficients] == list(recurrence_coefficients_exact(L, nu, lam, K)), L
 
 
 @pytest.mark.parametrize(
