@@ -89,7 +89,8 @@ def _frac_str(f):
 def _emit(args, rows, text, wrap=None) -> None:
     """Write one command's output: its rows (dicts of column to value) as csv, the header and str() of
     every cell; as json, the rows or wrap(rows); as text, the command's own lines (an iterable, read only
-    here).  --out also writes the same bytes to a file."""
+    here).  --out writes the same bytes to a file first; a file that cannot be written is a usage error,
+    with nothing on stdout."""
     if args.format == "csv":
         lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     elif args.format == "json":
@@ -97,10 +98,13 @@ def _emit(args, rows, text, wrap=None) -> None:
     else:
         lines = list(text)
     out = "".join(line + "\n" for line in lines)
-    sys.stdout.write(out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            args.parser.error(f"cannot write --out: {exc}")
+    sys.stdout.write(out)
 
 
 def _cmd_coeffs(args) -> int:
@@ -195,8 +199,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kind = _build_kind(args)
-    if args.lmax < 2 * args.hmax:
-        args.parser.error("--lmax must be at least 2*hmax")
     ctx = PrecisionContext(args.working_digits, args.digits)
     digits = args.digits
     rows = [

@@ -173,10 +173,16 @@ def _pairs(*fractions) -> tuple:
     return tuple(v for f in fractions for v in (f.numerator, f.denominator))
 
 
-def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
-    """f(0) = 2^-nu / Gamma(nu+1), cached: the start of the Chebyshev and Gegenbauer prefactors and the
-    scale of every table."""
-    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), gamma(nuf + 1, ctx))
+def _guard(ctx: PrecisionContext) -> PrecisionContext:
+    """The context of the backward pass, working + 10 digits, cached in ctx."""
+    return ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
+
+
+def _value_at_zero(nuf: Fraction, ctx: PrecisionContext, guard: PrecisionContext | None = None) -> Real:
+    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of the guard context (by default
+    _guard(ctx)) rounded once.  The tables scale by f(0) in the guard context itself, so a command takes
+    one gamma of nu + 1."""
+    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, guard or _guard(ctx))))
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
@@ -339,7 +345,7 @@ def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: Precisio
                 w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
             elif lamf is not None:
                 w = w * (2 * lam_d + 2 * L) * (2 * lam_d + 2 * L + 1) / ((2 * L + 1) * (2 * L + 2))
-        f = _value_at_zero(nuf, guard)
+        f = _value_at_zero(nuf, guard, guard)
         if modified:  # f(1) = f(0) 0F1(; nu+1; k^2/4)
             f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
         scale = f / neumaier_sum(at_x, guard)
@@ -364,7 +370,7 @@ def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext, mo
 
 def _table_values(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
     """Entries 0..count-1 of the kind's table (modified: of I_nu), each rounded once from the guard pass."""
-    guard = ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
+    guard = _guard(ctx)
     if isinstance(kind, Legendre):
         values = _legendre_table(kind.N, kf, count - 1, guard, modified)
     else:

@@ -378,6 +378,8 @@ def power_gather_oracle(
     J_nu(kx).  Everything on the gathering side except the coefficients
     themselves is exact-rational.
     """
+    if hmax < 0:
+        raise DomainError("hmax must be >= 0")
     if lmax < 2 * hmax:
         raise DomainError("lmax must be at least 2*hmax for a meaningful gather")
     kf = to_fraction(k)

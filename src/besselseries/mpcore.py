@@ -4,13 +4,13 @@ Everything runs on the stdlib ``decimal`` module.  A :class:`PrecisionContext`
 fixes the number of significant decimal digits and round-half-even rounding,
 which makes every result reproducible bit-for-bit across platforms.  The
 gamma-function family lives here as well: integer and half-integer arguments
-take an exact path (rational multiples of 1 or sqrt(pi)), everything else goes
-through upward recurrence plus a Stirling series.
+take an exact path (rational multiples of 1 or sqrt(pi)); everything else, and
+sqrt(pi) = Gamma(1/2) itself, is one series of positive terms on (1, 2) times an
+exact rational shift.  Every cache lives in a context.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
@@ -166,12 +166,9 @@ class PrecisionContext:
         return self._cache[key]
 
     @property
-    def pi(self) -> Real:
-        return _compute_pi(self.working_digits)
-
-    @property
     def sqrt_pi(self) -> Real:
-        return self._cached("sqrt_pi", lambda: self.pi.sqrt(self.dec))
+        """sqrt(pi) = Gamma(1/2), by the series of the general gamma path."""
+        return self._cached("sqrt_pi", lambda: _gamma_general(Fraction(1, 2), self))
 
     @property
     def negligible(self) -> Real:
@@ -180,62 +177,6 @@ class PrecisionContext:
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-
-
-# ---------------------------------------------------------------------------
-# pi (Machin formula in scaled-integer arithmetic; exact and deterministic)
-
-def _atan_inv_scaled(x: int, one: int) -> int:
-    # one/x - one/(3 x^3) + one/(5 x^5) - ...
-    val = one // x
-    total = val
-    x2 = x * x
-    n = 1
-    sign = 1
-    while val:
-        val //= x2
-        n += 2
-        sign = -sign
-        total += sign * (val // n)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _compute_pi(prec: int) -> Decimal:
-    extra = 12
-    one = 10 ** (prec + extra)
-    scaled = 16 * _atan_inv_scaled(5, one) - 4 * _atan_inv_scaled(239, one)
-    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
-        return Decimal(scaled) / Decimal(one)
-
-
-@functools.lru_cache(maxsize=None)
-def _half_ln_2pi(prec: int) -> Decimal:
-    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
-        return (2 * _compute_pi(prec)).ln() / 2
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, shared across contexts)
-
-_bernoulli_even: list[Fraction] = []  # B_2, B_4, ...
-_bernoulli_lock = threading.Lock()
-
-
-def _bernoulli_number(m: int) -> Fraction:
-    """B_m (B_1 = -1/2); B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent numbers
-    T_1, T_2, ... = 1, 2, 16, 272, ..., built by the integer recurrence of Brent and Harvey."""
-    if m % 2 or m == 0:
-        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(m, Fraction(0))
-    with _bernoulli_lock:
-        if len(_bernoulli_even) < m // 2:
-            n = max(m // 2, 2 * len(_bernoulli_even))  # doubling keeps the O(n^2) rebuilds cheap overall
-            t = [math.factorial(j) for j in range(n)]  # t[j] = T_(j+1) after the sweeps
-            for i in range(1, n):
-                for j in range(i, n):
-                    t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-            _bernoulli_even[:] = [Fraction(-(-1) ** j * 2 * j * t[j - 1], 16**j - 4**j) for j in range(1, n + 1)]
-    return _bernoulli_even[m // 2 - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -248,61 +189,40 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2)) if n > 0 else 1
 
 
-def _stirling_log_gamma(x: Decimal, work: Context, digits: int) -> Decimal:
-    """log Gamma(x) for x at or above the shift threshold.
-
-    Truncation bound: the Stirling series for real x > 0 has error smaller in
-    magnitude than the first omitted term, so summing until terms fall below
-    10^-(digits+4) in absolute value bounds the result's absolute error by the
-    same amount.  The shift threshold guarantees the terms reach that size
-    while still decreasing.
-    """
-    with localcontext(work):
-        half = Decimal("0.5")
-        acc = (x - half) * x.ln() - x + _half_ln_2pi(work.prec)
-        tol = Decimal(10) ** (-(digits + 4))
-        x2 = x * x
-        powx = _ONE / x
-        prev = None
-        for j in range(1, 420):
-            b = _bernoulli_number(2 * j)
-            term = (
-                Decimal(b.numerator)
-                / Decimal(b.denominator)
-                / (2 * j * (2 * j - 1))
-                * powx
-            )
-            acc += term
-            at = abs(term)
-            if at < tol:
-                break
-            if prev is not None and at >= prev:
-                raise RuntimeError("Stirling series stopped decreasing; shift threshold too low")
-            prev = at
-            powx /= x2
-        else:
-            raise RuntimeError("Stirling series did not converge")
-        return +acc
-
-
-def _stirling_threshold(digits: int) -> int:
-    # e^(-2 pi x) <= 10^-(digits+6) makes the series floor low enough
-    return int(math.ceil((digits + 6) * math.log(10) / (2 * math.pi))) + 5
-
-
 def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
-    digits = ctx.working_digits
-    work = Context(prec=digits + 10, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
-    threshold = _stirling_threshold(digits)
-    with localcontext(work):
-        x = Decimal(fx.numerator) / Decimal(fx.denominator)
-        shift_product = _ONE
-        while x < threshold:
-            shift_product *= x
-            x += 1
-        lg = _stirling_log_gamma(x, work, digits)
-        value = lg.exp() / shift_product
-    return ctx.dec.create_decimal(value)
+    """Gamma(x) for a rational x > 0 that is not an integer, rounded once to the context.
+
+    With y = x - floor(x) + 1 in (1, 2), Gamma(x) = Gamma(y) (y)_(floor(x)-1), or Gamma(y) / x for x < 1:
+    one exact rational.  Gamma(y) = gamma(y, N) + Gamma(y, N), and the lower part is a series of positive
+    terms whose ratio N / (y+n+1) falls with n (DLMF 8.7.1),
+
+        gamma(y, N) = N^y e^-N sum_n t_n,   t_n = N^n / (y)_(n+1),
+
+    so once the ratio is at most 1/2 the terms after t_n add up to at most t_n.  By parts, Gamma(y, N) <=
+    N^(y-1) e^-N (1 + (y-1)/N) <= 2N e^-N (DLMF 8.10), and Gamma(y) > 7/8: as e > 8/3, the first integer N
+    with 16 N 3^N 10^d <= 7 8^N, d = working + 10 digits, leaves out at most 10^-d of Gamma(y), with the
+    same term count on every platform.  The t_n are summed as integers scaled by 10^s and rounded down,
+    which loses under (M+3)^2 10^-s of the sum of M terms, up to the first term at most 10^-d of the sum
+    whose ratio is at most 1/2; N^n / (y)_(n+1) <= (eN/n)^n gives M < e^2 N < 8N, so s = d + 2 len(8N) + 1
+    keeps that under 10^-d too.  One exp(y ln N - N) at d digits ends within about N 10^-d of Gamma(x).
+    """
+    d = ctx.working_digits + 10
+    y = fx % 1 + 1
+    shift = pochhammer_fraction(y, int(fx) - 1) if fx > 1 else 1 / fx
+    N = 23 * d // 10  # (3/8)^N < 10^-d needs N > 2.34 d
+    while 16 * N * 3**N * 10**d > 7 * 8**N:
+        N += 1
+    p, q = y.numerator, y.denominator
+    s = d + 2 * len(str(8 * N)) + 1
+    term = total = 10**s * q // p  # t_0 = 1/y
+    den, step, small = p + q, N * q, 10**d  # t_(n+1) = t_n step / den, den = q (y + n + 1)
+    while den < 2 * step or term * small > total:
+        term = term * step // den
+        total += term
+        den += q
+    with localcontext(Context(prec=d, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)):
+        value = (Decimal(p) / q * Decimal(N).ln() - N).exp() * Decimal(total).scaleb(-s)
+        return ctx.dec.plus(value * shift.numerator / shift.denominator)
 
 
 def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -310,7 +230,8 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
 
     Positive integers use (n-1)! exactly; half-odd-integers use
     Gamma(n + 1/2) = (2n-1)!! sqrt(pi) / 2^n.  Other arguments are shifted
-    upward by the recurrence and finished with a Stirling series.
+    into (1, 2) by one exact rational and finished with a positive series
+    (_gamma_general).
     """
     fx = to_fraction(x)
     if fx <= 0:

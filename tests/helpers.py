@@ -1,5 +1,6 @@
 """Shared test utilities: exact-rational oracles and digit-string helpers."""
 
+import functools
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -83,12 +84,30 @@ def ulp_at(value: Decimal, digits: int) -> Decimal:
     return Decimal(1).scaleb(value.adjusted() - digits + 1)
 
 
-def bernoulli_by_definition(n: int) -> list:
-    """B_0..B_n by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0, in O(n^2) Fractions."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return b
+def _atan_inv_scaled(x: int, one: int) -> int:
+    # one/x - one/(3 x^3) + one/(5 x^5) - ...
+    val = one // x
+    total = val
+    x2 = x * x
+    n = 1
+    sign = 1
+    while val:
+        val //= x2
+        n += 2
+        sign = -sign
+        total += sign * (val // n)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def machin_pi(prec: int) -> Decimal:
+    """pi to prec digits by Machin's formula in scaled integers: an oracle that shares nothing with the
+    gamma series behind PrecisionContext.sqrt_pi."""
+    extra = 12
+    one = 10 ** (prec + extra)
+    scaled = 16 * _atan_inv_scaled(5, one) - 4 * _atan_inv_scaled(239, one)
+    with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
+        return Decimal(scaled) / Decimal(one)
 
 
 def pFq_rational_prefix(upper, lower, z: Fraction, terms: int) -> Fraction:

@@ -40,7 +40,9 @@ from besselseries import (
 )
 from besselseries.orthopoly import LegendreP, monomial_rows
 
-from helpers import brace_factor_eq10, fraction_to_decimal, sig_digit_count, sin_rational_series, ulp_at
+from helpers import (
+    brace_factor_eq10, fraction_to_decimal, machin_pi, sig_digit_count, sin_rational_series, ulp_at,
+)
 import reference_tables as ref
 
 TOL33 = Fraction(1, 10**33)
@@ -238,7 +240,7 @@ def test_criterion_5_generality_grids(ctx):
         got = bessel_j_ref(Fraction(1, 2), z, ctx)
         with localcontext(Context(prec=80)):
             zf = fraction_to_decimal(z, 80)
-            want = (Decimal(2) / (ctx.pi * zf)).sqrt() * fraction_to_decimal(
+            want = (Decimal(2) / (machin_pi(ctx.working_digits) * zf)).sqrt() * fraction_to_decimal(
                 sin_rational_series(z), 80
             )
             assert abs(got - want) <= Decimal("1e-30") * abs(want)

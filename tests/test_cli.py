@@ -312,3 +312,39 @@ def test_cli_import_loads_no_introspection_modules():
     )
     done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert done.stdout == "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "chebyshev-general-nu", "--nu", "1/3", "--h", "0..3", "--k", "5"],
+    ["oracle", "--kind", "chebyshev", "--nu", "1/3", "--k", "2", "--hmax", "2", "--lmax", "10"],
+], ids=["verify", "oracle"])
+def test_a_command_takes_one_general_gamma(argv, capsys, monkeypatch):
+    # f(0) = 2^-nu / Gamma(nu+1) scales the table in the guard context; the right-hand side and the
+    # Maclaurin column take that gamma rounded once instead of a second one at working precision
+    from besselseries import mpcore
+
+    calls = []
+    general = mpcore._gamma_general
+    monkeypatch.setattr(mpcore, "_gamma_general", lambda *a: calls.append(a) or general(*a))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert [(x, ctx.working_digits) for x, ctx in calls] == [(Fraction(4, 3), 74)]
+
+
+def test_oracle_negative_hmax_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--kind", "chebyshev", "--k", "1", "--hmax", "-1", "--lmax", "4"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == "besselseries oracle: error: hmax must be >= 0"
+
+
+def test_unwritable_out_is_a_usage_error_before_any_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["coeffs", "--kind", "chebyshev", "--k", "1", "--lmax", "2", "--out", str(target)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.parent.exists()
+    (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+    assert line.startswith("besselseries coeffs: error: cannot write --out: ") and str(target) in line

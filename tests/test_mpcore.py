@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,9 +16,7 @@ from besselseries import (
     reciprocal_gamma,
 )
 
-from besselseries import mpcore
-
-from helpers import bernoulli_by_definition, format_decimal_by_quantize, rel_diff, ulp_at
+from helpers import format_decimal_by_quantize, machin_pi, rel_diff, ulp_at
 
 
 def test_context_validation():
@@ -29,9 +27,10 @@ def test_context_validation():
 
 
 def test_pi_and_sqrt_pi(ctx):
-    assert format_decimal(ctx.pi, 34) == "3.141592653589793238462643383279503"
+    pi = machin_pi(ctx.working_digits)
+    assert format_decimal(pi, 34) == "3.141592653589793238462643383279503"
     assert format_decimal(ctx.sqrt_pi, 34) == "1.772453850905516027298167483341145"
-    assert rel_diff(ctx.dec.multiply(ctx.sqrt_pi, ctx.sqrt_pi), ctx.pi) < Decimal("1e-62")
+    assert rel_diff(ctx.dec.multiply(ctx.sqrt_pi, ctx.sqrt_pi), pi) < Decimal("1e-62")
 
 
 def test_gamma_exact_integers(ctx):
@@ -53,11 +52,62 @@ def test_gamma_seven_halves_by_recurrence(ctx):
     assert format_decimal(gamma(Fraction(7, 2), ctx), 14) == "3.3233509704478"
 
 
-def test_bernoulli_numbers_match_defining_recurrence():
-    # the tangent-number route against the O(n^2) defining recurrence it replaced
-    want = bernoulli_by_definition(200)
-    assert [mpcore._bernoulli_number(m) for m in range(201)] == want
-    assert want[2] == Fraction(1, 6) and want[200].denominator == 1366530
+# Non-integer arguments of every reduction: y = x - floor(x) + 1 below, at and far above 1, near both ends.
+GAMMA_POINTS = [
+    Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3), Fraction(7, 3), Fraction(10, 3),
+    Fraction(1, 7), 1 + Fraction(1, 2**20), 1 - Fraction(1, 2**20), Fraction(49, 5), Fraction(101, 3),
+]
+
+
+def _correctly_rounded(got: Decimal, want, digits: int) -> bool:
+    """|got - want| is at most half a unit in the last of digits places (want an mpmath value)."""
+    import mpmath
+
+    return abs(mpmath.mpf(str(got)) - want) <= mpmath.mpf(str(ulp_at(got, digits))) / 2
+
+
+@pytest.mark.parametrize("digits", [44, 64, 74, 128, 138, 256])
+def test_gamma_general_is_correctly_rounded(digits):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = PrecisionContext(digits, digits - 10)
+    with mpmath.workdps(digits + 30):
+        for x in GAMMA_POINTS:
+            want = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
+            assert _correctly_rounded(gamma(x, ctx), want, digits), x
+
+
+def _sqrt_pi_sweep(precisions):
+    mpmath = pytest.importorskip("mpmath")
+    for digits in precisions:
+        with mpmath.workdps(digits + 30):
+            assert _correctly_rounded(PrecisionContext(digits, 1).sqrt_pi, mpmath.sqrt(mpmath.pi), digits), digits
+
+
+def test_sqrt_pi_is_correctly_rounded():
+    _sqrt_pi_sweep([44, 64, 72, 74, 84, 128, 138, 256, 266, 300])
+
+
+@pytest.mark.full
+def test_sqrt_pi_is_correctly_rounded_at_every_precision():
+    _sqrt_pi_sweep(range(44, 301))
+
+
+def test_gamma_reflection_formula(ctx):
+    # Gamma(1/3) Gamma(2/3) = pi / sin(pi/3) = 2 pi / sqrt(3): y = 4/3 and 5/3, against Machin's pi
+    with localcontext(Context(prec=ctx.working_digits + 20)):
+        want = 2 * machin_pi(ctx.working_digits + 20) / Decimal(3).sqrt()
+    got = ctx.dec.multiply(gamma(Fraction(1, 3), ctx), gamma(Fraction(2, 3), ctx))
+    assert rel_diff(got, want) < Decimal(10) ** (2 - ctx.working_digits)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 7), Fraction(1, 2**20)])
+def test_gamma_duplication_formula(x, ctx):
+    # Gamma(x) Gamma(x + 1/2) = 2^(1-2x) sqrt(pi) Gamma(2x), three reductions to different y
+    with localcontext(Context(prec=ctx.working_digits + 20)):
+        power = Decimal(2) ** (1 - 2 * Decimal(x.numerator) / x.denominator)
+        want = power * machin_pi(ctx.working_digits + 20).sqrt() * gamma(2 * x, ctx)
+    got = ctx.dec.multiply(gamma(x, ctx), gamma(x + Fraction(1, 2), ctx))
+    assert rel_diff(got, want) < Decimal(10) ** (2 - ctx.working_digits)
 
 
 def test_gamma_domain(ctx):
