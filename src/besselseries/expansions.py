@@ -29,7 +29,8 @@ per-L functions sum the paper's 1F2 (2F~3) series (_series_coeff).  Their
 prefactor p_L grows by an exact-rational ratio from one start value per
 family, nu, lambda and k, in a table cached in the context.  Chebyshev and
 Gegenbauer start from p_0 = f(0) = 2^-nu / Gamma(nu+1), the only gamma and
-fractional power of a table:
+fractional power (mpcore._pow) of a table, both taken again in the guard
+context of the Miller pass below (f(0) rounds that same Gamma once):
 
     Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))    (times 2 for L >= 1)
     Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
@@ -178,11 +179,10 @@ def _guard(ctx: PrecisionContext) -> PrecisionContext:
     return ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
 
 
-def _value_at_zero(nuf: Fraction, ctx: PrecisionContext, guard: PrecisionContext | None = None) -> Real:
-    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of the guard context (by default
-    _guard(ctx)) rounded once.  The tables scale by f(0) in the guard context itself, so a command takes
-    one gamma of nu + 1."""
-    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, guard or _guard(ctx))))
+def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
+    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of _guard(ctx) rounded once.  The
+    tables scale by f(0) in the guard context itself, so a command takes one gamma of nu + 1."""
+    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, _guard(ctx))))
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
@@ -217,6 +217,8 @@ def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
 def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """a_LN(k) through the regularized 2F~3 form, valid for every N >= 0."""
+    if L < 0:
+        raise DomainError("L must be >= 0")
     if (L + N) % 2:
         return Decimal(0)
     kf = to_fraction(k)
@@ -345,7 +347,7 @@ def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: Precisio
                 w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
             elif lamf is not None:
                 w = w * (2 * lam_d + 2 * L) * (2 * lam_d + 2 * L + 1) / ((2 * L + 1) * (2 * L + 2))
-        f = _value_at_zero(nuf, guard, guard)
+        f = _pow(2, -nuf, guard) / gamma(nuf + 1, guard)  # f(0)
         if modified:  # f(1) = f(0) 0F1(; nu+1; k^2/4)
             f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
         scale = f / neumaier_sum(at_x, guard)
@@ -407,11 +409,11 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
 def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Independent reference: Maclaurin series of J_nu(z).
 
-    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), summed by the
-    loop of the hypergeometric evaluator (hypergeom._sum_series, one loop for
-    both series) until the proven tail bound is below 10^-(working_digits + 5)
-    of the larger of 1 and the sum.  It shares no table, prefactor or cache
-    with the coefficients it checks.
+    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), the lead (z/2)^nu
+    by mpcore._pow, summed by the loop of the hypergeometric evaluator
+    (hypergeom._sum_series, one loop for both series) until the proven tail
+    bound is below 10^-(working_digits + 5) of the larger of 1 and the sum.
+    It shares no table, prefactor or cache with the coefficients it checks.
     """
     nuf = to_fraction(nu)
     if nuf < 0:
@@ -425,10 +427,6 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
         half_z = ctx.real(zf) / 2
         if half_z == 0:
             return ctx.real(1) if nuf == 0 else Decimal(0)
-        if nuf.denominator == 1:
-            lead = half_z ** int(nuf)
-        else:
-            lead = ctx.dec.power(half_z, ctx.real(nuf))
         w, nu_d = -half_z * half_z, ctx.real(nuf)
         step = lambda m, term: term * w / ((m + 1) * (nu_d + m + 1))
-        return _sum_series(tail, 0, lead / gamma(nuf + 1, ctx), step, ctx, regularized=False)[0]
+        return _sum_series(tail, 0, _pow(half_z, nuf, ctx) / gamma(nuf + 1, ctx), step, ctx, regularized=False)[0]

@@ -18,7 +18,8 @@ stops at most one term later and spares the bound on every term before.
 
 One loop, _sum_series, sums both these series and the Maclaurin series of
 expansions.bessel_j_ref: it takes the next term from a step function and the
-tail bound from the caller.
+tail bound from the caller, keeps the terms, and sums them in order by
+mpcore.neumaier_sum.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from fractions import Fraction
 
 from .mpcore import (
     DEFAULT_CONTEXT,
+    DomainError,
     PrecisionContext,
     Real,
     TailBound,
     Value,
+    neumaier_sum,
     reciprocal_gamma,
     to_fraction,
 )
@@ -102,35 +105,30 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, reg
 
 def _sum_series(tail: TailBound, m: int, term: Decimal, step, ctx: PrecisionContext, regularized: bool) -> tuple:
     """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) from t_m = term and
-    t_(j+1) = step(j, t_j), with compensated (Neumaier) summation; tail bounds the ratio t_(j+1)/t_j.
+    t_(j+1) = step(j, t_j), summed in order by mpcore.neumaier_sum; tail bounds the ratio t_(j+1)/t_j.
 
-    The scale of the stopping test is the larger of 1 and |partial sum|, or
-    for a regularized series the larger of the largest term and |partial sum|.
+    The stopping test reads the plain running total; its scale is the larger of 1 and |partial sum|, or
+    for a regularized series the larger of the largest term and |partial sum|.  Past _MAX_TERMS terms
+    it raises DomainError.
     """
-    first = m
+    terms = [term]
     with localcontext(ctx.dec):
         negligible = ctx.negligible
         scale = abs(term) if regularized else Decimal(1)
         total, size = term, abs(term)
-        comp = Decimal(0)
         for m in range(m, _MAX_TERMS):
             if size > scale and regularized:
                 scale = size
-            total_size = abs(total)
-            limit = negligible * max(scale, total_size)
+            limit = negligible * max(scale, abs(total))
             if size < limit:  # see the module docstring
                 bound = tail.after(m, size)
                 if bound is not None and bound < limit:
-                    return +(total + comp), m - first + 1, bound
+                    return neumaier_sum(terms, ctx), len(terms), bound
             term = step(m, term)
             size = abs(term)
-            new_total = total + term
-            if total_size >= size:
-                comp += (total - new_total) + term
-            else:
-                comp += (term - new_total) + total
-            total = new_total
-    raise RuntimeError(f"series did not converge within {_MAX_TERMS} terms")
+            terms.append(term)
+            total += term
+    raise DomainError(f"series did not converge within {_MAX_TERMS} terms")
 
 
 def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

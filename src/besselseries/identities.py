@@ -327,7 +327,7 @@ def verify_identity(
                 break
     else:
         if case.lmax is None:
-            raise RuntimeError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
+            raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
     table = _coefficients(case, weights[-1][0] + 1, ctx) if weights else []
     terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
     lhs = neumaier_sum((term for L, term in terms), ctx)

@@ -21,7 +21,6 @@ Real = Decimal
 
 _ZERO = Decimal(0)
 _ONE = Decimal(1)
-_TWO = Decimal(2)
 
 
 class DomainError(ValueError):
@@ -246,7 +245,7 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
         def build_half():
             n = (fx.numerator - 1) // 2  # x = n + 1/2
             with localcontext(ctx.dec):
-                return ctx.sqrt_pi * Decimal(double_factorial(2 * n - 1)) / (_TWO ** n)
+                return ctx.sqrt_pi * Decimal(double_factorial(2 * n - 1)) / _pow(2, n, ctx)
         return ctx._cached(key, build_half)
     return ctx._cached(key, lambda: _gamma_general(fx, ctx))
 

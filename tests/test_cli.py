@@ -339,6 +339,26 @@ def test_oracle_negative_hmax_is_a_usage_error(capsys):
     assert captured.out == "" and captured.err.splitlines()[-1] == "besselseries oracle: error: hmax must be >= 0"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # J_0(100000) by its Maclaurin series needs more than hypergeom._MAX_TERMS terms
+        (["eval", "--kind", "chebyshev", "--nu", "0", "--k", "100000", "--x", "1", "--lmax", "5"],
+         "besselseries eval: error: series did not converge within 20000 terms"),
+        # at k = 3000 the order tail bound is still above its target at identities._MAX_ORDER
+        (["verify", "--id", "chebyshev-even", "--h", "0", "--k", "3000"],
+         "besselseries verify: error: chebyshev-even: the tail bound is above its target at L = 2000"),
+    ],
+    ids=["eval", "verify"],
+)
+def test_hard_caps_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == message
+
+
 def test_unwritable_out_is_a_usage_error_before_any_output(capsys, tmp_path):
     target = tmp_path / "missing" / "table.txt"
     with pytest.raises(SystemExit) as err:

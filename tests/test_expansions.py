@@ -469,6 +469,12 @@ def test_eval_expansion_trivial_points(ctx):
     assert eval_expansion(Chebyshev(1), 1, 0, 21, ctx) == 0
 
 
+@pytest.mark.parametrize("L,N", [(-2, 0), (-1, 1), (-2, 2), (-3, 1)])
+def test_legendre_coeff_general_rejects_negative_L(L, N, ctx):
+    with pytest.raises(DomainError, match="L must be >= 0"):
+        legendre_coeff_general(L, N, 1, ctx)
+
+
 def test_eval_expansion_domain_errors(ctx):
     with pytest.raises(DomainError):
         eval_expansion(Chebyshev(0), 1, Fraction(3, 2), 5, ctx)

@@ -515,7 +515,7 @@ def test_stop_by_tail_bound_is_capped(monkeypatch):
     with pytest.raises(DomainError):
         _case(IdentityId.CHEBYSHEV_EVEN, h=0, k=1, lmax=None, tolerance=0)
     monkeypatch.setattr(identities, "_MAX_ORDER", 10)
-    with pytest.raises(RuntimeError, match="L = 10"):
+    with pytest.raises(DomainError, match="L = 10"):
         verify_identity(_case(IdentityId.CHEBYSHEV_EVEN, h=0, k=20, lmax=None), PrecisionContext())
 
 

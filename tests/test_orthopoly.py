@@ -32,9 +32,6 @@ KINDS = [
     GegenbauerC(Fraction(1, 2**20)),
 ]
 KIND_IDS = ["legendre", "chebyshev", "geg1/4", "geg4", "geg1/3", "geg7/3", "geg-1/4", "geg2^-20"]
-# lambda = 1/3 and 7/3 round in Decimal, so the Decimal recurrence misses a
-# 1e-61 relative bar near a root; the exact-rational checks take every kind.
-DECIMAL_EXACT = [(k, i) for k, i in zip(KINDS, KIND_IDS) if i not in ("geg1/3", "geg7/3")]
 
 
 def closed_form_row(kind, n: int) -> list:
@@ -65,7 +62,7 @@ def test_monomial_examples():
     assert monomial_coeffs(GegenbauerC(Fraction(1, 4)), 2) == [Fraction(-1, 4), 0, Fraction(5, 8)]
 
 
-@pytest.mark.parametrize("kind", [k for k, _ in DECIMAL_EXACT], ids=[i for _, i in DECIMAL_EXACT])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_eval_matches_monomials_up_to_degree_50(kind, ctx):
     rng = random.Random(1234)
     tol = Decimal(10) ** (-(ctx.working_digits - 3))
