@@ -7,7 +7,6 @@ from .mpcore import (
     PrecisionContext,
     Real,
     agreement_digits,
-    double_factorial,
     format_decimal,
     gamma,
     neumaier_sum,

@@ -69,7 +69,13 @@ def _parse_h_range(text: str) -> list[int]:
     return [int(text)]
 
 
+_KIND_OPTIONS = {"legendre": ("--N",), "chebyshev": ("--nu",), "gegenbauer": ("--nu", "--lambda")}
+
+
 def _build_kind(args):
+    for option, value in (("--N", args.N), ("--nu", args.nu), ("--lambda", args.lam)):
+        if value is not None and option not in _KIND_OPTIONS[args.kind]:
+            args.parser.error(f"--kind {args.kind} takes no {option}")
     if args.kind == "legendre":
         if args.N is None:
             args.parser.error("--kind legendre requires --N")

@@ -25,17 +25,18 @@ family; every other layer reads what a kind carries:
     _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
 
 Two algorithms compute the coefficients and check each other.  The public
-per-L functions sum the paper's 1F2 (2F~3) series (_series_coeff).  Their
-prefactor p_L grows by an exact-rational ratio from one start value per
-family, nu, lambda and k, in a table cached in the context.  Chebyshev and
-Gegenbauer start from p_0 = f(0) = 2^-nu / Gamma(nu+1), the only gamma and
-fractional power (mpcore._pow) of a table, both taken again in the guard
-context of the Miller pass below (f(0) rounds that same Gamma once):
+per-L functions sum the paper's 1F2 (2F~3) series (_series_coeff).  Both
+Legendre prefactors are exact rationals (the regularized one times
+sqrt(pi) = Gamma(1/2)), each rounded once from its integer numerator and
+denominator.  Chebyshev and Gegenbauer prefactors grow by an exact-rational
+ratio, in a table per nu, lambda and k cached in the context, from
+p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma and fractional
+power (mpcore._pow) of a table, both taken again in the guard context of the
+Miller pass below (f(0) rounds that same Gamma once):
 
     Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))    (times 2 for L >= 1)
     Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
 
-Legendre steps by 2 in L, from the exact start values in its prefactor.
 With the modified switch of _series_coeff, the same formulas give the
 coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign is
 dropped.  The identities take only p_L and the series parameters from here,
@@ -46,9 +47,9 @@ sum no series, so nothing cancels at large k.  As f solves
 x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified switch, f then
 (kx)^-nu I_nu(kx)), the coefficients meet an order-3 recurrence in L
 (_recurrence_coefficients); a table is its minimal solution, by one backward
-pass (Miller) at working + 10 digits from 1 at an index N*, scaled to f(0) at
-x = 0 for J and to f(1) = f(0) 0F1(; nu+1; k^2/4) at x = 1 for I (there every
-term is positive; at x = 0 they cancel about k/ln 10 digits):
+pass (Miller) in ctx.guard (working + 10 digits) from 1 at an index N*, scaled
+to f(0) at x = 0 for J and to f(1) = f(0) 0F1(; nu+1; k^2/4) at x = 1 for I
+(there every term is positive; at x = 0 they cancel about k/ln 10 digits):
 
     J: sum_L (-1)^L C_L = f(0),   sum_L (-1)^L (lam)_L / L! b_L = f(0)
     I: sum_L C_L = f(1),          sum_L (2lam)_2L / (2L)! b_L = f(1)
@@ -63,8 +64,9 @@ and the other solutions leave entry L off by p_N* / p_L, times
 (2j+4+2lam-2nu) / (2j+2+2nu) for each step j where the next-smallest one
 shrinks forward (that factor > 1).  N* is the first index past lmax where this
 is below 10^-(working+10) at L = lmax, against min(p_0, p_lmax), as below the
-peak of p_L the entries are far smaller.  The Legendre table is the lam = 1/2
-table of (kx)^-N J_N(kx) times x^N k^N.
+peak of p_L the entries are far smaller; past _MAX_START (N* grows like k) the
+table raises DomainError before anything is built.  The Legendre table is the
+lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation of Chebyshev tables is a display option
@@ -73,7 +75,6 @@ only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -94,6 +95,7 @@ from .hypergeom import HyperSpec, _sum_series, eval_pFq, eval_regularized_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
+_MAX_START = 100000  # a table whose backward pass would start past this index raises instead
 
 
 class Legendre(Value):
@@ -111,15 +113,10 @@ class Legendre(Value):
         return (Fraction(L + self.N + 1, 2),), (Fraction(L + self.N, 2) + 1, L + Fraction(3, 2))
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), an exact rational, from its
-        table (L - N even)."""
-        N = self.N
-
-        def ratio(j):  # p_(L+2)/p_L at L = N + 2j
-            n = N + 2 * j
-            return Fraction((n + 1) * (n + 2), 4 * (2 * n + 1) * (2 * n + 3) * (j + 1) * (n - j + 1)) * kf * kf
-
-        return ctx._table(("legendre", N, *_pairs(kf)), lambda: ctx.real(kf / 2 if N else 1), ratio, (L - N) // 2)
+        """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)) (L - N even), that is the
+        exact rational C(L, (L-N)/2) k^L / (2^L (2L-1)!!), rounded once."""
+        num = math.comb(L, (L - self.N) // 2) * kf.numerator**L
+        return ctx.dec.divide(num, 2**L * math.prod(range(1, 2 * L, 2)) * kf.denominator**L)
 
 
 class Chebyshev(Value):
@@ -174,15 +171,10 @@ def _pairs(*fractions) -> tuple:
     return tuple(v for f in fractions for v in (f.numerator, f.denominator))
 
 
-def _guard(ctx: PrecisionContext) -> PrecisionContext:
-    """The context of the backward pass, working + 10 digits, cached in ctx."""
-    return ctx._cached("guard", lambda: PrecisionContext(ctx.working_digits + 10, ctx.display_digits))
-
-
 def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
-    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of _guard(ctx) rounded once.  The
+    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of ctx.guard rounded once.  The
     tables scale by f(0) in the guard context itself, so a command takes one gamma of nu + 1."""
-    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, _guard(ctx))))
+    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, ctx.guard)))
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
@@ -231,17 +223,10 @@ def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CO
         ),
         ctx,
     )
-    parity = L % 2
-
-    # p_L = sqrt(pi) (2L+1) L! k^L / 2^(2L+1); ratio(j) = p_(L+2)/p_L at L = parity + 2j
-    def ratio(j):
-        n = parity + 2 * j
-        return Fraction((2 * n + 5) * (n + 1) * (n + 2), 16 * (2 * n + 1)) * kf * kf
-
-    start = lambda: ctx.sqrt_pi * ctx.real(Fraction(2 * parity + 1, 2 ** (2 * parity + 1)) * kf**parity)
-    pref = ctx._table(("legendre-regularized", parity, *_pairs(kf)), start, ratio, L // 2)
-    with localcontext(ctx.dec):
-        return +((1 if (L - N) % 4 == 0 else -1) * pref * f)
+    # p_L = sqrt(pi) (2L+1) L! k^L / 2^(2L+1): Gamma(1/2) times the exact rational rounded once
+    num = (1 if (L - N) % 4 == 0 else -1) * (2 * L + 1) * math.factorial(L) * kf.numerator**L
+    pref = ctx.dec.divide(num, 2 ** (2 * L + 1) * kf.denominator**L)
+    return ctx.dec.multiply(ctx.dec.multiply(gamma(_HALF, ctx), pref), f)
 
 
 def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -315,7 +300,7 @@ def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, mod
     unit_ratio = _prefactor_ratio(nu, lamf and lam, 1.0)
     log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
     log_p = floor = growth = 0.0
-    for j in itertools.count():
+    for j in range(_MAX_START + 1):
         if j == count - 1:
             floor = min(0.0, log_p)
         # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_1f2, c >= 2j + 1/2)
@@ -324,6 +309,7 @@ def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, mod
         log_p += log_k2 + math.log(abs(unit_ratio(j)))
         if j >= count - 1:
             growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
+    raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
 
 
 def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: PrecisionContext, modified=False):
@@ -372,7 +358,7 @@ def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext, mo
 
 def _table_values(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
     """Entries 0..count-1 of the kind's table (modified: of I_nu), each rounded once from the guard pass."""
-    guard = _guard(ctx)
+    guard = ctx.guard
     if isinstance(kind, Legendre):
         values = _legendre_table(kind.N, kf, count - 1, guard, modified)
     else:

@@ -64,24 +64,13 @@ def _pole_parameters(spec: HyperSpec):
 
 
 def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Plain pFq(a; b; z) by direct summation.
-
-    Results are memoized in the context, keyed on the parameters and the
-    argument as integer pairs, so one context returns the same object for the
-    same series.
-    """
+    """Plain pFq(a; b; z) by direct summation."""
     poles = _pole_parameters(spec)
     if poles:
         raise PoleError(
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use eval_regularized_pFq"
         )
-    params = (*spec.upper, *spec.lower, spec.z)
-    key = ("pFq", len(spec.upper), *((f.numerator, f.denominator) for f in params))
-    return ctx._cached(key, lambda: _eval_pFq_series(spec, ctx))
-
-
-def _eval_pFq_series(spec: HyperSpec, ctx: PrecisionContext) -> Real:
     return _sum_from(spec, 0, Decimal(1), ctx, regularized=False)[0]
 
 

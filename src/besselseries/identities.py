@@ -176,7 +176,7 @@ def _coefficients(case: IdentityCase, count: int, ctx: PrecisionContext) -> list
 
 
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (the kind's exact-ratio table)
+    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (the kind's _prefactor)
     times F_L = _bound_1f2 of its 1F2, which is never summed, at c_L, the larger lower parameter.
 
     In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),

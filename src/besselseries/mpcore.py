@@ -3,10 +3,11 @@
 Everything runs on the stdlib ``decimal`` module.  A :class:`PrecisionContext`
 fixes the number of significant decimal digits and round-half-even rounding,
 which makes every result reproducible bit-for-bit across platforms.  The
-gamma-function family lives here as well: integer and half-integer arguments
-take an exact path (rational multiples of 1 or sqrt(pi)); everything else, and
-sqrt(pi) = Gamma(1/2) itself, is one series of positive terms on (1, 2) times an
-exact rational shift.  Every cache lives in a context.
+gamma-function family lives here as well: integers exactly; every other
+argument, sqrt(pi) = Gamma(1/2) included, from one series of positive terms on
+(1, 2) times an exact rational shift, rounded once.  Every cache lives in a
+context, and so does the one guard context (working + 10 digits) of every
+computation that rounds once at the end.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ class PrecisionContext:
         return self._cache[key]
 
     @property
-    def sqrt_pi(self) -> Real:
-        """sqrt(pi) = Gamma(1/2), by the series of the general gamma path."""
-        return self._cached("sqrt_pi", lambda: _gamma_general(Fraction(1, 2), self))
+    def guard(self) -> PrecisionContext:
+        """This context with working_digits + 10, cached: the same rounding, exponent limits and traps."""
+        return self._cached("guard", lambda: PrecisionContext(self.working_digits + 10, self.display_digits))
 
     @property
     def negligible(self) -> Real:
@@ -181,13 +182,6 @@ DEFAULT_CONTEXT = PrecisionContext()
 # ---------------------------------------------------------------------------
 # gamma family
 
-def double_factorial(n: int) -> int:
-    """n!! for n >= -1, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise DomainError("double_factorial requires n >= -1")
-    return math.prod(range(n, 0, -2)) if n > 0 else 1
-
-
 def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
     """Gamma(x) for a rational x > 0 that is not an integer, rounded once to the context.
 
@@ -199,13 +193,14 @@ def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
 
     so once the ratio is at most 1/2 the terms after t_n add up to at most t_n.  By parts, Gamma(y, N) <=
     N^(y-1) e^-N (1 + (y-1)/N) <= 2N e^-N (DLMF 8.10), and Gamma(y) > 7/8: as e > 8/3, the first integer N
-    with 16 N 3^N 10^d <= 7 8^N, d = working + 10 digits, leaves out at most 10^-d of Gamma(y), with the
+    with 16 N 3^N 10^d <= 7 8^N, d = the digits of ctx.guard, leaves out at most 10^-d of Gamma(y), with the
     same term count on every platform.  The t_n are summed as integers scaled by 10^s and rounded down,
     which loses under (M+3)^2 10^-s of the sum of M terms, up to the first term at most 10^-d of the sum
     whose ratio is at most 1/2; N^n / (y)_(n+1) <= (eN/n)^n gives M < e^2 N < 8N, so s = d + 2 len(8N) + 1
-    keeps that under 10^-d too.  One exp(y ln N - N) at d digits ends within about N 10^-d of Gamma(x).
+    keeps that under 10^-d too.  One exp(y ln N - N) in ctx.guard ends within about N 10^-d of Gamma(x).
     """
-    d = ctx.working_digits + 10
+    guard = ctx.guard
+    d = guard.working_digits
     y = fx % 1 + 1
     shift = pochhammer_fraction(y, int(fx) - 1) if fx > 1 else 1 / fx
     N = 23 * d // 10  # (3/8)^N < 10^-d needs N > 2.34 d
@@ -219,7 +214,7 @@ def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
         term = term * step // den
         total += term
         den += q
-    with localcontext(Context(prec=d, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)):
+    with localcontext(guard.dec):
         value = (Decimal(p) / q * Decimal(N).ln() - N).exp() * Decimal(total).scaleb(-s)
         return ctx.dec.plus(value * shift.numerator / shift.denominator)
 
@@ -227,10 +222,9 @@ def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
 def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Gamma(x) for x > 0 to working-precision relative accuracy.
 
-    Positive integers use (n-1)! exactly; half-odd-integers use
-    Gamma(n + 1/2) = (2n-1)!! sqrt(pi) / 2^n.  Other arguments are shifted
-    into (1, 2) by one exact rational and finished with a positive series
-    (_gamma_general).
+    Positive integers use (n-1)! exactly.  Every other argument, half-integers
+    and sqrt(pi) = Gamma(1/2) included, is shifted into (1, 2) by one exact
+    rational and finished with a positive series (_gamma_general), rounded once.
     """
     fx = to_fraction(x)
     if fx <= 0:
@@ -241,12 +235,6 @@ def gamma(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             with localcontext(ctx.dec):
                 return +Decimal(math.factorial(fx.numerator - 1))
         return ctx._cached(key, build_int)
-    if fx.denominator == 2:
-        def build_half():
-            n = (fx.numerator - 1) // 2  # x = n + 1/2
-            with localcontext(ctx.dec):
-                return ctx.sqrt_pi * Decimal(double_factorial(2 * n - 1)) / _pow(2, n, ctx)
-        return ctx._cached(key, build_half)
     return ctx._cached(key, lambda: _gamma_general(fx, ctx))
 
 

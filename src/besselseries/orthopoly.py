@@ -1,10 +1,10 @@
 """Legendre, Chebyshev and Gegenbauer polynomials.
 
 Everything comes from one three-term recurrence per family, p_(m+1) = (a x p_m - b p_(m-1)) / d
-with integers a, b, d (_recurrence_step): point values forward at working + 10 digits, whole
-expansions backward by Clenshaw's sum, and exact monomial coefficients forward on integer numerators
-over one denominator per row, so the power-gathering oracle carries no rounding error of its own
-and shares no closed form with the identity brackets it checks.
+with integers a, b, d (_recurrence_step): point values forward in the context's guard (working + 10
+digits), whole expansions backward by Clenshaw's sum, and exact monomial coefficients forward on
+integer numerators over one denominator per row, so the power-gathering oracle carries no rounding
+error of its own and shares no closed form with the identity brackets it checks.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ class GegenbauerC(Value):
 
 def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Value of the degree-n polynomial of the given family at x, by the forward recurrence
-    (_recurrence_step) at working + 10 digits, rounded once."""
+    (_recurrence_step) in ctx.guard (working + 10 digits), rounded once."""
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     xf = to_fraction(x)
-    guard = ctx.dec.copy()
-    guard.prec += 10
-    with localcontext(guard):
+    with localcontext(ctx.guard.dec):
         xv, prev, cur = Decimal(xf.numerator) / xf.denominator, Decimal(0), Decimal(1)
         for m in range(n):
             a, b, d = _recurrence_step(kind, m)

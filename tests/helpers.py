@@ -102,7 +102,7 @@ def _atan_inv_scaled(x: int, one: int) -> int:
 @functools.lru_cache(maxsize=None)
 def machin_pi(prec: int) -> Decimal:
     """pi to prec digits by Machin's formula in scaled integers: an oracle that shares nothing with the
-    gamma series behind PrecisionContext.sqrt_pi."""
+    gamma series behind sqrt(pi) = gamma(1/2)."""
     extra = 12
     one = 10 ** (prec + extra)
     scaled = 16 * _atan_inv_scaled(5, one) - 4 * _atan_inv_scaled(239, one)

@@ -331,6 +331,23 @@ def test_a_command_takes_one_general_gamma(argv, capsys, monkeypatch):
     assert [(x, ctx.working_digits) for x, ctx in calls] == [(Fraction(4, 3), 74)]
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["coeffs", "--kind", "chebyshev", "--nu", "0", "--lambda", "1/3", "--k", "1", "--lmax", "2"], "--lambda"),
+    (["coeffs", "--kind", "legendre", "--N", "1", "--nu", "1/3", "--k", "1", "--lmax", "2"], "--nu"),
+    (["coeffs", "--kind", "legendre", "--N", "0", "--lambda", "1/2", "--k", "1", "--lmax", "2"], "--lambda"),
+    (["coeffs", "--kind", "chebyshev", "--N", "1", "--k", "1", "--lmax", "2"], "--N"),
+    (["eval", "--kind", "gegenbauer", "--N", "0", "--lambda", "1/3", "--k", "1", "--x", "1/2"], "--N"),
+    (["oracle", "--kind", "chebyshev", "--N", "0", "--k", "1", "--hmax", "1", "--lmax", "4"], "--N"),
+], ids=["cheb-lambda", "leg-nu", "leg-lambda", "cheb-N", "geg-N", "oracle-cheb-N"])
+def test_an_option_the_kind_does_not_take_is_a_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"besselseries {argv[0]}: error: --kind {argv[2]} takes no {option}"
+
+
 def test_oracle_negative_hmax_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["oracle", "--kind", "chebyshev", "--k", "1", "--hmax", "-1", "--lmax", "4"])
@@ -348,8 +365,11 @@ def test_oracle_negative_hmax_is_a_usage_error(capsys):
         # at k = 3000 the order tail bound is still above its target at identities._MAX_ORDER
         (["verify", "--id", "chebyshev-even", "--h", "0", "--k", "3000"],
          "besselseries verify: error: chebyshev-even: the tail bound is above its target at L = 2000"),
+        # N* = 135,998 at k = 200000: the backward pass would start past expansions._MAX_START
+        (["coeffs", "--kind", "chebyshev", "--nu", "0", "--k", "200000", "--lmax", "5"],
+         "besselseries coeffs: error: the backward recurrence would start past L = 100000"),
     ],
-    ids=["eval", "verify"],
+    ids=["eval", "verify", "coeffs"],
 )
 def test_hard_caps_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as err:

@@ -26,7 +26,7 @@ from besselseries import expansions, mpcore
 from besselseries.expansions import _miller_table, _recurrence_coefficients, _series_coeff, _table_values
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from besselseries.mpcore import _pow, double_factorial, gamma, pochhammer, pochhammer_fraction
+from besselseries.mpcore import _pow, gamma, pochhammer, pochhammer_fraction
 
 from helpers import (
     fraction_to_decimal, machin_pi, pFq_rational_prefix, recurrence_coefficients_exact, rel_diff, sig_digit_count,
@@ -103,16 +103,16 @@ RATIO_GEGENBAUER = [
 
 def _direct_prefactor(family, L, params, ctx):
     """The unsigned prefactor by the gamma and Pochhammer closed forms (the pre-recurrence formulas)."""
-    k = ctx.real(RATIO_K)
+    k, sqrt_pi = ctx.real(RATIO_K), gamma(Fraction(1, 2), ctx)
     with localcontext(ctx.dec):
         if family == "legendre":
             (N,) = params
             return (
-                ctx.sqrt_pi * (2 * L + 1) * math.comb(L, (L - N) // 2) * k**L
+                sqrt_pi * (2 * L + 1) * math.comb(L, (L - N) // 2) * k**L
                 / (Decimal(2) ** (2 * L + 1) * gamma(L + Fraction(3, 2), ctx))
             )
         if family == "legendre-regularized":
-            return ctx.sqrt_pi * (2 * L + 1) * Decimal(math.factorial(L)) * k**L / Decimal(2) ** (2 * L + 1)
+            return sqrt_pi * (2 * L + 1) * Decimal(math.factorial(L)) * k**L / Decimal(2) ** (2 * L + 1)
         if family == "chebyshev":
             (nu,) = params
             return (
@@ -122,7 +122,7 @@ def _direct_prefactor(family, L, params, ctx):
         half = Fraction(1, 2)
         num = k ** (2 * L) * _pow(2, 2 * L - nu, ctx) * pochhammer(lam + half, 2 * L, ctx)
         den = (
-            ctx.sqrt_pi
+            sqrt_pi
             * pochhammer(2 * lam, 2 * L, ctx)
             * pochhammer(2 * L + 2 * lam, 2 * L, ctx)
             * pochhammer(L + half, nu + half, ctx)
@@ -167,9 +167,9 @@ RATIO_CASES = (
 
 @pytest.mark.parametrize("digits", [64, 128])
 def test_ratio_prefactors_match_gamma_pochhammer_forms(digits):
-    # Each core grows its prefactor by an exact-rational ratio in L; the
-    # reference rebuilds it for every L from gamma and Pochhammer products,
-    # with 20 guard digits: at working precision its O(L) roundings alone
+    # Each core's prefactor comes from an exact-rational ratio in L (Chebyshev,
+    # Gegenbauer) or its exact rational (Legendre); the reference rebuilds it
+    # for every L from gamma and Pochhammer products, with 20 guard digits: at working precision its O(L) roundings alone
     # reach 1e-61 by L = 85 (nu = 5/3, lambda = 7/3), where the recurrence
     # stays within 2e-63 of an mpmath value.
     ctx = PrecisionContext(working_digits=digits)
@@ -184,6 +184,25 @@ def test_ratio_prefactors_match_gamma_pochhammer_forms(digits):
                 core, series, sign, two = _core_and_series(family, L, params, modified, ctx)
                 want = ctx.dec.multiply(ctx.dec.multiply(pref, series), sign * two)
                 assert rel_diff(core, want) < bound, (family, params, L, modified)
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_legendre_prefactors_are_their_exact_rationals_rounded_once(digits, monkeypatch):
+    # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), with Gamma(L+3/2) = sqrt(pi) (1/2)_(L+1),
+    # and the regularized p_L over sqrt(pi), (2L+1) L! k^L / 2^(2L+1): each one rational, rounded once.  With
+    # the 2F~3 and Gamma(1/2) set to 1, legendre_coeff_general returns its signed rational prefactor.
+    ctx = PrecisionContext(working_digits=digits)
+    monkeypatch.setattr(expansions, "eval_regularized_pFq", lambda spec, c: Decimal(1))
+    monkeypatch.setattr(expansions, "gamma", lambda x, c: Decimal(1) if x == Fraction(1, 2) else None)
+    for k in (Fraction(3, 2), Fraction(17, 3), Fraction(100)):
+        for N in range(4):
+            for L in range(N, 201, 2):
+                want = Fraction((2 * L + 1) * math.comb(L, (L - N) // 2), 2 ** (2 * L + 1)) * k**L
+                want /= pochhammer_fraction(Fraction(1, 2), L + 1)
+                assert Legendre(N)._prefactor(L, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
+                sign = 1 if (L - N) % 4 == 0 else -1
+                want = Fraction(sign * (2 * L + 1) * math.factorial(L), 2 ** (2 * L + 1)) * k**L
+                assert legendre_coeff_general(L, N, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +463,7 @@ def test_legendre_pole_entries_match_exact_oracle(N, ctx):
         a1, a2 = Fraction(L, 2) + Fraction(1, 2), Fraction(L, 2) + 1
         lead = Fraction((-1) ** s * (2 * L + 1) * math.factorial(L), 2 ** (2 * L + 1))
         lead *= pochhammer_fraction(a1, s) * pochhammer_fraction(a2, s) * z**s * 2**n
-        lead /= math.factorial(s) * double_factorial(2 * n - 1) * math.factorial(N)
+        lead /= math.factorial(s) * math.prod(range(2 * n - 1, 0, -2)) * math.factorial(N)
         series = pFq_rational_prefix([a1 + s, a2 + s], [s + 1, L + Fraction(3, 2) + s, N + 1], z, 40)
         assert rel_diff(table[L][1], fraction_to_decimal(lead * series, 80)) < Decimal("1e-60"), L
 

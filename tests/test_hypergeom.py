@@ -57,7 +57,7 @@ def test_regularized_matches_plain_over_gamma_product(ctx):
 
 def test_regularized_at_zero_argument(ctx):
     got = eval_regularized_pFq(HyperSpec((Fraction(1, 2),), (1, Fraction(3, 2)), 0), ctx)
-    expected = ctx.dec.divide(Decimal(2), ctx.sqrt_pi)  # 1/(Gamma(1) Gamma(3/2))
+    expected = ctx.dec.divide(Decimal(2), gamma(Fraction(1, 2), ctx))  # 1/(Gamma(1) Gamma(3/2))
     assert rel_diff(got, expected) < Decimal("1e-62")
     # with a pole parameter every term at z = 0 vanishes: the m = 0 one by 1/Gamma(0), the rest by z^m
     assert eval_regularized_pFq(HyperSpec((Fraction(1, 2),), (0, Fraction(3, 2)), 0), ctx) == 0
@@ -82,7 +82,7 @@ def test_regularized_with_zero_lower_parameter_vs_rational_oracle():
         num *= Fraction(1, math.factorial(m - 1))  # 1/Gamma(0 + m)
         num *= Fraction(1, math.factorial(m + 1))  # 1/Gamma(2 + m)
         rational_sum += num
-    expected = ctx100.dec.divide(ctx100.real(rational_sum), ctx100.sqrt_pi)
+    expected = ctx100.dec.divide(ctx100.real(rational_sum), gamma(Fraction(1, 2), ctx100))
     got = eval_regularized_pFq(HyperSpec(a, b, z), ctx100)
     assert rel_diff(got, expected) < Decimal("1e-95")
 
@@ -165,11 +165,6 @@ def test_alternating_tail_behavior(ctx):
         assert cur * prev < 0
         assert abs(cur) < abs(prev)
         prev = cur
-
-
-def test_memoization_returns_identical_objects(ctx):
-    s = HyperSpec((Fraction(1, 2),), (1, Fraction(3, 2)), Fraction(-1, 4))
-    assert eval_pFq(s, ctx) is eval_pFq(s, ctx)
 
 
 def test_full_legendre_coefficient_chain(ctx):

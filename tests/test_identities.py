@@ -17,6 +17,7 @@ from besselseries import (
     chebyshev_coeff,
     first_contributing_order,
     format_decimal,
+    gamma,
     gegenbauer_coeff,
     identity_rhs,
     identity_term,
@@ -168,8 +169,8 @@ def test_shared_context_matches_fresh_contexts():
 def test_sweep_builds_each_coefficient_once(monkeypatch, capsys):
     # The terms read one backward-recurrence table: the sweep builds it once and sums no series.
     series, tables = [], []
-    series_fn, table_fn = hypergeom._eval_pFq_series, identities._table_values
-    monkeypatch.setattr(hypergeom, "_eval_pFq_series", lambda *a: series.append(a) or series_fn(*a))
+    series_fn, table_fn = hypergeom._sum_from, identities._table_values
+    monkeypatch.setattr(hypergeom, "_sum_from", lambda *a: series.append(a) or series_fn(*a))
     monkeypatch.setattr(identities, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
     # k = 8: at k = 1 the tail bound stops each h after about 12 orders, too few for a tenfold reuse
     assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "8", "--format", "json"]) == 0
@@ -210,7 +211,7 @@ def test_rhs_values(ctx):
     # which is the sqrt(2/(pi z)) sin z Taylor lead after scaling by k^(1/2)
     case = _case(IdentityId.GEGENBAUER_GENERAL, h=0, k=2, nu=Fraction(1, 2), lam=Fraction(1, 4), lmax=10)
     got = identity_rhs(case, ctx)
-    want = ctx.dec.divide(Decimal(2), ctx.sqrt_pi)
+    want = ctx.dec.divide(Decimal(2), gamma(Fraction(1, 2), ctx))
     assert rel_diff(got, want) < Decimal("1e-62")
 
 

@@ -8,7 +8,6 @@ from besselseries import (
     DomainError,
     PrecisionContext,
     agreement_digits,
-    double_factorial,
     format_decimal,
     gamma,
     pochhammer,
@@ -29,20 +28,19 @@ def test_context_validation():
 def test_pi_and_sqrt_pi(ctx):
     pi = machin_pi(ctx.working_digits)
     assert format_decimal(pi, 34) == "3.141592653589793238462643383279503"
-    assert format_decimal(ctx.sqrt_pi, 34) == "1.772453850905516027298167483341145"
-    assert rel_diff(ctx.dec.multiply(ctx.sqrt_pi, ctx.sqrt_pi), pi) < Decimal("1e-62")
+    sqrt_pi = gamma(Fraction(1, 2), ctx)
+    assert format_decimal(sqrt_pi, 34) == "1.772453850905516027298167483341145"
+    assert rel_diff(ctx.dec.multiply(sqrt_pi, sqrt_pi), pi) < Decimal("1e-62")
 
 
 def test_gamma_exact_integers(ctx):
     assert gamma(1, ctx) == 1
     assert gamma(6, ctx) == 120
-    assert gamma(Fraction(1, 2), ctx) == ctx.sqrt_pi
 
 
 def test_gamma_seven_halves_by_recurrence(ctx):
-    # climb from Gamma(1/2) with the functional equation: the oracle for the
-    # half-integer fast path
-    expected = ctx.sqrt_pi
+    # climb from Gamma(1/2) with the functional equation
+    expected = gamma(Fraction(1, 2), ctx)
     x = Fraction(1, 2)
     with_ctx = ctx.dec
     for _ in range(3):
@@ -52,10 +50,12 @@ def test_gamma_seven_halves_by_recurrence(ctx):
     assert format_decimal(gamma(Fraction(7, 2), ctx), 14) == "3.3233509704478"
 
 
-# Non-integer arguments of every reduction: y = x - floor(x) + 1 below, at and far above 1, near both ends.
+# Non-integer arguments of every reduction: y = x - floor(x) + 1 below, at and far above 1, near both ends;
+# and half-integers, which take the same series.
 GAMMA_POINTS = [
     Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3), Fraction(7, 3), Fraction(10, 3),
     Fraction(1, 7), 1 + Fraction(1, 2**20), 1 - Fraction(1, 2**20), Fraction(49, 5), Fraction(101, 3),
+    *(Fraction(n, 2) for n in (3, 5, 7, 11, 21, 41, 81, 155)),
 ]
 
 
@@ -80,7 +80,8 @@ def _sqrt_pi_sweep(precisions):
     mpmath = pytest.importorskip("mpmath")
     for digits in precisions:
         with mpmath.workdps(digits + 30):
-            assert _correctly_rounded(PrecisionContext(digits, 1).sqrt_pi, mpmath.sqrt(mpmath.pi), digits), digits
+            sqrt_pi = gamma(Fraction(1, 2), PrecisionContext(digits, 1))
+            assert _correctly_rounded(sqrt_pi, mpmath.sqrt(mpmath.pi), digits), digits
 
 
 def test_sqrt_pi_is_correctly_rounded():
@@ -168,12 +169,6 @@ def test_pochhammer_real_count_matches_gamma_ratio(ctx):
     got = pochhammer(x, n, ctx)
     expected = ctx.dec.divide(gamma(x + n, ctx), gamma(x, ctx))
     assert rel_diff(got, expected) < Decimal("1e-62")
-
-
-def test_double_factorial():
-    assert double_factorial(5) == 15
-    assert double_factorial(-1) == 1
-    assert double_factorial(0) == 1
 
 
 @pytest.mark.parametrize(
