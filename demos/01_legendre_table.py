@@ -14,11 +14,3 @@ print(f"{'L':>4}  value")
 for L in range(0, 43, 2):
     value = legendre_coeff(L, 0, 1, ctx)
     print(f"{L:>4}  {format_decimal(value, 34)}")
-
-# the same coefficients fall out of the regularized route used for orders
-# N >= 2, where lower hypergeometric parameters hit gamma poles
-from besselseries import legendre_coeff_general
-
-print("\nreduced vs regularized route at L = 12:")
-print("  reduced    ", format_decimal(legendre_coeff(12, 0, 1, ctx), 34))
-print("  regularized", format_decimal(legendre_coeff_general(12, 0, 1, ctx), 34))

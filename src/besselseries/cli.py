@@ -185,8 +185,8 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     kind = _build_kind(args)
     ctx = PrecisionContext(args.working_digits, args.digits)
+    reference = bessel_j_ref(kind.nu, args.k * args.x, ctx)  # first: one that cannot converge costs no table
     value = eval_expansion(kind, args.k, args.x, args.lmax, ctx)
-    reference = bessel_j_ref(kind.nu, args.k * args.x, ctx)
     row = {
         "expansion": format_decimal(value, args.digits),
         "reference": format_decimal(reference, args.digits),

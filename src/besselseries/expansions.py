@@ -24,28 +24,25 @@ family; every other layer reads what a kind carries:
     _series(L)             the 1F2's upper and lower parameters
     _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
 
-Two algorithms compute the coefficients and check each other.  The public
-per-L functions sum the paper's 1F2 (2F~3) series (_series_coeff).  Both
-Legendre prefactors are exact rationals (the regularized one times
-sqrt(pi) = Gamma(1/2)), each rounded once from its integer numerator and
-denominator.  Chebyshev and Gegenbauer prefactors grow by an exact-rational
-ratio, in a table per nu, lambda and k cached in the context, from
-p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma and fractional
-power (mpcore._pow) of a table, both taken again in the guard context of the
+One algorithm computes the coefficients, the backward recurrence below.  The
+public per-L functions return entry L of the kind's table, cached in the
+context (_coefficients).  The 1F2 (2F~3) forms in their docstrings are the
+paper's; only the tests sum them (tests/helpers.py), as an independent check
+that cancels about k/ln 10 digits.  The identities take p_L and the series
+parameters from here, to bound their terms.  The Legendre p_L is an exact
+rational, rounded once from its integer numerator and denominator.
+Chebyshev and Gegenbauer prefactors grow by an exact-rational ratio, in a
+table per nu, lambda and k cached in the context, from p_0 = f(0) =
+2^-nu / Gamma(nu+1): irrational, the only gamma and fractional power
+(mpcore._pow) of a table, both taken again in the guard context of the
 Miller pass below (f(0) rounds that same Gamma once):
 
     Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))    (times 2 for L >= 1)
     Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
 
-With the modified switch of _series_coeff, the same formulas give the
-coefficients of I_nu(kx): the 1F2 argument becomes +k^2/4 and the sign is
-dropped.  The identities take only p_L and the series parameters from here,
-to bound their terms.
-
-Whole tables (coefficient_table, so eval, the oracle and the identity terms)
-sum no series, so nothing cancels at large k.  As f solves
-x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified switch, f then
-(kx)^-nu I_nu(kx)), the coefficients meet an order-3 recurrence in L
+No table sums a series, so nothing cancels at large k.  As f solves
+x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified tables, of
+f = (kx)^-nu I_nu(kx)), the coefficients meet an order-3 recurrence in L
 (_recurrence_coefficients); a table is its minimal solution, by one backward
 pass (Miller) in ctx.guard (working + 10 digits) from 1 at an index N*, scaled
 to f(0) at x = 0 for J and to f(1) = f(0) 0F1(; nu+1; k^2/4) at x = 1 for I
@@ -91,7 +88,7 @@ from .mpcore import (
     neumaier_sum,
     to_fraction,
 )
-from .hypergeom import HyperSpec, _sum_series, eval_pFq, eval_regularized_pFq
+from .hypergeom import HyperSpec, _sum_series, eval_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
@@ -178,66 +175,6 @@ def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
-def _series_coeff(kind, L: int, kf: Fraction, ctx: PrecisionContext, modified: bool = False) -> Real:
-    """The order-L coefficient as (-1)^((step L - offset)/2) p_L 1F2(upper; lower; -k^2/4); modified, of
-    I_nu: the argument +k^2/4 and no sign."""
-    if L < 0:
-        raise DomainError("L must be >= 0")
-    upper, lower = kind._series(L)
-    z = kf * kf / 4
-    sign = 1 if modified or (kind.step * L - kind.offset) % 4 == 0 else -1
-    pref = ctx.dec.multiply(sign, kind._prefactor(L, kf, ctx))
-    return ctx.dec.multiply(pref, eval_pFq(HyperSpec(upper, lower, z if modified else -z), ctx))
-
-
-def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Fourier-Legendre coefficient a_LN(k).
-
-    N in {0, 1} uses the reduced 1F2 forms; larger N goes through the
-    regularized 2F~3 so the b-parameter poles that appear when N > L of the
-    same parity stay finite.
-    """
-    kind = Legendre(N)
-    if L < 0:
-        raise DomainError("L must be >= 0")
-    if (L + N) % 2:
-        return Decimal(0)
-    if N > 1:
-        return legendre_coeff_general(L, N, k, ctx)
-    return _series_coeff(kind, L, to_fraction(k), ctx)
-
-
-def legendre_coeff_general(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """a_LN(k) through the regularized 2F~3 form, valid for every N >= 0."""
-    if L < 0:
-        raise DomainError("L must be >= 0")
-    if (L + N) % 2:
-        return Decimal(0)
-    kf = to_fraction(k)
-    z = -(kf * kf) / 4
-    f = eval_regularized_pFq(
-        HyperSpec(
-            (Fraction(L, 2) + _HALF, Fraction(L, 2) + 1),
-            (L + Fraction(3, 2), Fraction(L - N, 2) + 1, Fraction(L + N, 2) + 1),
-            z,
-        ),
-        ctx,
-    )
-    # p_L = sqrt(pi) (2L+1) L! k^L / 2^(2L+1): Gamma(1/2) times the exact rational rounded once
-    num = (1 if (L - N) % 4 == 0 else -1) * (2 * L + 1) * math.factorial(L) * kf.numerator**L
-    pref = ctx.dec.divide(num, 2 ** (2 * L + 1) * kf.denominator**L)
-    return ctx.dec.multiply(ctx.dec.multiply(gamma(_HALF, ctx), pref), f)
-
-
-def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Chebyshev coefficient, plain-sum convention:
-
-    C_Lnu(k) = (-1)^L k^(2L) 2^(-4L-nu) (2 - delta_L0) / (L! Gamma(L+nu+1))
-               * 1F2(L+1/2; L+nu+1, 2L+1; -k^2/4)
-    """
-    return _series_coeff(Chebyshev(nu), L, to_fraction(k), ctx)
-
-
 def _prefactor_ratio(nuf, lamf, kf):
     """p_(L+1)/p_L of the Chebyshev (lamf None) or Gegenbauer prefactor; Fractions or floats."""
     if lamf is None:
@@ -250,16 +187,6 @@ def _even_prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
     from the table that grows by _prefactor_ratio from f(0)."""
     start = lambda: _value_at_zero(nuf, ctx)
     return ctx._table(("prefactor", *_pairs(nuf, lamf or 0, kf)), start, _prefactor_ratio(nuf, lamf, kf), L)
-
-
-def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Gegenbauer coefficient:
-
-    b_Lnu(k) = (-1)^L k^(2L) 2^(2L-nu) (lam+1/2)_2L
-               / (sqrt(pi) (2lam)_2L (2L+2lam)_2L (L+1/2)_{nu+1/2})
-               * 1F2(L+1/2; 2L+lam+1, L+nu+1; -k^2/4)
-    """
-    return _series_coeff(Gegenbauer(nu, lam), L, to_fraction(k), ctx)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -370,6 +297,53 @@ def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     """Coefficients for L = 0..lmax (Legendre keeps its parity zeros), by backward recurrence."""
     kf = _table_args(k, lmax)
     return CoefficientTable(kind=kind, k=kf, entries=tuple(enumerate(_table_values(kind, kf, lmax + 1, ctx))))
+
+
+def _coefficients(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
+    """At least count entries of the kind's table at k (modified: of I_nu), cached in the context under
+    (family, k, nu, lambda, modified) and rebuilt twice as long as asked when a later read needs more."""
+    key = ("table", type(kind), *_pairs(kf, kind.nu, kind.lam or 0), modified)
+    return ctx._grown(key, count, lambda n: _table_values(kind, kf, n, ctx, modified))
+
+
+def _entry(kind, L: int, k, ctx: PrecisionContext) -> Real:
+    if L < 0:
+        raise DomainError("L must be >= 0")
+    return _coefficients(kind, _table_args(k, L), L + 1, ctx)[L]
+
+
+def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
+    """Fourier-Legendre coefficient, entry L of the context-cached table:
+
+    a_LN(k) = (-1)^((L-N)/2) sqrt(pi) (2L+1) L! k^L / 2^(2L+1)
+              * 2F~3((L+1)/2, L/2+1; L+3/2, (L-N)/2+1, (L+N)/2+1; -k^2/4)
+
+    for L - N even (else 0); the regularized 2F~3 stays finite where N > L,
+    and for N in {0, 1} it reduces to the 1F2 of Legendre._series.
+    """
+    return _entry(Legendre(N), L, k, ctx)
+
+
+legendre_coeff_general = legendre_coeff  # the 2F~3 form holds for every N, so the two share one table
+
+
+def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
+    """Chebyshev coefficient, plain-sum convention, entry L of the context-cached table:
+
+    C_Lnu(k) = (-1)^L k^(2L) 2^(-4L-nu) (2 - delta_L0) / (L! Gamma(L+nu+1))
+               * 1F2(L+1/2; L+nu+1, 2L+1; -k^2/4)
+    """
+    return _entry(Chebyshev(nu), L, k, ctx)
+
+
+def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
+    """Gegenbauer coefficient, entry L of the context-cached table:
+
+    b_Lnu(k) = (-1)^L k^(2L) 2^(2L-nu) (lam+1/2)_2L
+               / (sqrt(pi) (2lam)_2L (2L+2lam)_2L (L+1/2)_{nu+1/2})
+               * 1F2(L+1/2; 2L+lam+1, L+nu+1; -k^2/4)
+    """
+    return _entry(Gegenbauer(nu, lam), L, k, ctx)
 
 
 def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -20,6 +20,10 @@ One loop, _sum_series, sums both these series and the Maclaurin series of
 expansions.bessel_j_ref: it takes the next term from a step function and the
 tail bound from the caller, keeps the terms, and sums them in order by
 mpcore.neumaier_sum.
+
+No expansion coefficient is a pFq sum here: the library's one pFq is the 0F1
+that scales the I_nu tables.  The tests sum the paper's 1F2 and 2F~3
+coefficient forms with these evaluators, as the tables' independent check.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ Each term is the order-L entry of the family's backward-recurrence table
 coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_parts, an
 integer over an integer, divided once in Decimal), times k^nu for Chebyshev
 and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k, and the
-table is cached in the context, so an h-sweep builds it once.  The stopping
-order comes first, from bounds on the terms (_bound_factor); only then are
-table entries read.  The right-hand side is f(0) k^nu times an exact
-rational, or for integer nu one exact rational, rounded once.
+table is cached in the context (expansions._coefficients), so an h-sweep
+builds it once.  The stopping order comes first, from bounds on the terms
+(_bound_factor); only then are table entries read.  The right-hand side is
+f(0) k^nu times an exact rational, or for integer nu one exact rational,
+rounded once.
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor) every helper here
@@ -54,7 +55,7 @@ from .mpcore import (
     neumaier_sum,
     to_fraction,
 )
-from .expansions import Chebyshev, Gegenbauer, Legendre, _table_values, _value_at_zero, coefficient_table
+from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_at_zero, coefficient_table
 from .orthopoly import GegenbauerC, LegendreP, monomial_numerators
 
 _HALF = Fraction(1, 2)
@@ -90,7 +91,7 @@ class IdentityCase(Value):
     lmax is the last order summed, or None to stop where the tail bound allows
     (verify_identity).  kind is the id's expansion kind at the case's nu and
     lambda, which it checks; nu and lam are read back from it.  _key is the key
-    of the case's table and bound caches, built once from integer pairs
+    of the case's bound cache, built once from integer pairs
     (Fraction.__hash__ takes a modular inverse on every call).  Neither is a
     field: they follow from the fields.
     """
@@ -152,7 +153,7 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
         raise DomainError("L must be >= 0")
     if (case.kind.step * L - case.kind.offset) % 2 or L < first_contributing_order(case):
         return Decimal(0)  # a polynomial of the wrong parity or too low a degree has no x^(2h+offset)
-    return ctx.dec.multiply(_coefficients(case, L + 1, ctx)[L], _weight(case, L, ctx))
+    return ctx.dec.multiply(_coefficients(case.kind, case.k, L + 1, ctx, case.sign_flip)[L], _weight(case, L, ctx))
 
 
 def _weight(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
@@ -166,13 +167,6 @@ def _weight(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
     key = ("k^nu", k.numerator, k.denominator, nu.numerator, nu.denominator)  # once per term: no generator
     return ctx._cached(key, lambda: _pow(k, nu, ctx))
-
-
-def _coefficients(case: IdentityCase, count: int, ctx: PrecisionContext) -> list:
-    """At least count entries of the case's table (of I_nu with sign_flip), cached under case._key
-    (family, k, nu, lambda, sign_flip) and rebuilt twice as long as asked when a later h or L needs more."""
-    build = lambda n: _table_values(case.kind, case.k, n, ctx, case.sign_flip)
-    return ctx._grown(("table", case._key), count, build)
 
 
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
@@ -328,7 +322,7 @@ def verify_identity(
     else:
         if case.lmax is None:
             raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
-    table = _coefficients(case, weights[-1][0] + 1, ctx) if weights else []
+    table = _coefficients(case.kind, case.k, weights[-1][0] + 1, ctx, case.sign_flip) if weights else []
     terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
     lhs = neumaier_sum((term for L, term in terms), ctx)
     with localcontext(ctx.dec):

@@ -1,11 +1,14 @@
-"""Shared test utilities: exact-rational oracles and digit-string helpers."""
+"""Shared test utilities: exact-rational oracles, the paper's series forms of the coefficients and
+digit-string helpers."""
 
 import functools
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from besselseries.mpcore import pochhammer_fraction
+from besselseries import DomainError, Legendre
+from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
+from besselseries.mpcore import gamma, pochhammer_fraction
 
 
 def format_decimal_by_quantize(v, sig_digits: int) -> str:
@@ -150,3 +153,44 @@ def brace_factor_eq10(L: int, h: int) -> Fraction:
         * pochhammer_fraction(Fraction(-L, 2), h)
         / (math.factorial(h) * pochhammer_fraction(Fraction(1, 2), h))
     )
+
+
+def series_coeff(kind, L: int, k, ctx, modified: bool = False):
+    """The paper's order-L coefficient, the second algorithm the backward-recurrence tables are checked
+    against: (-1)^((step L - offset)/2) kind._prefactor times the 1F2(kind._series; -k^2/4), 0 where
+    step L - offset is odd; modified, of I_nu: the argument +k^2/4 and no sign.  Legendre N >= 2 (not
+    modified) takes the regularized 2F~3 of legendre_coeff_2f3.  The sum cancels about k/ln 10 digits."""
+    if L < 0:
+        raise DomainError("L must be >= 0")
+    if (kind.step * L - kind.offset) % 2:
+        return Decimal(0)
+    kf = Fraction(k)
+    if isinstance(kind, Legendre) and kind.N > 1:
+        assert not modified, "no 1F2 form of the I_N coefficients for N >= 2"
+        return legendre_coeff_2f3(L, kind.N, kf, ctx)
+    upper, lower = kind._series(L)
+    z = kf * kf / 4
+    sign = 1 if modified or (kind.step * L - kind.offset) % 4 == 0 else -1
+    pref = ctx.dec.multiply(sign, kind._prefactor(L, kf, ctx))
+    return ctx.dec.multiply(pref, eval_pFq(HyperSpec(upper, lower, z if modified else -z), ctx))
+
+
+def legendre_coeff_2f3(L: int, N: int, k, ctx):
+    """a_LN(k) = (-1)^((L-N)/2) sqrt(pi) (2L+1) L! k^L / 2^(2L+1) 2F~3((L+1)/2, L/2+1; L+3/2, (L-N)/2+1,
+    (L+N)/2+1; -k^2/4), 0 for odd L - N: the regularized form holds for every N >= 0, N > L included."""
+    if L < 0:
+        raise DomainError("L must be >= 0")
+    if (L + N) % 2:
+        return Decimal(0)
+    kf = Fraction(k)
+    half = Fraction(1, 2)
+    spec = HyperSpec(
+        (Fraction(L, 2) + half, Fraction(L, 2) + 1),
+        (L + 3 * half, Fraction(L - N, 2) + 1, Fraction(L + N, 2) + 1),
+        -(kf * kf) / 4,
+    )
+    f = eval_regularized_pFq(spec, ctx)
+    # Gamma(1/2) times the exact rational, rounded once
+    num = (1 if (L - N) % 4 == 0 else -1) * (2 * L + 1) * math.factorial(L) * kf.numerator**L
+    pref = ctx.dec.divide(num, 2 ** (2 * L + 1) * kf.denominator**L)
+    return ctx.dec.multiply(ctx.dec.multiply(gamma(half, ctx), pref), f)

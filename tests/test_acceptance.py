@@ -281,7 +281,7 @@ def test_criterion_7_regularized_pole_handling(ctx):
         with localcontext(ctx.dec):
             worst = max(worst, abs(got - want))
     assert worst <= Decimal("1e-30")
-    # the N > L coefficients flow through the regularized route and stay finite
+    # the N > L coefficients, whose 2F~3 form needs the regularized route, are finite table entries
     for L in (0, 1, 2):
         c = legendre_coeff(L, 2, 1, ctx)
         assert c.is_finite()

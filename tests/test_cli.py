@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from besselseries import cli
+from besselseries import cli, expansions
 from besselseries.cli import build_parser, main, parse_exact
 
 import reference_tables as ref
@@ -377,6 +377,16 @@ def test_hard_caps_are_usage_errors(argv, message, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines()[-1] == message
+
+
+def test_eval_refuses_an_unconvergent_reference_before_building_the_table(monkeypatch, capsys):
+    # J_0(100000) needs more Maclaurin terms than hypergeom._MAX_TERMS; the table it would check has 68,041 rows
+    built = []
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--kind", "chebyshev", "--nu", "0", "--k", "100000", "--x", "1", "--lmax", "5"])
+    assert err.value.code == 2 and built == []
+    assert capsys.readouterr().out == ""
 
 
 def test_unwritable_out_is_a_usage_error_before_any_output(capsys, tmp_path):

@@ -22,14 +22,16 @@ from besselseries import (
     legendre_coeff_general,
     neumaier_sum,
 )
-from besselseries import expansions, mpcore
-from besselseries.expansions import _miller_table, _recurrence_coefficients, _series_coeff, _table_values
+from besselseries import expansions, hypergeom, mpcore
+from besselseries.expansions import _miller_table, _recurrence_coefficients, _table_values
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, eval_poly
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
 from besselseries.mpcore import _pow, gamma, pochhammer, pochhammer_fraction
 
+import helpers
 from helpers import (
-    fraction_to_decimal, machin_pi, pFq_rational_prefix, recurrence_coefficients_exact, rel_diff, sig_digit_count,
+    fraction_to_decimal, legendre_coeff_2f3, machin_pi, pFq_rational_prefix, recurrence_coefficients_exact, rel_diff,
+    series_coeff, sig_digit_count,
 )
 import reference_tables as ref
 
@@ -58,8 +60,8 @@ def test_reduced_forms_agree_with_general_form(ctx):
         for L in range(N, 43, 6):
             if (L + N) % 2:
                 L += 1
-            reduced = legendre_coeff(L, N, 1, ctx)
-            general = legendre_coeff_general(L, N, 1, ctx)
+            reduced = series_coeff(Legendre(N), L, 1, ctx)
+            general = legendre_coeff_2f3(L, N, 1, ctx)
             assert rel_diff(reduced, general) < Decimal("1e-58"), (L, N)
 
 
@@ -138,7 +140,7 @@ def _core_and_series(family, L, params, modified, ctx):
         (N,) = params
         upper = (Fraction(L, 2) + half + N * half,)
         spec = HyperSpec(upper, (Fraction(L, 2) + 1 + N * half, L + Fraction(3, 2)), z)
-        core = _series_coeff(Legendre(N), L, RATIO_K, ctx, modified)
+        core = series_coeff(Legendre(N), L, RATIO_K, ctx, modified)
         sign = 1 if modified or (L - N) % 4 == 0 else -1
         return core, eval_pFq(spec, ctx), sign, 1
     if family == "legendre-regularized":
@@ -146,14 +148,14 @@ def _core_and_series(family, L, params, modified, ctx):
         lower = (L + Fraction(3, 2), Fraction(L - N, 2) + 1, Fraction(L + N, 2) + 1)
         spec = HyperSpec((Fraction(L, 2) + half, Fraction(L, 2) + 1), lower, z)
         sign = 1 if (L - N) % 4 == 0 else -1
-        return legendre_coeff_general(L, N, RATIO_K, ctx), eval_regularized_pFq(spec, ctx), sign, 1
+        return legendre_coeff_2f3(L, N, RATIO_K, ctx), eval_regularized_pFq(spec, ctx), sign, 1
     sign = -1 if L % 2 and not modified else 1
     if family == "chebyshev":
         (nu,) = params
-        core = _series_coeff(Chebyshev(nu), L, RATIO_K, ctx, modified)
+        core = series_coeff(Chebyshev(nu), L, RATIO_K, ctx, modified)
         return core, eval_pFq(HyperSpec((L + half,), (L + nu + 1, 2 * L + 1), z), ctx), sign, 2 if L else 1
     nu, lam = params
-    core = _series_coeff(Gegenbauer(nu, lam), L, RATIO_K, ctx, modified)
+    core = series_coeff(Gegenbauer(nu, lam), L, RATIO_K, ctx, modified)
     return core, eval_pFq(HyperSpec((L + half,), (2 * L + lam + 1, L + nu + 1), z), ctx), sign, 1
 
 
@@ -190,10 +192,10 @@ def test_ratio_prefactors_match_gamma_pochhammer_forms(digits):
 def test_legendre_prefactors_are_their_exact_rationals_rounded_once(digits, monkeypatch):
     # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), with Gamma(L+3/2) = sqrt(pi) (1/2)_(L+1),
     # and the regularized p_L over sqrt(pi), (2L+1) L! k^L / 2^(2L+1): each one rational, rounded once.  With
-    # the 2F~3 and Gamma(1/2) set to 1, legendre_coeff_general returns its signed rational prefactor.
+    # the 2F~3 and Gamma(1/2) set to 1, legendre_coeff_2f3 returns its signed rational prefactor.
     ctx = PrecisionContext(working_digits=digits)
-    monkeypatch.setattr(expansions, "eval_regularized_pFq", lambda spec, c: Decimal(1))
-    monkeypatch.setattr(expansions, "gamma", lambda x, c: Decimal(1) if x == Fraction(1, 2) else None)
+    monkeypatch.setattr(helpers, "eval_regularized_pFq", lambda spec, c: Decimal(1))
+    monkeypatch.setattr(helpers, "gamma", lambda x, c: Decimal(1) if x == Fraction(1, 2) else None)
     for k in (Fraction(3, 2), Fraction(17, 3), Fraction(100)):
         for N in range(4):
             for L in range(N, 201, 2):
@@ -202,7 +204,7 @@ def test_legendre_prefactors_are_their_exact_rationals_rounded_once(digits, monk
                 assert Legendre(N)._prefactor(L, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
                 sign = 1 if (L - N) % 4 == 0 else -1
                 want = Fraction(sign * (2 * L + 1) * math.factorial(L), 2 ** (2 * L + 1)) * k**L
-                assert legendre_coeff_general(L, N, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
+                assert legendre_coeff_2f3(L, N, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
 
 
 @pytest.mark.parametrize(
@@ -254,14 +256,6 @@ TABLE_IDS = [
 ]
 
 
-def _series_entry(kind, L, k, ctx):
-    if isinstance(kind, Legendre):
-        return legendre_coeff(L, kind.N, k, ctx)
-    if isinstance(kind, Chebyshev):
-        return chebyshev_coeff(L, kind.nu, k, ctx)
-    return gegenbauer_coeff(L, kind.nu, kind.lam, k, ctx)
-
-
 def _assert_tables_agree(table, reference, digits):
     for (L, got), want in zip(table, reference):
         if want == 0:
@@ -273,14 +267,14 @@ def _assert_tables_agree(table, reference, digits):
 @pytest.mark.parametrize("digits", [64, 128])
 @pytest.mark.parametrize("kind", TABLE_KINDS, ids=TABLE_IDS)
 def test_recurrence_table_matches_series_coefficients(kind, digits):
-    # Two algorithms: the table runs the recurrence backward, the per-L
-    # functions sum the 1F2 (2F~3) series, here with digits to spare for the
+    # Two algorithms: the table runs the recurrence backward, the test oracle
+    # sums the 1F2 (2F~3) series, here with digits to spare for the
     # cancellation at k = 30.
     ctx = PrecisionContext(working_digits=digits)
     series_ctx = PrecisionContext(working_digits=digits + 30)
     for k in (Fraction(1, 2**20), Fraction(1), Fraction(8), Fraction(30)):
         table = coefficient_table(kind, k, 30, ctx).entries
-        _assert_tables_agree(table, [_series_entry(kind, L, k, series_ctx) for L in range(31)], digits)
+        _assert_tables_agree(table, [series_coeff(kind, L, k, series_ctx) for L in range(31)], digits)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +286,7 @@ def test_k100_table_matches_series_at_doubled_precision(kind):
     ctx = PrecisionContext()
     series_ctx = PrecisionContext(working_digits=2 * 64 + 60)
     table = coefficient_table(kind, 100, 60, ctx).entries
-    _assert_tables_agree(table, [_series_entry(kind, L, 100, series_ctx) for L in range(61)], 64)
+    _assert_tables_agree(table, [series_coeff(kind, L, 100, series_ctx) for L in range(61)], 64)
 
 
 MODIFIED_KINDS = [Chebyshev(0), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(7, 3)),
@@ -306,8 +300,7 @@ def test_modified_table_matches_series_at_doubled_precision(kind):
     ctx, series_ctx = PrecisionContext(), PrecisionContext(working_digits=128)
     for k in (Fraction(1), Fraction(8), Fraction(30), Fraction(60), Fraction(100)):
         table = enumerate(_table_values(kind, k, 41, ctx, modified=True))
-        want = [_series_coeff(kind, L, k, series_ctx, True) if (kind.step * L - kind.offset) % 2 == 0 else 0
-                for L in range(41)]
+        want = [series_coeff(kind, L, k, series_ctx, True) for L in range(41)]
         _assert_tables_agree(table, want, 64)
 
 
@@ -344,9 +337,9 @@ def test_series_coefficients_satisfy_the_recurrence(nu, lam):
     k = Fraction(8)
     with localcontext(ctx.dec):
         if lam == 0:
-            a = [chebyshev_coeff(L, nu, k, ctx) * (2 if L == 0 else 1) for L in range(34)]
+            a = [series_coeff(Chebyshev(nu), L, k, ctx) * (2 if L == 0 else 1) for L in range(34)]
         else:
-            a = [gegenbauer_coeff(L, nu, lam, k, ctx) / ctx.real(2 * L + lam) for L in range(34)]
+            a = [series_coeff(Gegenbauer(nu, lam), L, k, ctx) / ctx.real(2 * L + lam) for L in range(34)]
         row = _recurrence_coefficients(nu, lam, k * k)
         for L in range(30):
             terms = [c * v for c, v in zip(row(L), a[L : L + 4])]
@@ -443,6 +436,61 @@ def test_large_k_tables_right_in_every_displayed_digit(kind, ctx):
                 assert abs(mpmath.mpf(printed) - ref) <= half_ulp * (1 + mpmath.mpf(10) ** -40), (k, L, printed)
 
 
+PER_L_KINDS = [Legendre(0), Legendre(1), Legendre(3), Chebyshev(0), Chebyshev(Fraction(1, 3)),
+               Gegenbauer(Fraction(2, 3), Fraction(1, 3))]
+PER_L_IDS = ["leg0", "leg1", "leg3", "cheb0", "cheb1/3", "geg2/3,1/3"]
+
+
+def _per_l_values(kind, L, k, ctx):
+    """The order-L coefficient from every public per-L function of the kind's family."""
+    if isinstance(kind, Legendre):
+        return [legendre_coeff(L, kind.N, k, ctx), legendre_coeff_general(L, kind.N, k, ctx)]
+    if isinstance(kind, Chebyshev):
+        return [chebyshev_coeff(L, kind.nu, k, ctx)]
+    return [gegenbauer_coeff(L, kind.nu, kind.lam, k, ctx)]
+
+
+@pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
+def test_per_l_functions_are_table_entries(kind, ctx):
+    # The per-L functions grow their own context-cached table as L rises; coefficient_table builds one at
+    # lmax = 60.  Where the 1F2 would cancel 13 to 87 digits, every displayed digit agrees.
+    per_l_ctx = PrecisionContext()
+    for k in (30, 60, 100, 200):
+        for L, entry in coefficient_table(kind, k, 60, ctx).entries:
+            for value in _per_l_values(kind, L, k, per_l_ctx):
+                assert format_decimal(value, 34) == format_decimal(entry, 34), (k, L)
+
+
+@pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
+def test_per_l_functions_match_the_paper_series_in_mpmath(kind, ctx):
+    # The paper's 1F2 (2F~3) form by mpmath at 120 digits, which raises its own precision where the series
+    # cancels; for Chebyshev nu = 0 also the closed form (2 - delta_L0) (-1)^L J_L(k/2)^2.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        for k in (30, 60, 100, 200):
+            for L in range(61):
+                refs = [_mpmath_coefficient(mpmath, kind, L, k)]
+                if kind == Chebyshev(0):
+                    refs.append((2 if L else 1) * (-1) ** L * mpmath.besselj(L, mpmath.mpf(k) / 2) ** 2)
+                for value in _per_l_values(kind, L, k, ctx):
+                    for ref in refs:
+                        if ref == 0:
+                            assert value == 0, (k, L)
+                        else:
+                            assert abs(mpmath.mpf(str(value)) - ref) <= abs(ref) * mpmath.mpf(10) ** -34, (k, L)
+
+
+def test_per_l_functions_sum_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-L coefficient summed a series")
+
+    monkeypatch.setattr(hypergeom, "_sum_from", refuse)
+    ctx = PrecisionContext()
+    for kind in PER_L_KINDS:
+        for L in (0, 1, 2, 7):  # Legendre(3) at L = 1: N > L, where the paper's form needs the 2F~3
+            _per_l_values(kind, L, 30, ctx)
+
+
 @pytest.mark.parametrize("N", [4, 5, 6, 7])
 def test_legendre_pole_entries_match_exact_oracle(N, ctx):
     # For L <= N the regularized 2F~3 has its lower parameter (L-N)/2 + 1 at
@@ -451,13 +499,13 @@ def test_legendre_pole_entries_match_exact_oracle(N, ctx):
     #          * 2F3(a1+s, a2+s; s+1, L+3/2+s, N+1; z)
     # at z = -1/4 (k = 1), with n = L+1+s: Gamma(L+3/2+s) = (2n-1)!! sqrt(pi) / 2^n
     # and Gamma((L+N)/2+1+s) = N!, so the sqrt(pi) of the prefactor cancels.
-    # The table comes from the backward recurrence, the per-L function from
+    # The table comes from the backward recurrence, the test oracle from
     # the regularized 2F~3: two algorithms, so they agree to 10^-(64-3).
     table = coefficient_table(Legendre(N), 1, N + 4, ctx).entries
     fresh = PrecisionContext()
     z = Fraction(-1, 4)
     for L in range(N % 2, N + 1, 2):
-        assert rel_diff(table[L][1], legendre_coeff_general(L, N, 1, fresh)) < Decimal("1e-61"), L
+        assert rel_diff(table[L][1], legendre_coeff_2f3(L, N, 1, fresh)) < Decimal("1e-61"), L
         s = (N - L) // 2
         n = L + 1 + s
         a1, a2 = Fraction(L, 2) + Fraction(1, 2), Fraction(L, 2) + 1
@@ -481,9 +529,9 @@ def test_eval_expansion_accuracy_claims(ctx):
 
 
 def test_eval_expansion_trivial_points(ctx):
-    # one-term expansions: the recurrence table's first entry against the per-L 1F2 value
-    assert rel_diff(eval_expansion(Chebyshev(0), 1, 0, 0, ctx), chebyshev_coeff(0, 0, 1, ctx)) < Decimal("1e-61")
-    assert rel_diff(eval_expansion(Legendre(0), 1, 0, 0, ctx), legendre_coeff(0, 0, 1, ctx)) < Decimal("1e-61")
+    # one-term expansions: the recurrence table's first entry against the paper's 1F2 value
+    for kind in (Chebyshev(0), Legendre(0)):
+        assert rel_diff(eval_expansion(kind, 1, 0, 0, ctx), series_coeff(kind, 0, 1, ctx)) < Decimal("1e-61"), kind
     # positive order vanishes at the origin
     assert eval_expansion(Chebyshev(1), 1, 0, 21, ctx) == 0
 
@@ -550,7 +598,7 @@ def test_sum_rule_at_origin(ctx):
     for k, lmax, tol in [(1, 21, "1e-33"), (5, 21, "1e-33"), (8, 21, "1e-25"), (8, 26, "1e-33")]:
         direct = eval_expansion(Chebyshev(0), k, 0, lmax, ctx)
         signed = (
-            chebyshev_coeff(L, 0, k, ctx) if L % 2 == 0 else -chebyshev_coeff(L, 0, k, ctx)
+            series_coeff(Chebyshev(0), L, k, ctx) * (-1) ** L
             for L in range(lmax + 1)
         )
         alt = neumaier_sum(signed, ctx)

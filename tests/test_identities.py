@@ -14,18 +14,15 @@ from besselseries import (
     Legendre,
     PrecisionContext,
     brace_factor_legendre,
-    chebyshev_coeff,
     first_contributing_order,
     format_decimal,
     gamma,
-    gegenbauer_coeff,
     identity_rhs,
     identity_term,
-    legendre_coeff,
     power_gather_oracle,
     verify_identity,
 )
-from besselseries import hypergeom, identities
+from besselseries import expansions, hypergeom, identities
 from besselseries.cli import main
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
@@ -35,6 +32,7 @@ from helpers import (
     machin_pi,
     pFq_rational_prefix,
     rel_diff,
+    series_coeff,
     sig_digit_count,
     sin_rational_series,
 )
@@ -99,21 +97,21 @@ FACTOR_CASES = [
 
 
 def _factors(case, L, ctx):
-    """(public coefficient, 1F2 parameters, sign on k^(2L), k^nu, basis, degree, power)."""
+    """(the paper's coefficient by its series, 1F2 parameters, sign on k^(2L), k^nu, basis, degree, power)."""
     nu, lam, h = case.nu, case.lam, case.h
     half = Fraction(1, 2)
     if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
         N = int(nu)
         params = ((Fraction(L, 2) + half + N * half,), (Fraction(L, 2) + 1 + N * half, L + Fraction(3, 2)))
         sign = -1 if ((L - N) // 2) % 2 else 1
-        return legendre_coeff(L, N, case.k, ctx), params, sign, Fraction(1), LegendreP(), L, 2 * h + N
+        return series_coeff(case.kind, L, case.k, ctx), params, sign, Fraction(1), LegendreP(), L, 2 * h + N
     sign = -1 if L % 2 else 1
     k_nu = {0: 1, Fraction(1): FACTOR_K, Fraction(1, 3): Fraction(3, 2), Fraction(2, 3): Fraction(9, 4)}[nu]
     if lam is None:
         params = ((L + half,), (L + nu + 1, 2 * L + 1))
-        return chebyshev_coeff(L, nu, case.k, ctx), params, sign, k_nu, ChebyshevT(), 2 * L, 2 * h
+        return series_coeff(case.kind, L, case.k, ctx), params, sign, k_nu, ChebyshevT(), 2 * L, 2 * h
     params = ((L + half,), (2 * L + lam + 1, L + nu + 1))
-    return gegenbauer_coeff(L, nu, lam, case.k, ctx), params, sign, k_nu, GegenbauerC(lam), 2 * L, 2 * h
+    return series_coeff(case.kind, L, case.k, ctx), params, sign, k_nu, GegenbauerC(lam), 2 * L, 2 * h
 
 
 @pytest.mark.parametrize("sign_flip", [False, True], ids=["J", "I"])
@@ -169,9 +167,9 @@ def test_shared_context_matches_fresh_contexts():
 def test_sweep_builds_each_coefficient_once(monkeypatch, capsys):
     # The terms read one backward-recurrence table: the sweep builds it once and sums no series.
     series, tables = [], []
-    series_fn, table_fn = hypergeom._sum_from, identities._table_values
+    series_fn, table_fn = hypergeom._sum_from, expansions._table_values
     monkeypatch.setattr(hypergeom, "_sum_from", lambda *a: series.append(a) or series_fn(*a))
-    monkeypatch.setattr(identities, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
     # k = 8: at k = 1 the tail bound stops each h after about 12 orders, too few for a tenfold reuse
     assert main(["verify", "--id", "chebyshev-even", "--h", "0..20", "--k", "8", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
@@ -191,8 +189,8 @@ SWEEP_ROW_CASES = [
 def test_sweep_row_equals_the_single_h_run(args, monkeypatch, capsys):
     # h = 0..20 at small k outgrows the table built for h = 0, so the sweep rebuilds it
     # on one context; every row must still print as that h run alone does.
-    tables, table_fn = [], identities._table_values
-    monkeypatch.setattr(identities, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
+    tables, table_fn = [], expansions._table_values
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
     assert main(["verify", *args, "--h", "0..20", "--format", "json"]) == 0
     sweep = json.loads(capsys.readouterr().out)
     assert len(tables) >= 2
