@@ -21,6 +21,7 @@ from .expansions import (
     Gegenbauer,
     Legendre,
     bessel_j_ref,
+    check_eval_args,
     coefficient_table,
     eval_expansion,
 )
@@ -185,6 +186,7 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     kind = _build_kind(args)
     ctx = PrecisionContext(args.working_digits, args.digits)
+    check_eval_args(kind, args.k, args.x, args.lmax)
     reference = bessel_j_ref(kind.nu, args.k * args.x, ctx)  # first: one that cannot converge costs no table
     value = eval_expansion(kind, args.k, args.x, args.lmax, ctx)
     row = {

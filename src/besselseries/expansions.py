@@ -81,14 +81,13 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
-    TailBound,
     Value,
     _pow,
     gamma,
     neumaier_sum,
     to_fraction,
 )
-from .hypergeom import HyperSpec, _sum_series, eval_pFq
+from .hypergeom import HyperSpec, eval_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
 _HALF = Fraction(1, 2)
@@ -346,16 +345,22 @@ def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT
     return _entry(Gegenbauer(nu, lam), L, k, ctx)
 
 
-def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Truncated expansion value at x in [-1, 1], summed by Clenshaw's recurrence."""
+def check_eval_args(kind, k, x, lmax: int) -> tuple:
+    """eval's argument checks, made before any series or table: (k, x) as Fractions, or DomainError."""
     xf = to_fraction(x)
     if abs(xf) > 1:
         raise DomainError("x must lie in [-1, 1]")
     kf = _table_args(k, lmax)
-    if xf == 0 and kind.offset:
-        return Decimal(0)  # the sum is J_N(kx) itself, exactly 0 at x = 0; it would only leave rounding residue
     if kind.outer.denominator != 1 and xf < 0:
         raise DomainError("non-integer nu needs x >= 0 (fractional power of kx)")
+    return kf, xf
+
+
+def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
+    """Truncated expansion value at x in [-1, 1], summed by Clenshaw's recurrence."""
+    kf, xf = check_eval_args(kind, k, x, lmax)
+    if xf == 0 and kind.offset:
+        return Decimal(0)  # the sum is J_N(kx) itself, exactly 0 at x = 0; it would only leave rounding residue
     coeffs = [Decimal(0)] * (kind.step * lmax + 1)
     coeffs[::kind.step] = [c for _, c in coefficient_table(kind, kf, lmax, ctx).entries]
     s = clenshaw_sum(kind.poly, coeffs, xf, ctx)
@@ -367,13 +372,13 @@ def eval_expansion(kind, k, x, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
 
 
 def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Independent reference: Maclaurin series of J_nu(z).
+    """Independent reference: Maclaurin series of J_nu(z),
 
-    J_nu(z) = sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)), the lead (z/2)^nu
-    by mpcore._pow, summed by the loop of the hypergeometric evaluator
-    (hypergeom._sum_series, one loop for both series) until the proven tail
-    bound is below 10^-(working_digits + 5) of the larger of 1 and the sum.
-    It shares no table, prefactor or cache with the coefficients it checks.
+    J_nu(z) = (z/2)^nu / Gamma(nu+1) 0F1(; nu+1; -z^2/4),
+
+    the lead by mpcore._pow and gamma, the 0F1 summed by hypergeom.eval_pFq on the
+    exact argument -z^2/4.  It shares no table, prefactor or cache with the
+    coefficients it checks.
     """
     nuf = to_fraction(nu)
     if nuf < 0:
@@ -381,12 +386,8 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     zf = to_fraction(z)
     if zf < 0 and nuf.denominator != 1:
         raise DomainError("non-integer nu needs z >= 0")
-    # t_(m+1)/t_m = -(z/2)^2 / ((m + 1) (m + nu + 1)): the bound holds from m = 0
-    tail = TailBound(zf * zf / 4, (), ((1, 1), (nuf.numerator + nuf.denominator, nuf.denominator)))
+    if zf == 0:
+        return ctx.real(1) if nuf == 0 else Decimal(0)
     with localcontext(ctx.dec):
-        half_z = ctx.real(zf) / 2
-        if half_z == 0:
-            return ctx.real(1) if nuf == 0 else Decimal(0)
-        w, nu_d = -half_z * half_z, ctx.real(nuf)
-        step = lambda m, term: term * w / ((m + 1) * (nu_d + m + 1))
-        return _sum_series(tail, 0, _pow(half_z, nuf, ctx) / gamma(nuf + 1, ctx), step, ctx, regularized=False)[0]
+        lead = _pow(ctx.real(zf) / 2, nuf, ctx) / gamma(nuf + 1, ctx)
+        return lead * eval_pFq(HyperSpec((), (nuf + 1,), -zf * zf / 4), ctx)

@@ -10,19 +10,19 @@ one integer, pz prod(qb_j) prod(pa_i + m qa_i), over another,
 qz (m + 1) prod(qa_i) prod(pb_j + m qb_j): one Decimal multiplication and one
 division per term.  Summation stops once the proven bound on all later terms
 together (mpcore.TailBound on the same ratio, with (m + 1) as one more lower
-factor) is below ctx.negligible = 10^-(working_digits + 5) times the scale,
-so every term left out is accounted for, however the signs fall.  The bound
-is only tried from the first term below that limit on: where it could pass
-earlier, R(m) < 1/2 and the next term is already below the limit, so this
-stops at most one term later and spares the bound on every term before.
+factor) is below ctx.negligible = 10^-(working_digits + 5) times the larger of
+1 and |partial sum|, so every term left out is accounted for, however the signs
+fall.  The bound is only tried from the first term below that limit on: where
+it could pass earlier, R(m) < 1/2 and the next term is already below the limit,
+so this stops at most one term later and spares the bound on every term before.
 
-One loop, _sum_series, sums both these series and the Maclaurin series of
-expansions.bessel_j_ref: it takes the next term from a step function and the
-tail bound from the caller, keeps the terms, and sums them in order by
-mpcore.neumaier_sum.
+One loop, _sum_from, sums every series: it keeps the terms and sums them in
+order by mpcore.neumaier_sum.  The regularized evaluator sums from 1 at its
+first nonvanishing term and multiplies by that term's value once.
 
-No expansion coefficient is a pFq sum here: the library's one pFq is the 0F1
-that scales the I_nu tables.  The tests sum the paper's 1F2 and 2F~3
+The library sums two pFq of its own, both 0F1(; nu+1; -+z^2/4): the Maclaurin
+series of expansions.bessel_j_ref and the x = 1 scale of the I_nu tables.  No
+expansion coefficient is a pFq sum.  The tests sum the paper's 1F2 and 2F~3
 coefficient forms with these evaluators, as the tables' independent check.
 """
 
@@ -75,49 +75,31 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use eval_regularized_pFq"
         )
-    return _sum_from(spec, 0, Decimal(1), ctx, regularized=False)[0]
+    return _sum_from(spec, 0, Decimal(1), ctx)[0]
 
 
-def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext, regularized: bool) -> tuple:
-    """_sum_series of spec's terms from t_m = term, each next term one integer ratio away."""
+def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext) -> tuple:
+    """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) of spec's series from t_m = term,
+    stopped as the module docstring says; past _MAX_TERMS terms it raises DomainError."""
     upper = [(a.numerator, a.denominator) for a in spec.upper]
     lower = [(b.numerator, b.denominator) for b in spec.lower]
     num_z = spec.z.numerator * math.prod(q for _, q in lower)
     den_z = spec.z.denominator * math.prod(q for _, q in upper)
-
-    def step(m, term):
-        num, den = num_z, den_z * (m + 1)
-        for p, q in upper:
-            num *= p + m * q
-        for p, q in lower:
-            den *= p + m * q
-        return term * num / den
-
-    return _sum_series(TailBound(spec.z, upper, lower + [(1, 1)]), m, term, step, ctx, regularized)
-
-
-def _sum_series(tail: TailBound, m: int, term: Decimal, step, ctx: PrecisionContext, regularized: bool) -> tuple:
-    """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) from t_m = term and
-    t_(j+1) = step(j, t_j), summed in order by mpcore.neumaier_sum; tail bounds the ratio t_(j+1)/t_j.
-
-    The stopping test reads the plain running total; its scale is the larger of 1 and |partial sum|, or
-    for a regularized series the larger of the largest term and |partial sum|.  Past _MAX_TERMS terms
-    it raises DomainError.
-    """
-    terms = [term]
+    tail, terms = TailBound(spec.z, upper, lower + [(1, 1)]), [term]
     with localcontext(ctx.dec):
-        negligible = ctx.negligible
-        scale = abs(term) if regularized else Decimal(1)
-        total, size = term, abs(term)
+        negligible, total, size = ctx.negligible, term, abs(term)
         for m in range(m, _MAX_TERMS):
-            if size > scale and regularized:
-                scale = size
-            limit = negligible * max(scale, abs(total))
+            limit = negligible * max(1, abs(total))
             if size < limit:  # see the module docstring
                 bound = tail.after(m, size)
                 if bound is not None and bound < limit:
                     return neumaier_sum(terms, ctx), len(terms), bound
-            term = step(m, term)
+            num, den = num_z, den_z * (m + 1)
+            for p, q in upper:
+                num *= p + m * q
+            for p, q in lower:
+                den *= p + m * q
+            term = term * num / den
             size = abs(term)
             terms.append(term)
             total += term
@@ -129,23 +111,19 @@ def eval_regularized_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEX
 
     Nonpositive-integer lower parameters are legal: 1/Gamma(b_j + m) is 0 until
     b_j + m passes the pole, so the series starts at the first m0 where no
-    factor vanishes (0 without poles), with the exact prod (a_i)_m0 z^m0 / m0!
-    times one reciprocal_gamma(b_j + m0) per lower parameter (a DomainError if
-    some b_j + m0 is negative and not an integer).  Later terms take
-    the plain ratio: 1/Gamma(b + m + 1) = 1/Gamma(b + m) / (b + m).  The
-    stopping scale is the largest term magnitude seen so far rather than 1: a
-    regularized value can be uniformly tiny (every term carries the same
-    1/Gamma factors), and anchoring at 1 would throw its relative accuracy away.
+    factor vanishes (0 without poles).  It is summed from t_m0 = 1 by the plain
+    ratio, 1/Gamma(b + m + 1) = 1/Gamma(b + m) / (b + m), so its peak term is at
+    least 1 and the plain stopping scale keeps its relative accuracy; then it is
+    multiplied once by its lead, the exact prod (a_i)_m0 z^m0 / m0! times one
+    reciprocal_gamma(b_j + m0) per lower parameter (a DomainError if some
+    b_j + m0 is negative and not an integer), or is 0 when the lead is 0.
     """
     m0 = max((1 - int(b) for b in _pole_parameters(spec)), default=0)
     lead = Fraction(1)
     for m in range(m0):
         lead *= spec.z * math.prod(a + m for a in spec.upper) / (m + 1)
     with localcontext(ctx.dec):
-        term = ctx.real(lead)
-        for b in spec.lower:
-            term *= reciprocal_gamma(b + m0, ctx)
-    if term == 0:
-        return Decimal(0)  # z = 0 past a pole, or a terminating upper parameter: every term vanishes
-    return _sum_from(spec, m0, term, ctx, regularized=True)[0]
-
+        lead = math.prod((reciprocal_gamma(b + m0, ctx) for b in spec.lower), start=ctx.real(lead))
+        if lead == 0:
+            return Decimal(0)  # z = 0 past a pole, or a terminating upper parameter: every term vanishes
+        return lead * _sum_from(spec, m0, Decimal(1), ctx)[0]

@@ -389,6 +389,25 @@ def test_eval_refuses_an_unconvergent_reference_before_building_the_table(monkey
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--nu", "0", "--k", "100000", "--x", "3/2"], "x must lie in [-1, 1]"),
+        (["--nu", "1/3", "--k", "3", "--x=-1/2"], "non-integer nu needs x >= 0 (fractional power of kx)"),
+    ],
+    ids=["x-range", "fractional-power"],
+)
+def test_eval_checks_its_arguments_before_the_reference(argv, message, monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, "bessel_j_ref", lambda *a: called.append(a))
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: called.append(a))
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--kind", "chebyshev", *argv])
+    assert err.value.code == 2 and called == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == f"besselseries eval: error: {message}"
+
+
 def test_unwritable_out_is_a_usage_error_before_any_output(capsys, tmp_path):
     target = tmp_path / "missing" / "table.txt"
     with pytest.raises(SystemExit) as err:

@@ -633,3 +633,18 @@ def test_bessel_domain(ctx):
         bessel_j_ref(Fraction(1, 2), -1, ctx)
     with pytest.raises(DomainError):
         bessel_j_ref(Fraction(-1, 2), 1, ctx)
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_bessel_j_ref_matches_mpmath(digits):
+    # |z| <= 2 only: at large z the Maclaurin series cancels about z/ln 10 digits.  At z = 1/100, J_{7/2} is
+    # about 1e-9, so a relative check there sees every digit of a small value.
+    mpmath = pytest.importorskip("mpmath")
+    ctx = PrecisionContext(digits)
+    points = [Fraction(1, 100), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+    mp = lambda f: mpmath.mpf(f.numerator) / f.denominator
+    with mpmath.workdps(digits + 40):
+        for nu in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2)):
+            for z in points + ([-z for z in points] if nu.denominator == 1 else []):
+                got, want = mpmath.mpf(str(bessel_j_ref(nu, z, ctx))), mpmath.besselj(mp(nu), mp(z))
+                assert abs(got - want) < abs(want) * mpmath.mpf(10) ** (2 - digits), (digits, nu, z)

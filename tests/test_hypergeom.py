@@ -207,7 +207,7 @@ def test_series_tail_is_within_the_reported_bound(upper, lower, z, m0, ctx):
     # exact-rational pFq with every parameter shifted by m0, one more upper 1 and one more lower m0 + 1.
     shifted_upper = [a + m0 for a in upper] + ([1] if m0 else [])
     shifted_lower = [b + m0 for b in lower] + ([m0 + 1] if m0 else [])
-    value, terms, bound = hypergeom._sum_from(HyperSpec(upper, lower, z), m0, Decimal(1), ctx, m0 > 0)
+    value, terms, bound = hypergeom._sum_from(HyperSpec(upper, lower, z), m0, Decimal(1), ctx)
     summed = pFq_rational_prefix(shifted_upper, shifted_lower, z, terms)
     infinite = pFq_rational_prefix(shifted_upper, shifted_lower, z, terms + 300)
     assert abs(infinite - summed) <= Fraction(bound)
