@@ -31,8 +31,9 @@ paper's; only the tests sum them (tests/helpers.py), as an independent check
 that cancels about k/ln 10 digits.  The identities take p_L and the series
 parameters from here, to bound their terms.  The Legendre p_L is an exact
 rational, rounded once from its integer numerator and denominator.
-Chebyshev and Gegenbauer prefactors grow by an exact-rational ratio, in a
-table per nu, lambda and k cached in the context, from p_0 = f(0) =
+Chebyshev and Gegenbauer prefactors grow by an exact-rational ratio, held
+as a reduced pair of integers, in a table per nu, lambda and k cached in the
+context, from p_0 = f(0) =
 2^-nu / Gamma(nu+1): irrational, the only gamma and fractional power
 (mpcore._pow) of a table, both taken again in the guard context of the
 Miller pass below (f(0) rounds that same Gamma once):
@@ -175,17 +176,23 @@ def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
 
 
 def _prefactor_ratio(nuf, lamf, kf):
-    """p_(L+1)/p_L of the Chebyshev (lamf None) or Gegenbauer prefactor; Fractions or floats."""
+    """p_(L+1)/p_L of the Chebyshev (lamf None) or Gegenbauer prefactor; Fractions or floats (_start_index)."""
     if lamf is None:
         return lambda j: kf * kf / (16 * (j + 1) * (j + nuf + 1))
     return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
 
 
 def _even_prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
-    """p_L of the Chebyshev (lamf None; without its factor 2 for L >= 1) or Gegenbauer coefficient,
-    from the table that grows by _prefactor_ratio from f(0)."""
-    start = lambda: _value_at_zero(nuf, ctx)
-    return ctx._table(("prefactor", *_pairs(nuf, lamf or 0, kf)), start, _prefactor_ratio(nuf, lamf, kf), L)
+    """p_L of the Chebyshev (lamf None; without its factor 2 for L >= 1) or Gegenbauer coefficient, from
+    the table that grows from f(0) by _prefactor_ratio in integers of k = a/b, nu = p/q and lam = r/s."""
+    a, b, p, q, r, s = _pairs(kf, nuf, lamf or 0)
+
+    def ratio(j):
+        v = 2 * j * s + r  # s (2j + lam), below 0 at j = 0 for lam < 0
+        num, den = (a * a * q, 16 * (j + 1)) if lamf is None else (a * a * q * (2 * j + 1) * s * s, 8 * v * (v + s))
+        return num, den * b * b * (j * q + p + q)
+
+    return ctx._table(("prefactor", p, q, r, s, a, b), lambda: _value_at_zero(nuf, ctx), ratio, L)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -229,7 +236,7 @@ def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, mod
     for j in range(_MAX_START + 1):
         if j == count - 1:
             floor = min(0.0, log_p)
-        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_1f2, c >= 2j + 1/2)
+        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
         if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
             return j
         log_p += log_k2 + math.log(abs(unit_ratio(j)))

@@ -24,7 +24,9 @@ table is cached in the context (expansions._coefficients), so an h-sweep
 builds it once.  The stopping order comes first, from bounds on the terms
 (_bound_factor); only then are table entries read.  The right-hand side is
 f(0) k^nu times an exact rational, or for integer nu one exact rational,
-rounded once.
+rounded once, as one Decimal division of two integers.  A case runs in one
+decimal context, and the bound factors of its family key (IdentityCase._key)
+are one dict in the context, read by L, which the cases of an h-sweep share.
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor) every helper here
@@ -58,7 +60,6 @@ from .mpcore import (
 from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_at_zero, coefficient_table
 from .orthopoly import GegenbauerC, LegendreP, monomial_numerators
 
-_HALF = Fraction(1, 2)
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
 
 
@@ -88,12 +89,12 @@ _FAMILY = {  # the expansion kind of each id and its fixed nu; None: the case gi
 class IdentityCase(Value):
     """One verification instance of a summed-series family.
 
-    lmax is the last order summed, or None to stop where the tail bound allows
-    (verify_identity).  kind is the id's expansion kind at the case's nu and
-    lambda, which it checks; nu and lam are read back from it.  _key is the key
-    of the case's bound cache, built once from integer pairs
-    (Fraction.__hash__ takes a modular inverse on every call).  Neither is a
-    field: they follow from the fields.
+    lmax is the last order summed, no less than first_contributing_order, or
+    None to stop where the tail bound allows (verify_identity).  kind is the
+    id's expansion kind at the case's nu and lambda, which it checks; nu and lam
+    are read back from it.  _key, the family key of the bound factors, is built
+    once from integer pairs (Fraction.__hash__ takes a modular inverse on every
+    call).  Neither is a field: they follow from the fields.
     """
 
     _fields = ("id", "h", "k", "nu", "lam", "lmax", "tolerance", "sign_flip")
@@ -127,6 +128,8 @@ class IdentityCase(Value):
         self._set(id=id, h=h, k=k, nu=kind.nu, lam=kind.lam, lmax=lmax, tolerance=tolerance, sign_flip=sign_flip)
         pairs = (None if f is None else (f.numerator, f.denominator) for f in (k, kind.nu, kind.lam))
         self._set(kind=kind, _key=(family, *pairs, sign_flip))
+        if lmax is not None and lmax < first_contributing_order(self):
+            raise DomainError(f"lmax must be >= {first_contributing_order(self)}, the first order with a nonzero term")
 
 
 class VerificationReport(Value):
@@ -153,64 +156,51 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
         raise DomainError("L must be >= 0")
     if (case.kind.step * L - case.kind.offset) % 2 or L < first_contributing_order(case):
         return Decimal(0)  # a polynomial of the wrong parity or too low a degree has no x^(2h+offset)
-    return ctx.dec.multiply(_coefficients(case.kind, case.k, L + 1, ctx, case.sign_flip)[L], _weight(case, L, ctx))
+    weight = _weight(case.kind, case.h, L, _k_nu(case.k, case.kind.outer, ctx), ctx)
+    return ctx.dec.multiply(_coefficients(case.kind, case.k, L + 1, ctx, case.sign_flip)[L], weight)
 
 
-def _weight(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """k^outer times the x^(2h+offset) monomial coefficient of the degree-(step L) basis polynomial."""
-    kind, n = case.kind, case.kind.step * L
-    num, den = _monomial_parts(kind.poly, n, (n - kind.offset) // 2 - case.h, ctx)
-    mono = ctx.dec.divide(num, den)
-    return ctx.dec.multiply(_k_nu(case.k, kind.outer, ctx), mono) if kind.outer else mono
+def _weight(kind, h: int, L: int, k_nu: Real, ctx: PrecisionContext) -> Real:
+    """k_nu = k^outer (1 for outer 0) times the x^(2h+offset) coefficient of the degree-(step L) basis polynomial."""
+    n = kind.step * L
+    num, den = _monomial_parts(kind.poly, n, (n - kind.offset) // 2 - h, ctx)
+    return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den))
 
 
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
-    key = ("k^nu", k.numerator, k.denominator, nu.numerator, nu.denominator)  # once per term: no generator
-    return ctx._cached(key, lambda: _pow(k, nu, ctx))
+    return ctx._cached(("k^nu", k.numerator, k.denominator, nu.numerator, nu.denominator), lambda: _pow(k, nu, ctx))
 
 
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """|p_L| F_L >= |c_L|, cached: the order-L coefficient's prefactor (the kind's _prefactor)
-    times F_L = _bound_1f2 of its 1F2, which is never summed, at c_L, the larger lower parameter.
+    """|p_L| F_L >= |c_L|: the order-L coefficient's prefactor (the kind's _prefactor) times a bound
+    F_L >= |1F2(a; b, c; z)| on its 1F2 at z = -+k^2/4, which is never summed, c = c_L the larger lower
+    parameter.  verify_identity reads these by L from one dict per context and family key (case._key), so
+    an h-sweep builds each once.
 
     In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),
-    and 2c_L >= 1.
-    """
-
-    def build():
-        k = case.k
-        z = k * k / 4 if case.sign_flip else -k * k / 4
-        pref = case.kind._prefactor(L, k, ctx)
-        return ctx.dec.multiply(abs(pref), _bound_1f2(z, max(case.kind._series(L)[1])))
-
-    return ctx._cached(("bound", L, case._key), build)  # the key tells the families apart
-
-
-def _bound_1f2(z: Fraction, c: Fraction) -> Real:
-    """F >= |1F2(a; b, c; z)| for 0 < a <= b <= c and 2c >= 1, without summing the series.
-
-    1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
+    and 2c_L >= 1.  1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
     0F1 itself):
 
         1F2(a; b, c; z) = Gamma(b) / (Gamma(a) Gamma(b-a)) int_0^1 t^(a-1) (1-t)^(b-a-1) 0F1(; c; z t) dt.
 
     For z <= 0, |0F1(; c; -y)| = |Gamma(c) y^((1-c)/2) J_(c-1)(2 sqrt(y))| <= 1
-    when c >= 1/2 (DLMF 10.14.4), so F = 1.  For z > 0 every term is positive,
-    (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
+    when c >= 1/2 (DLMF 10.14.4), so F_L = 1.  For z > 0 (sign_flip) every term
+    is positive, (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
     0F1(; c; z) <= exp(z/c), taken to 20 digits and rounded up.
     """
-    if z <= 0:
-        return Decimal(1)
-    up = Context(prec=20, rounding=ROUND_CEILING)
-    x = up.divide(z.numerator * c.denominator, z.denominator * c.numerator)
-    return up.next_plus(up.exp(x))  # exp rounds half-even whatever the context: one step up covers it
+    pref = abs(case.kind._prefactor(L, case.k, ctx))
+    if not case.sign_flip:
+        return pref
+    k, c, up = case.k, max(case.kind._series(L)[1]), Context(prec=20, rounding=ROUND_CEILING)
+    x = up.divide(k.numerator**2 * c.denominator, 4 * k.denominator**2 * c.numerator)  # z/c
+    return ctx.dec.multiply(pref, up.next_plus(up.exp(x)))  # exp rounds half-even whatever the context: one step up
 
 
 def _order_tail(case: IdentityCase) -> TailBound:
     """The tail bound of the identity sum over L, for lmax None.
 
     |term_L| <= B_L = |p_L| |mono(L, h)| k^nu F_L, where p_L is the coefficient
-    over its 1F2 (with the factor 2 of Chebyshev L >= 1) and F_L = _bound_1f2:
+    over its 1F2 (with the factor 2 of Chebyshev L >= 1) and F_L of _bound_factor:
     1 for the 1F2 argument -k^2/4, exp(k^2 / (4 c_L)) with sign_flip, c_L the
     larger lower parameter, which grows with L, so F_(L+s)/F_L <= 1 (s = 2 for
     Legendre, else 1).  B_(L+s)/B_L is then at most the exact ratio of
@@ -229,17 +219,20 @@ def _order_tail(case: IdentityCase) -> TailBound:
 
     TailBound turns each into a majorant R(L) that does not increase, so the
     terms after L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
+    TailBound multiplies the factors' parts into the bound: they are reduced.
     """
-    k2, h, nu, lam = case.k * case.k, case.h, case.nu, case.lam
+    k, h, nu, lam = case.k, case.h, case.nu, case.lam or Fraction(0)
+    p, q, r, s = nu.numerator, nu.denominator, lam.numerator, lam.denominator
+    reduced = lambda n, d: (n // math.gcd(n, d), d // math.gcd(n, d))
     if isinstance(case.kind, Legendre):
-        N = int(nu)
-        c, upper, lower = k2 / 4, (1, 2, N + 2 * h + 1), (_HALF, 3 * _HALF, 2 - N, 2 + N, 2 - N - 2 * h)
-    elif lam is not None:
-        c, upper, lower = k2 / 16, (_HALF, h + lam), (lam / 2, (lam + 1) / 2, nu + 1, 1 - h)
+        c, upper = 4, [(1, 1), (2, 1), (p + 2 * h + 1, 1)]
+        lower = [(1, 2), (3, 2), (2 - p, 1), (2 + p, 1), (2 - p - 2 * h, 1)]
+    elif case.lam is not None:
+        c, upper = 16, [(1, 2), (h * s + r, s)]
+        lower = [reduced(r, 2 * s), reduced(r + s, 2 * s), (p + q, q), (1 - h, 1)]
     else:
-        c, upper, lower = k2 / 16, (h,), (0, nu + 1, 1 - h)
-    pairs = lambda xs: [(f.numerator, f.denominator) for f in map(Fraction, xs)]
-    return TailBound(c, pairs(upper), pairs(lower))
+        c, upper, lower = 16, [(h, 1)], [(0, 1), (p + q, q), (1 - h, 1)]
+    return TailBound(Fraction(k.numerator**2, c * k.denominator**2), upper, lower)
 
 
 def _monomial_parts(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
@@ -266,7 +259,8 @@ def _monomial_parts(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEX
 
 def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
     """Exact (lam)_j from a per-context table that grows on demand."""
-    return ctx._table(("rising", lam.numerator, lam.denominator), lambda: Fraction(1), lambda i: lam + i, j)
+    p, q = lam.numerator, lam.denominator
+    return ctx._table(("rising", p, q), lambda: Fraction(1), lambda i: (p + i * q, q), j)
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -277,14 +271,16 @@ def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 def _maclaurin(h: int, nu: Fraction, k: Fraction, sign_flip: bool, ctx: PrecisionContext) -> Real:
     """(-1)^h (k/2)^(2h+nu) / (h! Gamma(h+nu+1)), no (-1)^h with sign_flip: for integer nu an exact rational
-    rounded once, else f(0) k^nu (both cached) times the exact rational (-1)^h (k^2/4)^h / (h! (nu+1)_h)."""
-    sign = 1 if sign_flip or h % 2 == 0 else -1
+    rounded once, else f(0) k^nu (both cached) times the exact rational (-1)^h (k^2/4)^h / (h! (nu+1)_h);
+    each rational is one correctly rounded division of two integers, which need not be reduced."""
+    sign, a, b = 1 if sign_flip or h % 2 == 0 else -1, k.numerator, 2 * k.denominator  # k/2 = a/b
     if nu.denominator == 1:
-        n = int(nu)
-        return ctx.real(sign * (k / 2) ** (2 * h + n) / (math.factorial(h) * math.factorial(h + n)))
-    ratio = sign * (k * k / 4) ** h / (math.factorial(h) * _rising_factorial(nu + 1, h, ctx))
+        n = 2 * h + int(nu)
+        return ctx.dec.divide(sign * a**n, b**n * math.factorial(h) * math.factorial(n - h))
+    rising = _rising_factorial(nu + 1, h, ctx)
+    num, den = sign * a ** (2 * h) * rising.denominator, b ** (2 * h) * math.factorial(h) * rising.numerator
     with localcontext(ctx.dec):
-        return _value_at_zero(nu, ctx) * _k_nu(k, nu, ctx) * ctx.real(ratio)
+        return _value_at_zero(nu, ctx) * _k_nu(k, nu, ctx) * ctx.dec.divide(num, den)
 
 
 def verify_identity(
@@ -296,36 +292,40 @@ def verify_identity(
     stops at the first order whose bound on every later term together
     (_order_tail) is at most min(tolerance/10, 10^-(display+1)) |rhs|: the
     truncation then costs under a tenth of the tolerance, and no printed digit
-    of lhs is a digit of a partial sum only.  Terms are accumulated with
-    compensated summation; reports are deterministic for a given context.
+    of lhs is a digit of a partial sum only.  Terms are summed compensated, in
+    ctx.dec, entered once per case; the bound factors are read by L from the
+    dict of the case's family key.  Reports are deterministic for a context.
     """
-    start = first_contributing_order(case)
-    rhs = identity_rhs(case, ctx)
-    if case.lmax is None:
-        tail = _order_tail(case)
-        with localcontext(ctx.dec):
+    kind, h, auto = case.kind, case.h, case.lmax is None
+    start, step, offset = first_contributing_order(case), kind.step, kind.offset
+    with localcontext(ctx.dec):  # the one decimal context of the case
+        rhs = identity_rhs(case, ctx)
+        k_nu = _k_nu(case.k, kind.outer, ctx)
+        if auto:
+            tail, factors = _order_tail(case), ctx._cached(("bound", case._key), dict)  # {L: _bound_factor}
             digits = Decimal(1).scaleb(-(ctx.display_digits + 1))
             target = min(ctx.real(case.tolerance / 10), digits) * abs(rhs)
-    zeros, weights, bound = [], [], None  # the stop is decided before any coefficient is read
-    for L in range(_MAX_ORDER + 1 if case.lmax is None else case.lmax + 1):
-        if (case.kind.step * L - case.kind.offset) % 2:
-            continue
-        if L < start:
-            zeros.append((L, Decimal(0)))
-            continue
-        weights.append((L, _weight(case, L, ctx)))
-        if case.lmax is None:
-            with localcontext(ctx.dec):
-                bound = tail.after(L, _bound_factor(case, L, ctx) * abs(weights[-1][1]))
-            if bound is not None and bound <= target:
-                break
-    else:
-        if case.lmax is None:
-            raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
-    table = _coefficients(case.kind, case.k, weights[-1][0] + 1, ctx, case.sign_flip) if weights else []
-    terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
-    lhs = neumaier_sum((term for L, term in terms), ctx)
-    with localcontext(ctx.dec):
+        zeros, weights, bound = [], [], None  # the stop is decided before any coefficient is read
+        for L in range(_MAX_ORDER + 1 if auto else case.lmax + 1):
+            if (step * L - offset) % 2:
+                continue
+            if L < start:
+                zeros.append((L, Decimal(0)))
+                continue
+            w = _weight(kind, h, L, k_nu, ctx)
+            weights.append((L, w))
+            if auto:
+                if L not in factors:  # a race builds the same value twice, no more
+                    factors[L] = _bound_factor(case, L, ctx)
+                bound = tail.after(L, factors[L] * abs(w))
+                if bound is not None and bound <= target:
+                    break
+        else:
+            if auto:
+                raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
+        table = _coefficients(kind, case.k, weights[-1][0] + 1, ctx, case.sign_flip) if weights else []
+        terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
+        lhs = neumaier_sum((term for L, term in terms), ctx)
         abs_diff = abs(lhs - rhs)
         rel_diff = abs_diff / abs(rhs)
         passed = rel_diff <= ctx.real(case.tolerance)
@@ -337,7 +337,7 @@ def verify_identity(
         terms_used=len(terms),
         passed=bool(passed),
         terms=tuple(zeros + terms) if trace else None,
-        lmax=case.lmax if case.lmax is not None else terms[-1][0],
+        lmax=terms[-1][0] if auto else case.lmax,
         tail_bound=bound,
     )
 

@@ -142,18 +142,20 @@ class PrecisionContext:
             return self._cache.setdefault(key, value)
 
     def _table(self, key, start, ratio, n: int):
-        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * ratio(j) (an exact Fraction).
+        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * num / den, ratio(j) = (num, den) integers.
 
-        Entries grow on demand, at this context's precision.  ratio runs under
-        the cache lock, so it must not reach the cache itself.
+        Entries grow on demand, at this context's precision, rounding by each
+        part of the ratio reduced as a Fraction holds it.  ratio runs under the
+        cache lock, so it must not reach the cache itself.
         """
         with localcontext(self.dec):
             table = self._cached(key, lambda: [start()])
             if n >= len(table):
                 with self._lock:  # check-then-act: two threads must not both extend
                     while n >= len(table):
-                        r = ratio(len(table) - 1)
-                        table.append(table[-1] * r.numerator / r.denominator)
+                        num, den = ratio(len(table) - 1)
+                        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                        table.append(table[-1] * (num // g) / (den // g))
         return table[n]
 
     def _grown(self, key, count: int, build):

@@ -259,8 +259,11 @@ def test_parser_rejects_garbage_numbers():
 
 # stdout bytes and exit codes captured from the CLI: the first 18 cases at commit c3b6165, before the
 # commands shared one renderer (eval csv is the one exception, as that commit printed the text layout
-# for it), the rest, which take every family through every command, at 45ae2f7, before the expansion
-# kinds carried their family's basis, step, series parameters and prefactor
+# for it); the next 14, which take every family through every command, at 45ae2f7, before the expansion
+# kinds carried their family's basis, step, series parameters and prefactor; the last 13 at 5ff7bbd,
+# before verify's bound factors and prefactor ratios were built from integers: the 11 verify argv lists
+# of perfbench's verify-sweep at seed 1 (JSON, --sign-flip, fractional nu and lambda, --lmax=60), a
+# traced --sign-flip sweep, and lambda = -1/4, whose first prefactor ratio has the factor 2j + lambda < 0
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -280,6 +283,19 @@ def test_eval_csv_is_a_header_and_one_row(capsys):
     assert header == "expansion,reference,agreement_digits"
     expansion, reference, agreement = row.split(",")
     assert reference == ref.J0_AT_1 and int(agreement) >= 33
+
+
+def test_verify_refuses_lmax_below_the_first_nonzero_order(capsys):
+    # A Legendre sum at h gathers x^(2h+N): its first nonzero term is at L = 2h + N, not h.  Below that the
+    # sum had no term, or only zeros, and printed FAIL; at it the sum has one term, an honest truncation.
+    for identity, lmax, first in (("legendre-j1", 5, 7), ("legendre-j1", 6, 7), ("legendre-j0", 5, 6)):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--id", identity, "--h", "3", "--k", "2", "--lmax", str(lmax)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"lmax must be >= {first}, the first order with a nonzero term" in captured.err
+    code, out = run_cli(capsys, "verify", "--id", "legendre-j0", "--h", "3", "--k", "2", "--lmax", "6")
+    assert code == 1 and out.startswith("FAIL legendre-j0 h=3 k=2 nu=0 lmax=6 terms=1 ")
 
 
 def test_clenshaw_sum_rule_refuses_h_other_than_zero(capsys):

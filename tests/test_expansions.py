@@ -188,6 +188,30 @@ def test_ratio_prefactors_match_gamma_pochhammer_forms(digits):
                 assert rel_diff(core, want) < bound, (family, params, L, modified)
 
 
+PREFACTOR_PARAMS = [(nu, None) for nu in (Fraction(0), Fraction(1, 3), Fraction(5, 3))] + [
+    (nu, lam) for nu in (Fraction(0), Fraction(2, 3))
+    for lam in (Fraction(-1, 4), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20))
+]
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+@pytest.mark.parametrize("nu,lam", PREFACTOR_PARAMS, ids=[f"{nu},{lam}" for nu, lam in PREFACTOR_PARAMS])
+def test_prefactor_table_from_integer_ratios_is_the_fraction_ratio_table(nu, lam, digits):
+    # The table multiplies by a ratio's numerator, then divides by its denominator, rounding each time; so
+    # only the reduced pair, the one a Fraction holds, keeps these bits.  At lambda = -1/4 the first ratio
+    # has the negative factor 2j + lambda.
+    ctx = PrecisionContext(working_digits=digits)
+    for k in (Fraction(1, 2), Fraction(657, 100), Fraction(300)):
+        ratio = expansions._prefactor_ratio(nu, lam, k)
+        want = [expansions._value_at_zero(nu, ctx)]
+        with localcontext(ctx.dec):
+            for j in range(200):
+                r = ratio(j)
+                want.append(want[-1] * r.numerator / r.denominator)
+        got = [expansions._even_prefactor(L, nu, lam, k, ctx) for L in range(201)]
+        assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], k
+
+
 @pytest.mark.parametrize("digits", [64, 128])
 def test_legendre_prefactors_are_their_exact_rationals_rounded_once(digits, monkeypatch):
     # p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)), with Gamma(L+3/2) = sqrt(pi) (1/2)_(L+1),

@@ -450,6 +450,33 @@ def test_oracle_matches_identity_rhs_sample(ctx):
         assert row.rel_diff < Decimal("1e-30")
 
 
+@pytest.mark.parametrize("digits", [64, 128])
+@pytest.mark.parametrize("sign_flip", [False, True], ids=["J", "I"])
+@pytest.mark.parametrize("nu", [Fraction(0), Fraction(1), Fraction(3), Fraction(1, 3), Fraction(5, 3)], ids=str)
+def test_identity_rhs_is_the_exact_closed_form_rounded(nu, sign_flip, digits):
+    # (-+1)^h (k/2)^(2h+nu) / (h! Gamma(h+nu+1)) as one Fraction rounded once, or for fractional nu as
+    # f(0) k^nu times the Fraction (-+1)^h (k^2/4)^h / (h! (nu+1)_h); the oracle's maclaurin column (no
+    # sign flip) comes from the same function
+    ctx = PrecisionContext(working_digits=digits)
+    for k in (Fraction(1, 2), Fraction(29, 10), Fraction(40)):
+        wants = []
+        for h in range(61):
+            sign = 1 if sign_flip or h % 2 == 0 else -1
+            if nu.denominator == 1:
+                want = ctx.real(sign * (k / 2) ** (2 * h + nu) / (math.factorial(h) * math.factorial(h + int(nu))))
+            else:
+                rising = math.prod((nu + 1 + i for i in range(h)), start=Fraction(1))
+                with localcontext(ctx.dec):
+                    lead = expansions._value_at_zero(nu, ctx) * identities._k_nu(k, nu, ctx)
+                    want = lead * ctx.real(sign * (k * k / 4) ** h / (math.factorial(h) * rising))
+            case = _case(IdentityId.CHEBYSHEV_GENERAL_NU, h=h, k=k, nu=nu, lmax=None, sign_flip=sign_flip)
+            assert identity_rhs(case, ctx).as_tuple() == want.as_tuple(), (k, h)
+            wants.append(want)
+        if not sign_flip:
+            rows = power_gather_oracle(Chebyshev(nu), k, 10, 20, ctx)
+            assert [row.maclaurin.as_tuple() for row in rows] == [w.as_tuple() for w in wants[:11]], k
+
+
 # ----------------------------------------------------------------- tail bound of the sum over L
 
 AUTO_IDS = [
