@@ -21,6 +21,8 @@ family; every other layer reads what a kind carries:
             (-1)^((step L - offset)/2) rides on k^(step L)
     outer   the power of kx outside the sum, 0 or nu
     lam     the Gegenbauer lambda, None for the other two
+    ratio   (c, upper, lower): p_(L+s)/p_L = k^2 c prod(L + a) / prod(L + b),
+            s = 2 for Legendre, else 1, in mpcore.TailBound's format
     _series(L)             the 1F2's upper and lower parameters
     _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
 
@@ -29,17 +31,15 @@ public per-L functions return entry L of the kind's table, cached in the
 context (_coefficients).  The 1F2 (2F~3) forms in their docstrings are the
 paper's; only the tests sum them (tests/helpers.py), as an independent check
 that cancels about k/ln 10 digits.  The identities take p_L and the series
-parameters from here, to bound their terms.  The Legendre p_L is an exact
-rational, rounded once from its integer numerator and denominator.
-Chebyshev and Gegenbauer prefactors grow by an exact-rational ratio, held
-as a reduced pair of integers, in a table per nu, lambda and k cached in the
-context, from p_0 = f(0) =
-2^-nu / Gamma(nu+1): irrational, the only gamma and fractional power
-(mpcore._pow) of a table, both taken again in the guard context of the
-Miller pass below (f(0) rounds that same Gamma once):
-
-    Chebyshev:  p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1))    (times 2 for L >= 1)
-    Gegenbauer: p_(L+1)/p_L = k^2 (2L+1) / (8 (2L+lam) (2L+lam+1) (L+nu+1))
+parameters from here, to bound their terms, and the ratio, to bound their tail
+(identities._order_tail, by TailBound); mpcore.factor_ratio evaluates it in
+integers for N* below and for the prefactor tables.  The Legendre p_L is an
+exact rational, rounded once from its integer numerator and denominator.
+Chebyshev and Gegenbauer prefactors grow by the ratio, each step reduced to the
+pair of integers a Fraction holds, in a table per nu, lambda and k cached in
+the context, from p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma
+and fractional power (mpcore._pow) of a table, both taken again in the guard
+context of the Miller pass below (f(0) rounds that same Gamma once).
 
 No table sums a series, so nothing cancels at large k.  As f solves
 x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified tables, of
@@ -84,6 +84,7 @@ from .mpcore import (
     Real,
     Value,
     _pow,
+    factor_ratio,
     gamma,
     neumaier_sum,
     to_fraction,
@@ -91,7 +92,7 @@ from .mpcore import (
 from .hypergeom import HyperSpec, eval_pFq
 from .orthopoly import ChebyshevT, GegenbauerC, LegendreP, clenshaw_sum
 
-_HALF = Fraction(1, 2)
+_HALF, _QUARTER, _SIXTEENTH = Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)
 _MAX_START = 100000  # a table whose backward pass would start past this index raises instead
 
 
@@ -104,7 +105,9 @@ class Legendre(Value):
     def __init__(self, N: int):
         if not isinstance(N, int) or N < 0:
             raise DomainError("Legendre expansion order N must be an integer >= 0")
-        self._set(N=N, nu=Fraction(N), offset=N)
+        # p_(L+2)/p_L = k^2 (L+1) (L+2) / (4 (L+1/2) (L+3/2) (L+2-N) (L+2+N)), of _prefactor's rational
+        ratio = (_QUARTER, ((1, 1), (2, 1)), ((1, 2), (3, 2), (2 - N, 1), (2 + N, 1)))
+        self._set(N=N, nu=Fraction(N), offset=N, ratio=ratio)
 
     def _series(self, L: int) -> tuple:
         return (Fraction(L + self.N + 1, 2),), (Fraction(L + self.N, 2) + 1, L + Fraction(3, 2))
@@ -126,13 +129,14 @@ class Chebyshev(Value):
         nu = to_fraction(nu)
         if nu < 0:
             raise DomainError("Chebyshev expansion order nu must be >= 0")
-        self._set(nu=nu, outer=nu)
+        # p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1)), and p_L carries a factor 2 for L >= 1 (_prefactor)
+        self._set(nu=nu, outer=nu, ratio=(_SIXTEENTH, (), ((1, 1), (nu.numerator + nu.denominator, nu.denominator))))
 
     def _series(self, L: int) -> tuple:
         return (L + _HALF,), (L + self.nu + 1, 2 * L + 1)
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        p = _even_prefactor(L, self.nu, None, kf, ctx)
+        p = _even_prefactor(L, self, kf, ctx)
         return ctx.dec.multiply(2, p) if L else p
 
 
@@ -147,13 +151,17 @@ class Gegenbauer(Value):
         if nu < 0:
             raise DomainError("Gegenbauer expansion order nu must be >= 0")
         poly = GegenbauerC(lam)  # checks lambda
-        self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly)
+        r, s, p, q = poly.lam.numerator, poly.lam.denominator, nu.numerator, nu.denominator
+        half = lambda n: (n, 2 * s) if n % 2 else (n // 2, s)  # n/s over 2, reduced as n/s is
+        # p_(L+1)/p_L = k^2 (L+1/2) / (16 (L+lam/2) (L+lam/2+1/2) (L+nu+1))
+        ratio = (_SIXTEENTH, ((1, 2),), (half(r), half(r + s), (p + q, q)))
+        self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly, ratio=ratio)
 
     def _series(self, L: int) -> tuple:
         return (L + _HALF,), (2 * L + self.lam + 1, L + self.nu + 1)
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        return _even_prefactor(L, self.nu, self.lam, kf, ctx)
+        return _even_prefactor(L, self, kf, ctx)
 
 
 class CoefficientTable(Value):
@@ -175,24 +183,12 @@ def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
     return ctx._cached(("f(0)", *_pairs(nuf)), build)
 
 
-def _prefactor_ratio(nuf, lamf, kf):
-    """p_(L+1)/p_L of the Chebyshev (lamf None) or Gegenbauer prefactor; Fractions or floats (_start_index)."""
-    if lamf is None:
-        return lambda j: kf * kf / (16 * (j + 1) * (j + nuf + 1))
-    return lambda j: kf * kf * (2 * j + 1) / (8 * (2 * j + lamf) * (2 * j + lamf + 1) * (j + nuf + 1))
-
-
-def _even_prefactor(L: int, nuf, lamf, kf, ctx: PrecisionContext) -> Real:
-    """p_L of the Chebyshev (lamf None; without its factor 2 for L >= 1) or Gegenbauer coefficient, from
-    the table that grows from f(0) by _prefactor_ratio in integers of k = a/b, nu = p/q and lam = r/s."""
-    a, b, p, q, r, s = _pairs(kf, nuf, lamf or 0)
-
-    def ratio(j):
-        v = 2 * j * s + r  # s (2j + lam), below 0 at j = 0 for lam < 0
-        num, den = (a * a * q, 16 * (j + 1)) if lamf is None else (a * a * q * (2 * j + 1) * s * s, 8 * v * (v + s))
-        return num, den * b * b * (j * q + p + q)
-
-    return ctx._table(("prefactor", p, q, r, s, a, b), lambda: _value_at_zero(nuf, ctx), ratio, L)
+def _even_prefactor(L: int, kind, kf: Fraction, ctx: PrecisionContext) -> Real:
+    """p_L of the Chebyshev (without its factor 2 for L >= 1) or Gegenbauer coefficient, from the table that
+    grows from f(0) by the kind's ratio times k^2."""
+    c, upper, lower = kind.ratio
+    key = ("prefactor", *_pairs(kf, kind.nu, kind.lam or 0))
+    return ctx._table(key, lambda: _value_at_zero(kind.nu, ctx), lambda: factor_ratio(c * kf * kf, upper, lower), L)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -227,10 +223,10 @@ def _recurrence_coefficients(nuf: Fraction, lamf: Fraction, K: Fraction):
     return row
 
 
-def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
-    """N* for entries 0..count-1 at 10^-digits (module docstring), estimated in floats."""
-    nu, lam, k2 = float(nuf), float(lamf or 0), float(kf * kf) if modified else 0.0
-    unit_ratio = _prefactor_ratio(nu, lamf and lam, 1.0)
+def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
+    """N* for entries 0..count-1 at 10^-digits (module docstring), estimated in floats from the kind's ratio."""
+    nu, lam, k2 = float(kind.nu), float(kind.lam or 0), float(kf * kf) if modified else 0.0
+    ratio = factor_ratio(*kind.ratio)
     log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
     log_p = floor = growth = 0.0
     for j in range(_MAX_START + 1):
@@ -239,16 +235,18 @@ def _start_index(nuf: Fraction, lamf, kf: Fraction, count: int, digits: int, mod
         # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
         if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
             return j
-        log_p += log_k2 + math.log(abs(unit_ratio(j)))
+        num, den = ratio(j)
+        log_p += log_k2 + math.log(abs(num / den))
         if j >= count - 1:
             growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
     raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
 
 
-def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: PrecisionContext, modified=False):
-    """Entries 0..count-1 of the Chebyshev (lamf None) or C^lamf table, unrounded, in the guard context;
+def _miller_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modified=False):
+    """Entries 0..count-1 of the Chebyshev or Gegenbauer kind's table, unrounded, in the guard context;
     modified, of (kx)^-nu I_nu(kx)."""
-    start = _start_index(nuf, lamf, kf, count, guard.working_digits, modified)
+    nuf, lamf = kind.nu, kind.lam
+    start = _start_index(kind, kf, count, guard.working_digits, modified)
     row, fma = _recurrence_coefficients(nuf, lamf or Fraction(0), -kf * kf if modified else kf * kf), guard.dec.fma
     with localcontext(guard.dec):
         lam_d = guard.real(lamf or 0)
@@ -273,11 +271,11 @@ def _miller_table(nuf: Fraction, lamf, kf: Fraction, count: int, guard: Precisio
         return [e * scale for e in entries[:count]]
 
 
-def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext, modified=False) -> list:
-    """a_LN (modified, of I_N) for L = 0..lmax, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1)
-    N times; the t-th product is exact up to degree lmax + N - t."""
-    top = lmax + N
-    b = _miller_table(Fraction(N), _HALF, kf, top // 2 + 1, guard, modified)
+def _legendre_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modified=False) -> list:
+    """a_LN (modified, of I_N) for L = 0..count-1, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1)
+    N times; the t-th product is exact up to degree count - 1 + N - t."""
+    N, top = kind.N, count - 1 + kind.N
+    b = _miller_table(Gegenbauer(N, _HALF), kf, top // 2 + 1, guard, modified)
     with localcontext(guard.dec):
         d = [v for e in b for v in (e, Decimal(0))][: top + 1]  # degrees 0..top, odd ones 0
         for t in range(1, N + 1):
@@ -286,17 +284,13 @@ def _legendre_table(N: int, kf: Fraction, lmax: int, guard: PrecisionContext, mo
                 new[m] = (m * d[m - 1] / (2 * m - 1) if m else 0) + (m + 1) * d[m + 1] / (2 * m + 3)
             d = new
         k_n = guard.real(kf**N)
-        return [v * k_n for v in d[: lmax + 1]]
+        return [v * k_n for v in d[:count]]
 
 
 def _table_values(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
     """Entries 0..count-1 of the kind's table (modified: of I_nu), each rounded once from the guard pass."""
-    guard = ctx.guard
-    if isinstance(kind, Legendre):
-        values = _legendre_table(kind.N, kf, count - 1, guard, modified)
-    else:
-        values = _miller_table(kind.nu, kind.lam, kf, count, guard, modified)
-    return [ctx.dec.plus(v) for v in values]
+    build = _legendre_table if isinstance(kind, Legendre) else _miller_table
+    return [ctx.dec.plus(v) for v in build(kind, kf, count, ctx.guard, modified)]
 
 
 def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CoefficientTable:

@@ -5,16 +5,15 @@ Terms are generated by the ratio recurrence
 
     t_{m+1} = t_m * prod(a_i + m) / prod(b_j + m) * z / (m + 1),
 
-taken from the exact parameters a_i = pa_i/qa_i, b_j = pb_j/qb_j, z = pz/qz as
-one integer, pz prod(qb_j) prod(pa_i + m qa_i), over another,
-qz (m + 1) prod(qa_i) prod(pb_j + m qb_j): one Decimal multiplication and one
+taken from the exact parameters, with (m + 1) as one more lower factor, as one
+integer over another by mpcore.factor_ratio: one Decimal multiplication and one
 division per term.  Summation stops once the proven bound on all later terms
-together (mpcore.TailBound on the same ratio, with (m + 1) as one more lower
-factor) is below ctx.negligible = 10^-(working_digits + 5) times the larger of
-1 and |partial sum|, so every term left out is accounted for, however the signs
-fall.  The bound is only tried from the first term below that limit on: where
-it could pass earlier, R(m) < 1/2 and the next term is already below the limit,
-so this stops at most one term later and spares the bound on every term before.
+together (mpcore.TailBound on the same factors) is below ctx.negligible =
+10^-(working_digits + 5) times the larger of 1 and |partial sum|, so every term
+left out is accounted for, however the signs fall.  The bound is only tried
+from the first term below that limit on: where it could pass earlier,
+R(m) < 1/2 and the next term is already below the limit, so this stops at most
+one term later and spares the bound on every term before.
 
 One loop, _sum_from, sums every series: it keeps the terms and sums them in
 order by mpcore.neumaier_sum.  The regularized evaluator sums from 1 at its
@@ -39,6 +38,7 @@ from .mpcore import (
     Real,
     TailBound,
     Value,
+    factor_ratio,
     neumaier_sum,
     reciprocal_gamma,
     to_fraction,
@@ -82,10 +82,8 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext) -> 
     """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) of spec's series from t_m = term,
     stopped as the module docstring says; past _MAX_TERMS terms it raises DomainError."""
     upper = [(a.numerator, a.denominator) for a in spec.upper]
-    lower = [(b.numerator, b.denominator) for b in spec.lower]
-    num_z = spec.z.numerator * math.prod(q for _, q in lower)
-    den_z = spec.z.denominator * math.prod(q for _, q in upper)
-    tail, terms = TailBound(spec.z, upper, lower + [(1, 1)]), [term]
+    lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]  # (m + 1): the m! of the series
+    ratio, tail, terms = factor_ratio(spec.z, upper, lower), TailBound(spec.z, upper, lower), [term]
     with localcontext(ctx.dec):
         negligible, total, size = ctx.negligible, term, abs(term)
         for m in range(m, _MAX_TERMS):
@@ -94,11 +92,7 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext) -> 
                 bound = tail.after(m, size)
                 if bound is not None and bound < limit:
                     return neumaier_sum(terms, ctx), len(terms), bound
-            num, den = num_z, den_z * (m + 1)
-            for p, q in upper:
-                num *= p + m * q
-            for p, q in lower:
-                den *= p + m * q
+            num, den = ratio(m)
             term = term * num / den
             size = abs(term)
             terms.append(term)

@@ -107,16 +107,6 @@ class PrecisionContext:
     def __repr__(self):
         return f"PrecisionContext(working_digits={self.working_digits}, display_digits={self.display_digits})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrecisionContext)
-            and self.working_digits == other.working_digits
-            and self.display_digits == other.display_digits
-        )
-
-    def __hash__(self):
-        return hash((self.working_digits, self.display_digits))
-
     def real(self, x) -> Real:
         """Convert an int/Fraction/Decimal/float/str to a Decimal at working precision."""
         if isinstance(x, Decimal):
@@ -141,15 +131,16 @@ class PrecisionContext:
         with self._lock:
             return self._cache.setdefault(key, value)
 
-    def _table(self, key, start, ratio, n: int):
-        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * num / den, ratio(j) = (num, den) integers.
+    def _table(self, key, start, make_ratio, n: int):
+        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * num / den, (num, den) = ratio(j) integers,
+        ratio = make_ratio() built once with the table.
 
         Entries grow on demand, at this context's precision, rounding by each
         part of the ratio reduced as a Fraction holds it.  ratio runs under the
         cache lock, so it must not reach the cache itself.
         """
         with localcontext(self.dec):
-            table = self._cached(key, lambda: [start()])
+            table, ratio = self._cached(key, lambda: ([start()], make_ratio()))
             if n >= len(table):
                 with self._lock:  # check-then-act: two threads must not both extend
                     while n >= len(table):
@@ -324,6 +315,23 @@ def neumaier_sum(terms, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
         return +(s + comp)
 
 
+def factor_ratio(c: Fraction, upper, lower):
+    """m -> (num, den), unreduced integers with num / den = c (m + a_1) ... (m + a_p) / ((m + b_1) ... (m + b_q)),
+    for a rational c and the a_i, b_j integer pairs (numerator, positive denominator), as TailBound takes them."""
+    num0 = c.numerator * math.prod(q for _, q in lower)
+    den0 = c.denominator * math.prod(q for _, q in upper)
+
+    def ratio(m: int) -> tuple:
+        num, den = num0, den0
+        for p, q in upper:
+            num *= p + m * q
+        for p, q in lower:
+            den *= p + m * q
+        return num, den
+
+    return ratio
+
+
 class TailBound:
     """Geometric bound on the tail of a series whose term ratio is a product of linear factors,
 
@@ -366,7 +374,7 @@ class TailBound:
         None before `start` or while R(m) >= 1."""
         if m < self.start:
             return None
-        num, den = self._num, self._den
+        num, den = self._num, self._den  # factor_ratio's loop, inline: a call per order slows verify by 3%
         for p, q in self._up:
             num *= p + m * q
         for p, q in self._low:

@@ -200,6 +200,19 @@ def test_oracle_rows(capsys):
     assert "-0.25000000000000000000" in lines[1]
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("oracle --kind legendre --N 3 --k 1 --lmax 6 --hmax 3", "lmax must be at least 9 for a meaningful gather"),
+    ("verify --id legendre-j0 --h 0 --k 2 --tol=-1 --lmax 30", "tolerance must be >= 0"),
+])
+def test_refusals_are_usage_errors(argv, message, capsys):
+    # the degree-6 Legendre table holds no x^7 or x^9, and no sum meets a negative tolerance: each was a
+    # printed row or verdict, exit 0 or 1, and is now refused before any table is built
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
+
 def test_digits_prefix_consistency(capsys):
     # --digits d output is the rounding of the --digits d+10 output
     from besselseries import format_decimal
@@ -260,10 +273,12 @@ def test_parser_rejects_garbage_numbers():
 # stdout bytes and exit codes captured from the CLI: the first 18 cases at commit c3b6165, before the
 # commands shared one renderer (eval csv is the one exception, as that commit printed the text layout
 # for it); the next 14, which take every family through every command, at 45ae2f7, before the expansion
-# kinds carried their family's basis, step, series parameters and prefactor; the last 13 at 5ff7bbd,
+# kinds carried their family's basis, step, series parameters and prefactor; the next 13 at 5ff7bbd,
 # before verify's bound factors and prefactor ratios were built from integers: the 11 verify argv lists
 # of perfbench's verify-sweep at seed 1 (JSON, --sign-flip, fractional nu and lambda, --lmax=60), a
-# traced --sign-flip sweep, and lambda = -1/4, whose first prefactor ratio has the factor 2j + lambda < 0
+# traced --sign-flip sweep, and lambda = -1/4, whose first prefactor ratio has the factor 2j + lambda < 0;
+# the last 2 at e220a22, before each kind carried its prefactor ratio as one factor list: a table's start
+# index N* and verify's tail bound at lambda = -1/4, where the first factor lambda/2 + L is negative
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 

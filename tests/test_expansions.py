@@ -201,15 +201,58 @@ def test_prefactor_table_from_integer_ratios_is_the_fraction_ratio_table(nu, lam
     # only the reduced pair, the one a Fraction holds, keeps these bits.  At lambda = -1/4 the first ratio
     # has the negative factor 2j + lambda.
     ctx = PrecisionContext(working_digits=digits)
+    kind = Chebyshev(nu) if lam is None else Gegenbauer(nu, lam)
     for k in (Fraction(1, 2), Fraction(657, 100), Fraction(300)):
-        ratio = expansions._prefactor_ratio(nu, lam, k)
+        if lam is None:
+            ratio = lambda j: k * k / (16 * (j + 1) * (j + nu + 1))
+        else:
+            ratio = lambda j: k * k * (2 * j + 1) / (8 * (2 * j + lam) * (2 * j + lam + 1) * (j + nu + 1))
         want = [expansions._value_at_zero(nu, ctx)]
         with localcontext(ctx.dec):
             for j in range(200):
                 r = ratio(j)
                 want.append(want[-1] * r.numerator / r.denominator)
-        got = [expansions._even_prefactor(L, nu, lam, k, ctx) for L in range(201)]
+        got = [expansions._even_prefactor(L, kind, k, ctx) for L in range(201)]
         assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], k
+
+
+def _closed_form_prefactor(kind, L, k):
+    """The rational part of p_L that changes with L, from the closed forms: for Legendre
+    C(L, (L-N)/2) k^L / (2^L (2L-1)!!), for Chebyshev k^(2L) / (16^L L! (nu+1)_L), and for Gegenbauer the
+    Pochhammer form of _direct_prefactor, k^(2L) 4^L (lam+1/2)_2L / ((2lam)_2L (2L+2lam)_2L (L+1/2)_(nu+1/2))
+    with Gamma(L+1/2) / Gamma(L+nu+1) left out; it contributes (L+1/2) / (L+nu+1) to the ratio."""
+    def rising(x, n):  # (x)_n as one Fraction of two integer products
+        x = Fraction(x)
+        return Fraction(math.prod(x.numerator + i * x.denominator for i in range(n)), x.denominator**n)
+
+    if isinstance(kind, Legendre):
+        return Fraction(math.comb(L, (L - kind.N) // 2) * k**L, 2**L * math.prod(range(1, 2 * L, 2)))
+    if isinstance(kind, Chebyshev):
+        return k ** (2 * L) / (16**L * math.factorial(L) * rising(kind.nu + 1, L))
+    lam = kind.lam
+    return (k ** (2 * L) * 4**L * rising(lam + Fraction(1, 2), 2 * L)
+            / (rising(2 * lam, 2 * L) * rising(2 * L + 2 * lam, 2 * L)))
+
+
+RATIO_KINDS = [Legendre(0), Legendre(1), Legendre(2), Legendre(3), Chebyshev(0), Chebyshev(Fraction(5, 3)),
+               Gegenbauer(0, Fraction(-1, 4)), Gegenbauer(Fraction(1, 3), Fraction(1, 2**20)),
+               Gegenbauer(Fraction(2, 3), Fraction(7, 3)), Gegenbauer(1, Fraction(2**20))]
+
+
+@pytest.mark.parametrize("kind", RATIO_KINDS, ids=["leg0", "leg1", "leg2", "leg3", "cheb0", "cheb5/3", "geg0,-1/4",
+                                                  "geg1/3,2^-20", "geg2/3,7/3", "geg1,2^20"])
+def test_kind_ratio_is_the_closed_form_prefactor_ratio(kind):
+    # c (L + a_1) ... / ((L + b_1) ...) times k^2 against p_(L+step) / p_L, exactly, for 201 steps
+    c, upper, lower = kind.ratio
+    step = 2 if isinstance(kind, Legendre) else 1  # the nonzero Legendre orders, L - N even
+    for k in (Fraction(1, 2), Fraction(657, 100), Fraction(300)):
+        for L in range(kind.offset, kind.offset + step * 201, step):
+            got = c * k * k * math.prod(L + Fraction(*a) for a in upper) / math.prod(L + Fraction(*b) for b in lower)
+            want = _closed_form_prefactor(kind, L + step, k) / _closed_form_prefactor(kind, L, k)
+            if isinstance(kind, Gegenbauer):
+                want *= (L + Fraction(1, 2)) / (L + kind.nu + 1)
+            assert got == want, (k, L)
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in upper + lower)  # reduced, as TailBound takes them
 
 
 @pytest.mark.parametrize("digits", [64, 128])
@@ -334,10 +377,11 @@ def test_table_started_at_twice_the_start_index_agrees(digits, monkeypatch):
     guard = PrecisionContext(working_digits=digits + 10)
     cases = [(Fraction(0), None), (Fraction(1, 3), None), (Fraction(1, 3), Fraction(7, 3)),
              (Fraction(0), Fraction(-1, 4)), (Fraction(1), Fraction(2**20)), (Fraction(3), Fraction(1, 2))]
-    tables = [_miller_table(nu, lam, k, 41, guard) for nu, lam in cases for k in (1, 30, 100)]
+    kinds = [Chebyshev(nu) if lam is None else Gegenbauer(nu, lam) for nu, lam in cases]
+    tables = [_miller_table(kind, k, 41, guard) for kind in kinds for k in (1, 30, 100)]
     start_index = expansions._start_index
     monkeypatch.setattr(expansions, "_start_index", lambda *args: 2 * start_index(*args))
-    twice = [_miller_table(nu, lam, k, 41, guard) for nu, lam in cases for k in (1, 30, 100)]
+    twice = [_miller_table(kind, k, 41, guard) for kind in kinds for k in (1, 30, 100)]
     assert twice != tables  # the longer pass does change the last guard digits
     for i, (once, longer) in enumerate(zip(tables, twice)):
         for L, (a, b) in enumerate(zip(once, longer)):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from besselseries import (
     verify_identity,
 )
 from besselseries import expansions, hypergeom, identities
+from besselseries.mpcore import TailBound
 from besselseries.cli import main
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
 
@@ -438,6 +440,13 @@ def test_oracle_gegenbauer_h0(ctx):
 def test_oracle_rejects_short_tables(ctx):
     with pytest.raises(DomainError):
         power_gather_oracle(Chebyshev(0), 1, 8, 10, ctx)
+    # a Legendre table gathers x^(2h+N): degree 6 holds no x^7 or x^9, so those rows would gather nothing
+    with pytest.raises(DomainError, match="lmax must be at least 9 for a meaningful gather"):
+        power_gather_oracle(Legendre(3), 1, 3, 6, ctx)
+    with pytest.raises(DomainError, match="lmax must be at least 9 "):
+        power_gather_oracle(Legendre(3), 1, 3, 8, ctx)
+    rows = power_gather_oracle(Legendre(3), 1, 3, 9, ctx)
+    assert [r.h for r in rows] == [0, 1, 2, 3] and all(r.gathered != 0 for r in rows)
 
 
 def test_oracle_matches_identity_rhs_sample(ctx):
@@ -562,3 +571,44 @@ def test_gegenbauer_monomial_parts_equal_the_fraction_closed_form(lam):
             want = (-1) ** m * 2 ** (n - 2 * m) * rising[n - m]
             want /= math.factorial(m) * math.factorial(n - 2 * m)
             assert den > 0 and Fraction(num, den) == want, (n, m)
+
+
+def _hand_combined_tail(case):
+    """The tail bound of the sum over L from the three factor lists that multiply each family's prefactor
+    ratio into the ratio of its monomial closed form by hand: the reference for _order_tail."""
+    k, h, nu, lam = case.k, case.h, case.nu, case.lam or Fraction(0)
+    p, q, r, s = nu.numerator, nu.denominator, lam.numerator, lam.denominator
+    reduced = lambda n, d: (n // math.gcd(n, d), d // math.gcd(n, d))
+    if case.id in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1):
+        c, upper = 4, [(1, 1), (2, 1), (p + 2 * h + 1, 1)]
+        lower = [(1, 2), (3, 2), (2 - p, 1), (2 + p, 1), (2 - p - 2 * h, 1)]
+    elif case.lam is not None:
+        c, upper = 16, [(1, 2), (h * s + r, s)]
+        lower = [reduced(r, 2 * s), reduced(r + s, 2 * s), (p + q, q), (1 - h, 1)]
+    else:
+        c, upper, lower = 16, [(h, 1)], [(0, 1), (p + q, q), (1 - h, 1)]
+    return TailBound(Fraction(k.numerator**2, c * k.denominator**2), upper, lower)
+
+
+TAIL_IDS = [i for i in IdentityId if i != IdentityId.CLENSHAW_SUM_RULE]  # that one is chebyshev-even at h = 0
+TAIL_LAMBDAS = [Fraction(-1, 4), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_tail_is_the_hand_combined_tail_bound(seed):
+    # start equal, and the bound after each of 61 orders from it equal in every bit, on random cases
+    rng, dec = random.Random(seed), PrecisionContext().dec
+    for _ in range(250):
+        identity = rng.choice(TAIL_IDS)
+        family, fixed_nu = identities._FAMILY[identity]
+        nu = Fraction(rng.randrange(0, 12), rng.choice((1, 2, 3, 7))) if fixed_nu is None else None
+        lam = rng.choice(TAIL_LAMBDAS) if family is Gegenbauer else None
+        k = Fraction(rng.randrange(1, 30001), 100)
+        case = IdentityCase(identity, h=rng.randrange(0, 101), k=k, nu=nu, lam=lam, lmax=None,
+                            sign_flip=rng.random() < 0.5)
+        got, want = identities._order_tail(case), _hand_combined_tail(case)
+        assert got.start == want.start, case
+        with localcontext(dec):
+            for L in range(want.start, want.start + 61):
+                a, b = got.after(L, Decimal(1)), want.after(L, Decimal(1))
+                assert (a is None and b is None) or a.as_tuple() == b.as_tuple(), (case, L)

@@ -139,6 +139,8 @@ def test_equality_is_over_fields_of_one_class():
             DomainError,
             "a sum stopped by its tail bound needs a tolerance > 0",
         ),
+        (lambda: IdentityCase(IdentityId.LEGENDRE_J0, lmax=30, tolerance=-1), DomainError, "tolerance must be >= 0"),
+        (lambda: IdentityCase(IdentityId.LEGENDRE_J0, lmax=None, tolerance=-1), DomainError, "tolerance must be >= 0"),
         (lambda: IdentityCase(IdentityId.LEGENDRE_J0, h=5, lmax=4), DomainError, "lmax must be >= h"),
         (lambda: IdentityCase(IdentityId.LEGENDRE_J0, k=object()), TypeError, "unsupported numeric type object"),
         (lambda: OracleRow(1, 2, 3), TypeError, None),
