@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from decimal import Decimal
 from fractions import Fraction
 
@@ -93,15 +93,30 @@ def _frac_str(f):
     return None if f is None else str(Fraction(f))  # "p" or "p/q"
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the dicts (str keys), lists, strs, ints, bools and None
+    that commands print, without the pure-Python encoder an indent selects: only containers recurse."""
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [encode_basestring_ascii(key) + ": " + _json(v, inner) for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if type(value) is list:
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)  # TypeError otherwise
+
+
 def _emit(args, rows, text, wrap=None) -> None:
     """Write one command's output: its rows (dicts of column to value) as csv, the header and str() of
-    every cell; as json, the rows or wrap(rows); as text, the command's own lines (an iterable, read only
-    here).  --out writes the same bytes to a file first; a file that cannot be written is a usage error,
-    with nothing on stdout."""
+    every cell; as json, the rows or wrap(rows), laid out by _json as json.dumps(indent=2) would; as text,
+    the command's own lines (an iterable, read only here).  --out writes the same bytes to a file first; a
+    file that cannot be written is a usage error, with nothing on stdout."""
     if args.format == "csv":
         lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     elif args.format == "json":
-        lines = [json.dumps(rows if wrap is None else wrap(rows), indent=2)]
+        lines = [_json(rows if wrap is None else wrap(rows))]
     else:
         lines = list(text)
     out = "".join(line + "\n" for line in lines)

@@ -33,7 +33,7 @@ paper's; only the tests sum them (tests/helpers.py), as an independent check
 that cancels about k/ln 10 digits.  The identities take p_L and the series
 parameters from here, to bound their terms, and the ratio, to bound their tail
 (identities._order_tail, by TailBound); mpcore.factor_ratio evaluates it in
-integers for N* below and for the prefactor tables.  The Legendre p_L is an
+integers for the prefactor tables (N* below: lgamma).  The Legendre p_L is an
 exact rational, rounded once from its integer numerator and denominator.
 Chebyshev and Gegenbauer prefactors grow by the ratio, each step reduced to the
 pair of integers a Fraction holds, in a table per nu, lambda and k cached in
@@ -63,8 +63,9 @@ and the other solutions leave entry L off by p_N* / p_L, times
 shrinks forward (that factor > 1).  N* is the first index past lmax where this
 is below 10^-(working+10) at L = lmax, against min(p_0, p_lmax), as below the
 peak of p_L the entries are far smaller; past _MAX_START (N* grows like k) the
-table raises DomainError before anything is built.  The Legendre table is the
-lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
+table raises DomainError before anything is built.  The bound's log is a
+closed form in math.lgamma: N* takes a dozen probes, not a walk.  The Legendre
+table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation of Chebyshev tables is a display option
@@ -73,6 +74,7 @@ only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,6 +84,7 @@ from .mpcore import (
     DomainError,
     PrecisionContext,
     Real,
+    TailBound,
     Value,
     _pow,
     factor_ratio,
@@ -223,23 +226,43 @@ def _recurrence_coefficients(nuf: Fraction, lamf: Fraction, K: Fraction):
     return row
 
 
+def _first(test, lo: int, hi: int) -> int:
+    """The least j in [lo, hi] where test(j) holds, for a test that holds from some j on (or a j past hi if
+    none does): probes lo, lo + 2, lo + 6, lo + 14, ... (galloping), then bisects the last gap."""
+    step = 1
+    while (probe := min(lo + step - 1, hi)) < hi and not test(probe):
+        lo, step = probe + 1, 2 * step
+    return lo + bisect.bisect_left(range(lo, probe + 1), True, key=test)
+
+
 def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
-    """N* for entries 0..count-1 at 10^-digits (module docstring), estimated in floats from the kind's ratio."""
-    nu, lam, k2 = float(kind.nu), float(kind.lam or 0), float(kf * kf) if modified else 0.0
-    ratio = factor_ratio(*kind.ratio)
-    log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
-    log_p = floor = growth = 0.0
-    for j in range(_MAX_START + 1):
-        if j == count - 1:
-            floor = min(0.0, log_p)
-        # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
-        if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
-            return j
-        num, den = ratio(j)
-        log_p += log_k2 + math.log(abs(num / den))
-        if j >= count - 1:
-            growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
-    raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
+    """N* for entries 0..count-1 at 10^-digits (module docstring), the first j >= count where F(j), the log of
+    the bound over the floor, is below -digits ln 10.  By the kind's ratio c k^2 prod(i + a) / prod(i + b),
+    log p_j/p_0 = j log(c k^2) + sum(lgamma(j + a) - lgamma(a)) - sum(lgamma(j + b) - lgamma(b)) (lgamma is
+    log|Gamma|, so i + lam/2 < 0 needs no care); so is the growth since count - 1, as its factor exceeds 1 at
+    every step if 1 + lam > 2nu and at none otherwise.  Once mpcore.TailBound bounds every later step factor
+    below 1, F only falls, and galloping and bisection find j; before, F may rise, and each j is tried."""
+    c, upper, lower = kind.ratio
+    x, y = 2 + (kind.lam or 0) - kind.nu, 1 + kind.nu  # the growth's factor is (i + x) / (i + y)
+    grow_up, grow_low = (((x.numerator, x.denominator),), ((y.numerator, y.denominator),)) if x > y else ((), ())
+    ck2, k2 = c * kf * kf, float(kf * kf) if modified else 0.0
+    log_ck2 = math.log(ck2.numerator) - math.log(ck2.denominator)
+
+    def lg(j: int, up, low) -> float:  # log|prod_(i < j) prod(i + a) / prod(i + b)|, up to a constant
+        return sum([math.lgamma(j + p / q) for p, q in up]) - sum([math.lgamma(j + p / q) for p, q in low])
+
+    floor = min(0.0, (count - 1) * log_ck2 + lg(count - 1, upper, lower) - lg(0, upper, lower))
+    limit = lg(0, upper, lower) + lg(count - 1, grow_up, grow_low) + floor - digits * math.log(10)
+    upper, lower = upper + grow_up, lower + grow_low
+    # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
+    below = lambda j: j * log_ck2 + lg(j, upper, lower) + k2 / (8 * j + 2) < limit
+    bound = TailBound(ck2, upper, lower)
+    j0 = _first(lambda m: bound.after(m, Decimal(1)) is not None, count, _MAX_START)
+    start = next(filter(below, range(count, j0)), None)
+    start = _first(below, j0, _MAX_START) if start is None else start
+    if start > _MAX_START:
+        raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
+    return start
 
 
 def _miller_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modified=False):

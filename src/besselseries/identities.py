@@ -369,11 +369,11 @@ def power_gather_oracle(
     """
     if hmax < 0:
         raise DomainError("hmax must be >= 0")
-    if lmax < 2 * hmax + kind.offset:  # below it, the table holds no x^(2 hmax + offset) term
-        raise DomainError(f"lmax must be at least {2 * hmax + kind.offset} for a meaningful gather")
+    step, top = kind.step, 2 * hmax + kind.offset  # the L-th coefficient multiplies the degree-(step L) polynomial
+    if step * lmax < top:  # below it, the table holds no x^top term
+        raise DomainError(f"lmax must be at least {-(-top // step)} for a meaningful gather")
     kf = to_fraction(k)
     table = coefficient_table(kind, kf, lmax, ctx)
-    step = kind.step  # the L-th coefficient multiplies the degree-(step L) polynomial
     powers = [2 * h + kind.offset for h in range(hmax + 1)]
     monos = monomial_numerators(kind.poly, step * lmax, powers[-1])
 

@@ -12,6 +12,7 @@ computation that rounds once at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
@@ -271,33 +272,31 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
 # ---------------------------------------------------------------------------
 # formatting and summation helpers
 
+@functools.cache
+def _rounding(sig_digits: int) -> Context:  # format_decimal's, built once per width (plus sets only its flags)
+    return Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
+
+
 def format_decimal(v, sig_digits: int) -> str:
     """Decimal string with exactly sig_digits significant digits.
 
-    One rounding, half-even, to a context of sig_digits digits (a carry such
-    as 9.99 -> 10.0 just raises the exponent); the 'e' format then pads the
-    digits with zeros to sig_digits.  Positional notation is used while the
-    leading digit sits at 10^-5 or above and no trailing zeros would be needed
-    left of the decimal point; otherwise scientific notation with a lowercase
-    'e'.  Output is bit-exact across platforms.
+    One rounding, half-even, by the context of that width (_rounding; a carry
+    such as 9.99 -> 10.0 just raises the exponent); the format then only pads
+    zeros.  Positional notation ('f') is used while the leading digit sits at
+    10^-5 or above and no trailing zeros would be needed left of the decimal
+    point; otherwise scientific notation with a lowercase 'e'.  Output is
+    bit-exact across platforms.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
     d = v if isinstance(v, Decimal) else Decimal(str(v))
     if d == 0:
         return "0"
-    q = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999).plus(d)
-    text = format(q, f".{sig_digits - 1}e")
-    mantissa, adjusted = text.split("e")
-    int_len = int(adjusted) + 1  # digits left of the point
+    q = _rounding(sig_digits).plus(d)
+    int_len = q.adjusted() + 1  # digits left of the point
     if int_len < -4 or int_len > sig_digits:
-        return text
-    prefix, body = "-" if q.is_signed() else "", mantissa.lstrip("-").replace(".", "")
-    if int_len == sig_digits:
-        return prefix + body
-    if int_len > 0:
-        return prefix + body[:int_len] + "." + body[int_len:]
-    return prefix + "0." + "0" * (-int_len) + body
+        return format(q, f".{sig_digits - 1}e")
+    return format(q, f".{sig_digits - int_len}f")
 
 
 def neumaier_sum(terms, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -7,8 +7,9 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 from besselseries import DomainError, Legendre
+from besselseries.expansions import _MAX_START
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from besselseries.mpcore import gamma, pochhammer_fraction
+from besselseries.mpcore import factor_ratio, gamma, pochhammer_fraction
 
 
 def format_decimal_by_quantize(v, sig_digits: int) -> str:
@@ -194,3 +195,22 @@ def legendre_coeff_2f3(L: int, N: int, k, ctx):
     num = (1 if (L - N) % 4 == 0 else -1) * (2 * L + 1) * math.factorial(L) * kf.numerator**L
     pref = ctx.dec.divide(num, 2 ** (2 * L + 1) * kf.denominator**L)
     return ctx.dec.multiply(ctx.dec.multiply(gamma(half, ctx), pref), f)
+
+
+def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
+    """expansions._start_index as a walk over j = 0..N*, the oracle of its closed form: log p_j and the
+    growth summed one step at a time, with two math.log calls per step."""
+    nu, lam, k2 = float(kind.nu), float(kind.lam or 0), float(kf * kf) if modified else 0.0
+    ratio = factor_ratio(*kind.ratio)
+    log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
+    log_p = floor = growth = 0.0
+    for j in range(_MAX_START + 1):
+        if j == count - 1:
+            floor = min(0.0, log_p)
+        if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
+            return j
+        num, den = ratio(j)
+        log_p += log_k2 + math.log(abs(num / den))
+        if j >= count - 1:
+            growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
+    raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")

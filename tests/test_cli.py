@@ -202,6 +202,7 @@ def test_oracle_rows(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     ("oracle --kind legendre --N 3 --k 1 --lmax 6 --hmax 3", "lmax must be at least 9 for a meaningful gather"),
+    ("oracle --kind chebyshev --nu 0 --k 1 --lmax 7 --hmax 8", "lmax must be at least 8 for a meaningful gather"),
     ("verify --id legendre-j0 --h 0 --k 2 --tol=-1 --lmax 30", "tolerance must be >= 0"),
 ])
 def test_refusals_are_usage_errors(argv, message, capsys):
@@ -313,6 +314,37 @@ def test_verify_refuses_lmax_below_the_first_nonzero_order(capsys):
     assert code == 1 and out.startswith("FAIL legendre-j0 h=3 k=2 nu=0 lmax=6 terms=1 ")
 
 
+def test_tolerance_zero_with_an_explicit_lmax_is_a_verdict(capsys):
+    # tolerance 0 with a named lmax is not refused: at lmax 60 the sum is the closed form to the last working
+    # digit and passes; at lmax 30 the truncation leaves 7.28e-37, and the verdict is an honest FAIL
+    code, out = run_cli(capsys, "verify", "--id", "legendre-j0", "--h", "0", "--k", "2", "--tol=0", "--lmax", "60")
+    assert (code, out) == (0, "PASS legendre-j0 h=0 k=2 nu=0 lmax=60 terms=31 rel_diff=0\n")
+    code, out = run_cli(capsys, "verify", "--id", "legendre-j0", "--h", "0", "--k", "2", "--tol=0", "--lmax", "30")
+    assert (code, out) == (1, "FAIL legendre-j0 h=0 k=2 nu=0 lmax=30 terms=16 rel_diff=7.28e-37\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --kind gegenbauer --nu 1/3 --lambda=-1/4 --k 5 --lmax 6",
+    "coeffs --kind legendre --N 0 --k 2 --lmax 0",
+    "verify --id gegenbauer-general --nu 1/3 --lambda 7/3 --h 0..2 --k 3 --tol 1e-30",
+    "verify --id chebyshev-odd --h 1 --k 2 --sign-flip --lmax 30",
+    "eval --kind chebyshev --nu 1/2 --k 3 --x 1/2",
+    "oracle --kind legendre --N 1 --k 1 --hmax 2 --lmax 12",
+])
+def test_json_writer_is_json_dumps_with_indent_2(argv, capsys):
+    # every command's output shape: nested dicts and lists of str, int, bool and None, through the CLI
+    code, out = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_writer_on_empty_containers_and_scalars():
+    for value in ([], {}, None, True, False, 0, -7, 10**40, "", "\u00e9\n\"\\", [[]], [{}], {"a": [], "b": {}},
+                  [1, [2, {"c": None, "d": [True, "x"]}]]):
+        assert cli._json(value) == json.dumps(value, indent=2), value
+    with pytest.raises(TypeError):
+        cli._json(0.5)
+
+
 def test_clenshaw_sum_rule_refuses_h_other_than_zero(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--id", "clenshaw-sum-rule", "--h", "5", "--k", "2"])
@@ -399,8 +431,11 @@ def test_oracle_negative_hmax_is_a_usage_error(capsys):
         # N* = 135,998 at k = 200000: the backward pass would start past expansions._MAX_START
         (["coeffs", "--kind", "chebyshev", "--nu", "0", "--k", "200000", "--lmax", "5"],
          "besselseries coeffs: error: the backward recurrence would start past L = 100000"),
+        # at k = 2^70 p_j still grows at j = _MAX_START, so no closed-form probe gets past the cap
+        (["coeffs", "--kind", "chebyshev", "--nu", "0", "--k", "2^70", "--lmax", "2"],
+         "besselseries coeffs: error: the backward recurrence would start past L = 100000"),
     ],
-    ids=["eval", "verify", "coeffs"],
+    ids=["eval", "verify", "coeffs", "coeffs-2^70"],
 )
 def test_hard_caps_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as err:

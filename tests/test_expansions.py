@@ -388,6 +388,34 @@ def test_table_started_at_twice_the_start_index_agrees(digits, monkeypatch):
             assert rel_diff(a, b) < Decimal(10) ** -(digits + 5), (cases[i // 3], L)
 
 
+def test_first_is_the_least_index_where_a_monotone_test_holds():
+    rng = random.Random(7)
+    for _ in range(5000):
+        lo = rng.randint(0, 50)
+        hi, t = rng.randint(lo - 3, lo + 300), rng.randint(lo - 5, lo + 305)
+        probes = []
+        got = expansions._first(lambda j: probes.append(j) or j >= t, lo, hi)
+        assert got == max(lo, t) if max(lo, t) <= hi else got > hi, (lo, hi, t)
+        assert all(lo <= j <= hi for j in probes) and len(probes) <= 2 * (hi - lo + 2).bit_length() + 2
+
+
+def test_start_index_is_the_walk():
+    # the closed form (galloping and bisection where F falls, one j at a time where it may rise) against the
+    # walk over every j, on 4,000 seeded tables: fractional nu, lam in (-1/2, 0) and far from 1, k over six
+    # decades, counts that start below and past the peak of p_j, four guard precisions, 30% of them modified
+    rng = random.Random(20261019)
+    lams = [None, Fraction(-1, 4), Fraction(-3, 7), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20)]
+    for _ in range(4000):
+        q = rng.choice((1, 2, 3, 7))
+        nu = Fraction(rng.randint(0, 3 * q), q)
+        lam = rng.choice(lams)
+        kind = Chebyshev(nu) if lam is None else Gegenbauer(nu, lam)
+        k = Fraction(10 ** rng.uniform(-2, 4)).limit_denominator(100) or Fraction(1, 100)
+        count, digits, modified = rng.randint(1, 300), rng.choice((44, 74, 138, 266)), rng.random() < 0.3
+        want = helpers.start_index_walk(kind, k, count, digits, modified)
+        assert expansions._start_index(kind, k, count, digits, modified) == want, (kind, k, count, digits, modified)
+
+
 RECURRENCE_CASES = pytest.mark.parametrize(
     "nu,lam",
     [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)), (Fraction(5, 3), Fraction(0)),

@@ -438,8 +438,13 @@ def test_oracle_gegenbauer_h0(ctx):
 
 
 def test_oracle_rejects_short_tables(ctx):
-    with pytest.raises(DomainError):
-        power_gather_oracle(Chebyshev(0), 1, 8, 10, ctx)
+    # a Chebyshev or Gegenbauer table to lmax holds degree 2 lmax: x^16 needs lmax 8, x^6 needs lmax 3
+    for kind, hmax, lmax in ((Chebyshev(0), 8, 8), (Gegenbauer(0, Fraction(1, 3)), 3, 3)):
+        with pytest.raises(DomainError, match=f"lmax must be at least {lmax} for a meaningful gather"):
+            power_gather_oracle(kind, 1, hmax, lmax - 1, ctx)
+        rows = power_gather_oracle(kind, 1, hmax, lmax, ctx)
+        assert [r.h for r in rows] == list(range(hmax + 1)) and all(r.gathered != 0 for r in rows)
+    assert len(power_gather_oracle(Chebyshev(0), 1, 8, 10, ctx)) == 9
     # a Legendre table gathers x^(2h+N): degree 6 holds no x^7 or x^9, so those rows would gather nothing
     with pytest.raises(DomainError, match="lmax must be at least 9 for a meaningful gather"):
         power_gather_oracle(Legendre(3), 1, 3, 6, ctx)
