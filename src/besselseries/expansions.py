@@ -65,7 +65,8 @@ is below 10^-(working+10) at L = lmax, against min(p_0, p_lmax), as below the
 peak of p_L the entries are far smaller; past _MAX_START (N* grows like k) the
 table raises DomainError before anything is built.  The bound's log is a
 closed form in math.lgamma: N* takes a dozen probes, not a walk.  The Legendre
-table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N.
+table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N; that lift cancels
+about N log10(k/2) - log10 N! digits, which its whole build adds to the guard.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation of Chebyshev tables is a display option
@@ -296,8 +297,12 @@ def _miller_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modif
 
 def _legendre_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modified=False) -> list:
     """a_LN (modified, of I_N) for L = 0..count-1, unrounded, by x P_m = ((m+1) P_(m+1) + m P_(m-1)) / (2m+1)
-    N times; the t-th product is exact up to degree count - 1 + N - t."""
+    N times; the t-th product is exact up to degree count - 1 + N - t.  The lift cancels about
+    N log10(k/2) - log10 N! digits, so the whole table is built with that many more than guard has."""
     N, top = kind.N, count - 1 + kind.N
+    log_half_k = math.log10(kf.numerator) - math.log10(2 * kf.denominator)  # of ints: no float overflow at any k
+    lost = math.ceil(N * log_half_k - math.lgamma(N + 1) / math.log(10))
+    guard = PrecisionContext(guard.working_digits + lost, guard.display_digits) if lost > 0 else guard
     b = _miller_table(Gegenbauer(N, _HALF), kf, top // 2 + 1, guard, modified)
     with localcontext(guard.dec):
         d = [v for e in b for v in (e, Decimal(0))][: top + 1]  # degrees 0..top, odd ones 0

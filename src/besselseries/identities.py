@@ -17,7 +17,7 @@ that rides on k^(2L), and removes the (-1)^h from the right-hand side.
 
 Each term is the order-L entry of the family's backward-recurrence table
 (expansions; of I_nu with sign_flip) times the exact x^(2h+nu) monomial
-coefficient of P_L, T_2L or C^lam_2L in closed form (_monomial_parts, an
+coefficient of P_L, T_2L or C^lam_2L in closed form (the basis's monomial, an
 integer over an integer, divided once in Decimal), times k^nu for Chebyshev
 and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k, and the
 table is cached in the context (expansions._coefficients), so an h-sweep
@@ -29,10 +29,8 @@ decimal context, and the bound factors of its family key (IdentityCase._key)
 are one dict in the context, read by L, which the cases of an h-sweep share.
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
-step, offset, outer power, series parameters, prefactor and its ratio) every
-helper here reads.  Only the basis differs by family here: the closed forms of
-_monomial_parts, and the three column ratios of _order_tail, whose tail bound
-is the kind's prefactor ratio times the basis column ratio.
+step, offset, outer power, series parameters, prefactor and its ratio) and
+whose basis (closed forms and column ratio, orthopoly) every helper here reads.
 
 An independent brute-force check lives in power_gather_oracle: expand every
 basis polynomial into exact-rational monomials by its three-term recurrence,
@@ -55,12 +53,11 @@ from .mpcore import (
     TailBound,
     Value,
     _pow,
-    factor_ratio,
     neumaier_sum,
     to_fraction,
 )
 from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_at_zero, coefficient_table
-from .orthopoly import GegenbauerC, LegendreP, monomial_numerators
+from .orthopoly import LegendreP, _rising_factorial, monomial_numerators
 
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
 
@@ -167,7 +164,7 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
 def _weight(kind, h: int, L: int, k_nu: Real, ctx: PrecisionContext) -> Real:
     """k_nu = k^outer (1 for outer 0) times the x^(2h+offset) coefficient of the degree-(step L) basis polynomial."""
     n = kind.step * L
-    num, den = _monomial_parts(kind.poly, n, (n - kind.offset) // 2 - h, ctx)
+    num, den = kind.poly.monomial(n, (n - kind.offset) // 2 - h, ctx)
     return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den))
 
 
@@ -208,54 +205,15 @@ def _order_tail(case: IdentityCase) -> TailBound:
     1 for the 1F2 argument -k^2/4, exp(k^2 / (4 c_L)) with sign_flip, c_L the
     larger lower parameter, which grows with L, so F_(L+s)/F_L <= 1 (s = 2 for
     Legendre, else 1).  B_(L+s)/B_L is then at most the exact ratio of
-    |p| |mono|: the kind's ratio (expansions) times k^2, times the column ratio
-    of the basis, that of the closed forms of _monomial_parts at x^(2h+offset):
-
-        T_2L, x^2h:      (L+1)(L+h) / (L (L+1-h))                 (L >= 1)
-        C^lam_2L, x^2h:  |L+h+lam| / (L+1-h)
-        P_L, x^(2h+N):   (L+N+2h+1) / (L-N-2h+2)                  (step 2).
-
-    The factor L of T_2L stays: it is also the guard L >= 1.  TailBound turns
-    the product into a majorant R(L) that does not increase, so the terms after
-    L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
+    |p| |mono|: the kind's ratio (expansions) times k^2, times the basis's
+    column at x^(2h+offset) (orthopoly), the ratio of its monomial closed forms.
+    TailBound turns the product into a majorant R(L) that does not increase, so
+    the terms after L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
     """
-    (c, upper, lower), h, N, lam, k = case.kind.ratio, case.h, case.kind.offset, case.lam, case.k
-    if isinstance(case.kind, Legendre):
-        column = [(N + 2 * h + 1, 1)], [(2 - N - 2 * h, 1)]
-    elif lam is not None:
-        column = [(h * lam.denominator + lam.numerator, lam.denominator)], [(1 - h, 1)]
-    else:
-        column = [(1, 1), (h, 1)], [(0, 1), (1 - h, 1)]
+    (c, upper, lower), k = case.kind.ratio, case.k
+    column_up, column_low = case.kind.poly.column(case.h, case.kind.offset)
     c_k2 = Fraction(c.numerator * k.numerator**2, c.denominator * k.denominator**2)  # c k^2 in 2/5 the time of c * k**2
-    return TailBound(c_k2, [*upper, *column[0]], [*lower, *column[1]])
-
-
-def _monomial_parts(poly, n: int, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
-    """Coefficient of x^(n-2m) in P_n, T_n or C^lam_n as an integer numerator over a positive integer
-    denominator, not reduced, from the closed forms
-
-        P_n: (-1)^m C(n, m) C(2n-2m, n) / 2^n
-        T_n: (-1)^m 2^(n-2m-1) n/(n-m) C(n-m, m),  and T_0 = 1
-        C^lam_n: (-1)^m (lam)_(n-m) 2^(n-2m) / (m! (n-2m)!)
-
-    The exact rising factorials (lam)_j come from a table in the context.
-    """
-    sign = -1 if m % 2 else 1
-    if isinstance(poly, LegendreP):
-        return sign * math.comb(n, m) * math.comb(2 * n - 2 * m, n), 2**n
-    if isinstance(poly, GegenbauerC):
-        rising = _rising_factorial(poly.lam, n - m, ctx)
-        den = rising.denominator * math.factorial(m) * math.factorial(n - 2 * m)
-        return sign * rising.numerator << (n - 2 * m), den
-    if n == 0:
-        return 1, 1
-    return sign * n * math.comb(n - m, m) << (n - 2 * m), 2 * (n - m)
-
-
-def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
-    """Exact (lam)_j from a per-context table that grows on demand."""
-    p, q = lam.numerator, lam.denominator
-    return ctx._table(("rising", p, q), lambda: Fraction(1), lambda: factor_ratio(Fraction(1), ((p, q),), ()), j)
+    return TailBound(c_k2, [*upper, *column_up], [*lower, *column_low])
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -339,13 +297,13 @@ def verify_identity(
 
 def brace_factor_legendre(L: int, h: int, order: int = 0) -> Fraction:
     """Combinatorial bracket multiplying the 1F2 in the Legendre families: the coefficient of
-    x^(2h+order) in P_L, an exact rational from the integer closed form of _monomial_parts."""
+    x^(2h+order) in P_L, an exact rational from the basis's integer closed form."""
     if order not in (0, 1):
         raise DomainError("order must be 0 or 1")
     m = (L - order) // 2 - h
     if L % 2 != order or m < 0:
         return Fraction(0)
-    return Fraction(*_monomial_parts(LegendreP(), L, m))
+    return Fraction(*LegendreP().monomial(L, m))
 
 
 class OracleRow(Value):

@@ -297,6 +297,16 @@ def test_table_at_128_digits_agrees_with_160(kind):
             assert rel_diff(a, b) < Decimal("1e-120"), L
 
 
+@pytest.mark.parametrize("N, k", [(20, 1000), (30, 1000), (40, 2000), (20, 3000), (60, 4000)])
+def test_legendre_lift_keeps_every_displayed_digit(N, k):
+    # The lift by x^N cancels about N log10(k/2) - log10 N! digits (up to 117 here), far more than the 10
+    # guard digits: every entry displayed at 34 digits must equal the same table at 200 more working digits.
+    low = coefficient_table(Legendre(N), k, 40, PrecisionContext()).entries
+    high = coefficient_table(Legendre(N), k, 40, PrecisionContext(working_digits=264)).entries
+    for (L, a), (_, b) in zip(low, high):
+        assert format_decimal(a, 34) == format_decimal(b, 34), L
+
+
 @pytest.mark.parametrize(
     "kind", [Legendre(3), Chebyshev(Fraction(1, 3)), Gegenbauer(Fraction(1, 3), Fraction(1, 3))],
     ids=["legendre", "chebyshev", "gegenbauer"],

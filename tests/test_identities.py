@@ -572,7 +572,7 @@ def test_gegenbauer_monomial_parts_equal_the_fraction_closed_form(lam):
         rising.append(rising[-1] * (lam + i))
     for n in range(131):
         for m in range(n // 2 + 1):
-            num, den = identities._monomial_parts(GegenbauerC(lam), n, m, ctx)
+            num, den = GegenbauerC(lam).monomial(n, m, ctx)
             want = (-1) ** m * 2 ** (n - 2 * m) * rising[n - m]
             want /= math.factorial(m) * math.factorial(n - 2 * m)
             assert den > 0 and Fraction(num, den) == want, (n, m)

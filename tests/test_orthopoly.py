@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from besselseries import DomainError
-from besselseries.identities import _monomial_parts
 from besselseries.mpcore import pochhammer_fraction
 from besselseries.orthopoly import (
     ChebyshevT,
@@ -41,7 +40,7 @@ def closed_form_row(kind, n: int) -> list:
     """
     row = [0] * (n + 1)
     for m in range(n // 2 + 1):
-        row[n - 2 * m] = Fraction(*_monomial_parts(kind, n, m))
+        row[n - 2 * m] = Fraction(*kind.monomial(n, m))
     return row
 
 
@@ -101,6 +100,34 @@ def test_recurrence_rows_match_closed_forms(kind):
     for pmax in (0, 1, 23):
         short = monomial_rows(kind, 130, pmax)
         assert all(s == r[: pmax + 1] for s, r in zip(short, rows))
+
+
+COLUMN_BASES = (  # (basis, degree step, offset): the L-th polynomial an expansion sums has degree step L
+    [(LegendreP(), 1, offset) for offset in range(4)]
+    + [(ChebyshevT(), 2, 0)]
+    + [(GegenbauerC(lam), 2, 0) for lam in
+       (Fraction(-1, 4), Fraction(-3, 7), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20))]
+)
+COLUMN_IDS = ["legendre+0", "legendre+1", "legendre+2", "legendre+3", "chebyshev",
+              "geg-1/4", "geg-3/7", "geg2^-20", "geg1/3", "geg7/3", "geg2^20"]
+
+
+@pytest.mark.parametrize("basis, step, offset", COLUMN_BASES, ids=COLUMN_IDS)
+def test_column_is_the_ratio_of_consecutive_closed_forms(basis, step, offset):
+    # The two statements of a basis column agree: from the L-th summed polynomial to the next (degree + 2),
+    # the x^(2h+offset) closed form grows by |column(h, offset)| at L and changes sign, to degree 300, h <= 60;
+    # only C^lam with lam < 0 keeps its sign at h = L = 0, where the column's L + h + lam, so (lam)_1, is < 0.
+    prod = lambda factors, L: math.prod(Fraction(p + L * q, q) for p, q in factors)
+    s = 2 // step
+    for h in range(61):
+        upper, lower = basis.column(h, offset)
+        first = max((2 * h + offset) // step, 1 if isinstance(basis, ChebyshevT) else 0)  # T_0 has its own form
+        for L in range(first, (300 - 2) // step + 1, s):
+            n = step * L
+            num, den = basis.monomial(n, (n - offset) // 2 - h)
+            num_next, den_next = basis.monomial(n + 2, (n + 2 - offset) // 2 - h)
+            ratio = Fraction(num_next * den, den_next * num)
+            assert ratio == -prod(upper, L) / prod(lower, L), (h, L)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
