@@ -23,7 +23,7 @@ family; every other layer reads what a kind carries:
     lam     the Gegenbauer lambda, None for the other two
     ratio   (c, upper, lower): p_(L+s)/p_L = k^2 c prod(L + a) / prod(L + b),
             s = 2 for Legendre, else 1, in mpcore.TailBound's format
-    _series(L)             the 1F2's upper and lower parameters
+    _series(L)             the 1F2's upper and lower parameters, integer pairs
     _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
 
 One algorithm computes the coefficients, the backward recurrence below.  The
@@ -113,8 +113,8 @@ class Legendre(Value):
         ratio = (_QUARTER, ((1, 1), (2, 1)), ((1, 2), (3, 2), (2 - N, 1), (2 + N, 1)))
         self._set(N=N, nu=Fraction(N), offset=N, ratio=ratio)
 
-    def _series(self, L: int) -> tuple:
-        return (Fraction(L + self.N + 1, 2),), (Fraction(L + self.N, 2) + 1, L + Fraction(3, 2))
+    def _series(self, L: int) -> tuple:  # ((L+N+1)/2; (L+N)/2+1, L+3/2)
+        return ((L + self.N + 1, 2),), ((L + self.N + 2, 2), (2 * L + 3, 2))
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
         """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)) (L - N even), that is the
@@ -136,8 +136,9 @@ class Chebyshev(Value):
         # p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1)), and p_L carries a factor 2 for L >= 1 (_prefactor)
         self._set(nu=nu, outer=nu, ratio=(_SIXTEENTH, (), ((1, 1), (nu.numerator + nu.denominator, nu.denominator))))
 
-    def _series(self, L: int) -> tuple:
-        return (L + _HALF,), (L + self.nu + 1, 2 * L + 1)
+    def _series(self, L: int) -> tuple:  # (L+1/2; L+nu+1, 2L+1)
+        p, q = self.nu.numerator, self.nu.denominator
+        return ((2 * L + 1, 2),), ((L * q + p + q, q), (2 * L + 1, 1))
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
         p = _even_prefactor(L, self, kf, ctx)
@@ -161,8 +162,9 @@ class Gegenbauer(Value):
         ratio = (_SIXTEENTH, ((1, 2),), (half(r), half(r + s), (p + q, q)))
         self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly, ratio=ratio)
 
-    def _series(self, L: int) -> tuple:
-        return (L + _HALF,), (2 * L + self.lam + 1, L + self.nu + 1)
+    def _series(self, L: int) -> tuple:  # (L+1/2; 2L+lam+1, L+nu+1)
+        (p, q), (r, s) = (self.nu.numerator, self.nu.denominator), (self.lam.numerator, self.lam.denominator)
+        return ((2 * L + 1, 2),), (((2 * L + 1) * s + r, s), (L * q + p + q, q))
 
     def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
         return _even_prefactor(L, self, kf, ctx)
@@ -242,7 +244,9 @@ def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = F
     log p_j/p_0 = j log(c k^2) + sum(lgamma(j + a) - lgamma(a)) - sum(lgamma(j + b) - lgamma(b)) (lgamma is
     log|Gamma|, so i + lam/2 < 0 needs no care); so is the growth since count - 1, as its factor exceeds 1 at
     every step if 1 + lam > 2nu and at none otherwise.  Once mpcore.TailBound bounds every later step factor
-    below 1, F only falls, and galloping and bisection find j; before, F may rise, and each j is tried."""
+    below 1, F only falls, and galloping and bisection find j; before, F may rise, and each j is tried, unless
+    F less its exp term is not below at count and rises up to _MAX_START: the growth's step factor exceeds 1,
+    and p's is at least its upper factors at count over its lower ones at _MAX_START, when that is >= 1."""
     c, upper, lower = kind.ratio
     x, y = 2 + (kind.lam or 0) - kind.nu, 1 + kind.nu  # the growth's factor is (i + x) / (i + y)
     grow_up, grow_low = (((x.numerator, x.denominator),), ((y.numerator, y.denominator),)) if x > y else ((), ())
@@ -254,12 +258,14 @@ def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = F
 
     floor = min(0.0, (count - 1) * log_ck2 + lg(count - 1, upper, lower) - lg(0, upper, lower))
     limit = lg(0, upper, lower) + lg(count - 1, grow_up, grow_low) + floor - digits * math.log(10)
+    (n1, d1), (n2, d2) = factor_ratio(ck2, upper, ())(count), factor_ratio(1, (), lower)(_MAX_START)
     upper, lower = upper + grow_up, lower + grow_low
     # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
     below = lambda j: j * log_ck2 + lg(j, upper, lower) + k2 / (8 * j + 2) < limit
+    rises = n1 * n2 >= d1 * d2 and count * log_ck2 + lg(count, upper, lower) >= limit
     bound = TailBound(ck2, upper, lower)
     j0 = _first(lambda m: bound.after(m, Decimal(1)) is not None, count, _MAX_START)
-    start = next(filter(below, range(count, j0)), None)
+    start = None if rises else next(filter(below, range(count, j0)), None)
     start = _first(below, j0, _MAX_START) if start is None else start
     if start > _MAX_START:
         raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
@@ -268,7 +274,8 @@ def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = F
 
 def _miller_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modified=False):
     """Entries 0..count-1 of the Chebyshev or Gegenbauer kind's table, unrounded, in the guard context;
-    modified, of (kx)^-nu I_nu(kx)."""
+    modified, of (kx)^-nu I_nu(kx).  The pass is scaled by its entries summed with the basis values at x = 0
+    (x = 1 modified) as weights: Chebyshev's are signs, Gegenbauer's a running product."""
     nuf, lamf = kind.nu, kind.lam
     start = _start_index(kind, kf, count, guard.working_digits, modified)
     row, fma = _recurrence_coefficients(nuf, lamf or Fraction(0), -kf * kf if modified else kf * kf), guard.dec.fma
@@ -281,13 +288,16 @@ def _miller_table(kind, kf: Fraction, count: int, guard: PrecisionContext, modif
         entries = [a[0] / 2] + a[1:start] if lamf is None else [(2 * L + lam_d) * a[L] for L in range(start)]
         # J: at x = 0, T_2L(0) = (-1)^L, C^lam_2L(0) = (-1)^L (lam)_L / L!.  I: at x = 1, where every
         # term is positive (at x = 0 they cancel), T_2L(1) = 1, C^lam_2L(1) = (2lam)_2L / (2L)!.
-        at_x, w = [], Decimal(1)
-        for L, e in enumerate(entries):
-            at_x.append(w * e)
-            if not modified:
-                w = -w if lamf is None else -w * (lam_d + L) / (L + 1)
-            elif lamf is not None:
-                w = w * (2 * lam_d + 2 * L) * (2 * lam_d + 2 * L + 1) / ((2 * L + 1) * (2 * L + 2))
+        if lamf is None:
+            at_x = entries if modified else [-e if L % 2 else e for L, e in enumerate(entries)]
+        else:
+            at_x, w = [], Decimal(1)
+            for L, e in enumerate(entries):
+                at_x.append(w * e)
+                if modified:
+                    w = w * (2 * lam_d + 2 * L) * (2 * lam_d + 2 * L + 1) / ((2 * L + 1) * (2 * L + 2))
+                else:
+                    w = -w * (lam_d + L) / (L + 1)
         f = _pow(2, -nuf, guard) / gamma(nuf + 1, guard)  # f(0)
         if modified:  # f(1) = f(0) 0F1(; nu+1; k^2/4)
             f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)

@@ -60,6 +60,7 @@ from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_a
 from .orthopoly import LegendreP, _rising_factorial, monomial_numerators
 
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
+_UP = Context(prec=20, rounding=ROUND_CEILING)  # _bound_factor's exp(z/c_L), rounded up
 
 
 class IdentityId(enum.Enum):
@@ -192,9 +193,10 @@ def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     pref = abs(case.kind._prefactor(L, case.k, ctx))
     if not case.sign_flip:
         return pref
-    k, c, up = case.k, max(case.kind._series(L)[1]), Context(prec=20, rounding=ROUND_CEILING)
-    x = up.divide(k.numerator**2 * c.denominator, 4 * k.denominator**2 * c.numerator)  # z/c
-    return ctx.dec.multiply(pref, up.next_plus(up.exp(x)))  # exp rounds half-even whatever the context: one step up
+    k, ((p, q), (r, s)) = case.k, case.kind._series(L)[1]
+    c, d = (p, q) if p * s >= r * q else (r, s)  # c_L = c / d, an integer pair not always reduced
+    x = _UP.divide(k.numerator**2 * d, 4 * k.denominator**2 * c)  # z/c_L, correctly rounded whatever the pair
+    return ctx.dec.multiply(pref, _UP.next_plus(_UP.exp(x)))  # exp rounds half-even whatever the context: one step up
 
 
 def _order_tail(case: IdentityCase) -> TailBound:
@@ -319,9 +321,10 @@ def power_gather_oracle(
     """Brute-force route: gather x-powers from exact monomial expansions.
 
     Expands each basis polynomial into monomials by its three-term recurrence
-    (truncated above the highest gathered power, which is exact), multiplies
-    by the tabulated expansion coefficients, gathers the coefficient of
-    x^(2h+nu) for each h, and compares with the Maclaurin coefficient of
+    (truncated above the highest gathered power, which is exact), pairs each
+    nonzero tabulated coefficient c_L once with the numerators and denominator
+    of degree step L, gathers the coefficient of x^(2h+nu) for each h over
+    those columns, and compares it with the Maclaurin coefficient of
     J_nu(kx).  Everything on the gathering side except the coefficients
     themselves is exact-rational.
     """
@@ -330,22 +333,15 @@ def power_gather_oracle(
     step, top = kind.step, 2 * hmax + kind.offset  # the L-th coefficient multiplies the degree-(step L) polynomial
     if step * lmax < top:  # below it, the table holds no x^top term
         raise DomainError(f"lmax must be at least {-(-top // step)} for a meaningful gather")
-    kf = to_fraction(k)
-    table = coefficient_table(kind, kf, lmax, ctx)
-    powers = [2 * h + kind.offset for h in range(hmax + 1)]
-    monos = monomial_numerators(kind.poly, step * lmax, powers[-1])
-
-    def gathered_terms(power):
-        for L, c in table.entries:
-            mono, den = monos[step * L]
-            num = mono[power] if power < len(mono) else 0
-            if num and c != 0:  # the quotient rounds once, as ctx.real(Fraction(num, den)) does
-                yield c * ctx.dec.divide(num, den)
-
+    kf, divide = to_fraction(k), ctx.dec.divide
+    monos = monomial_numerators(kind.poly, step * lmax, top)
+    columns = [(c, *monos[step * L]) for L, c in coefficient_table(kind, kf, lmax, ctx).entries if c != 0]
     rows = []
-    for h in range(hmax + 1):
-        with localcontext(ctx.dec):
-            gathered = neumaier_sum(gathered_terms(powers[h]), ctx)
+    with localcontext(ctx.dec):  # each quotient rounds once, as ctx.real(Fraction(num, den)) does
+        for h in range(hmax + 1):
+            power = 2 * h + kind.offset
+            gathered = neumaier_sum([c * divide(row[power], den) for c, row, den in columns
+                                     if power < len(row) and row[power]], ctx)
             if kind.outer:  # the (kx)^nu outside the sum contributes k^nu to each gathered power
                 gathered = +(gathered * _k_nu(kf, kind.outer, ctx))
             maclaurin = _maclaurin(h, kind.nu, kf, False, ctx)

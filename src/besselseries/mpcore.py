@@ -300,13 +300,15 @@ def format_decimal(v, sig_digits: int) -> str:
 
 
 def neumaier_sum(terms, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Compensated (Neumaier) summation at working precision, in given order."""
+    """Compensated (Neumaier) summation at working precision, in given order, of terms at that precision
+    (every caller rounds them there): so copy_abs, which only clears a sign, gives the magnitudes the branch
+    compares, where abs() would round each again."""
     with localcontext(ctx.dec):
         s = _ZERO
         comp = _ZERO
         for t in terms:
             total = s + t
-            if abs(s) >= abs(t):
+            if s.copy_abs() >= t.copy_abs():
                 comp += (s - total) + t
             else:
                 comp += (t - total) + s

@@ -119,7 +119,8 @@ def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
     """The rows of monomial_rows as (integer numerators, one positive integer denominator) per degree.
 
     Built by the three-term recurrence on integer numerators over one
-    denominator per row, reduced by the gcd of the whole row.  Dropping the
+    denominator per row, reduced by the gcd of the whole row where it is not 1
+    (it is 1 in every Chebyshev row, whose recurrence has d = 1).  Dropping the
     powers above pmax is exact: the x^j coefficient of p_{m+1} needs only
     x^(j-1) of p_m and x^j of p_{m-1}.
     """
@@ -140,7 +141,7 @@ def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
             c = fa * cur[j - 1] if j else 0
             new[j] = c - fb * prev[j] if j < len(prev) else c
         g = math.gcd(den, *new)
-        rows.append(([v // g for v in new], den // g))
+        rows.append(([v // g for v in new], den // g) if g > 1 else (new, den))
     return rows
 
 

@@ -6,10 +6,11 @@ import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from besselseries import DomainError, Legendre
+from besselseries import DomainError, Legendre, coefficient_table, expansions, identities
 from besselseries.expansions import _MAX_START
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from besselseries.mpcore import factor_ratio, gamma, pochhammer_fraction
+from besselseries.mpcore import _pow, factor_ratio, gamma, pochhammer_fraction
+from besselseries.orthopoly import monomial_numerators
 
 
 def format_decimal_by_quantize(v, sig_digits: int) -> str:
@@ -169,7 +170,7 @@ def series_coeff(kind, L: int, k, ctx, modified: bool = False):
     if isinstance(kind, Legendre) and kind.N > 1:
         assert not modified, "no 1F2 form of the I_N coefficients for N >= 2"
         return legendre_coeff_2f3(L, kind.N, kf, ctx)
-    upper, lower = kind._series(L)
+    upper, lower = ([Fraction(*pair) for pair in pairs] for pairs in kind._series(L))  # integer pairs
     z = kf * kf / 4
     sign = 1 if modified or (kind.step * L - kind.offset) % 4 == 0 else -1
     pref = ctx.dec.multiply(sign, kind._prefactor(L, kf, ctx))
@@ -214,3 +215,69 @@ def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool
         if j >= count - 1:
             growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
     raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
+
+
+def neumaier_sum_by_abs(terms, ctx) -> Decimal:
+    """mpcore.neumaier_sum as it was written first, the reference of the copy_abs version: the branch
+    compares abs() of the partial sum and the term, each of which rounds in the context."""
+    with localcontext(ctx.dec):
+        s = comp = Decimal(0)
+        for t in terms:
+            total = s + t
+            if abs(s) >= abs(t):
+                comp += (s - total) + t
+            else:
+                comp += (t - total) + s
+            s = total
+        return +(s + comp)
+
+
+def gathered_by_generator(kind, k, hmax: int, lmax: int, ctx) -> list:
+    """The gathered column of identities.power_gather_oracle as it was written first, the reference of the
+    column-list version: for each power a generator walks the whole table and tests every (L, power) pair,
+    and neumaier_sum_by_abs adds the terms."""
+    kf = Fraction(k)
+    table = coefficient_table(kind, kf, lmax, ctx)
+    powers = [2 * h + kind.offset for h in range(hmax + 1)]
+    monos = monomial_numerators(kind.poly, kind.step * lmax, powers[-1])
+
+    def gathered_terms(power):
+        for L, c in table.entries:
+            mono, den = monos[kind.step * L]
+            num = mono[power] if power < len(mono) else 0
+            if num and c != 0:
+                yield c * ctx.dec.divide(num, den)
+
+    column = []
+    for power in powers:
+        with localcontext(ctx.dec):
+            gathered = neumaier_sum_by_abs(gathered_terms(power), ctx)
+            if kind.outer:
+                gathered = +(gathered * identities._k_nu(kf, kind.outer, ctx))
+        column.append(gathered)
+    return column
+
+
+def chebyshev_miller_by_running_weight(kind, kf: Fraction, count: int, guard, modified: bool = False) -> list:
+    """expansions._miller_table of a Chebyshev kind as it was written first, the reference of the signs
+    version: the normalizing sum multiplies every entry by a running Decimal weight, -1 times the last one
+    for J (T_2L(0) = (-1)^L) and 1 for I (T_2L(1) = 1), and neumaier_sum_by_abs adds them."""
+    nuf = kind.nu
+    start = expansions._start_index(kind, kf, count, guard.working_digits, modified)
+    row = expansions._recurrence_coefficients(nuf, Fraction(0), -kf * kf if modified else kf * kf)
+    with localcontext(guard.dec):
+        a = [Decimal(0)] * start + [Decimal(1), Decimal(0), Decimal(0)]
+        for L in range(start - 1, -1, -1):
+            bm3, bm1, b1, b3 = row(L)
+            a[L] = guard.dec.fma(bm1, a[L + 1], guard.dec.fma(b1, a[L + 2], b3 * a[L + 3])) / -bm3
+        entries = [a[0] / 2] + a[1:start]
+        at_x, w = [], Decimal(1)
+        for e in entries:
+            at_x.append(w * e)
+            if not modified:
+                w = -w
+        f = _pow(2, -nuf, guard) / gamma(nuf + 1, guard)
+        if modified:
+            f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
+        scale = f / neumaier_sum_by_abs(at_x, guard)
+        return [e * scale for e in entries[:count]]

@@ -398,6 +398,20 @@ def test_table_started_at_twice_the_start_index_agrees(digits, monkeypatch):
             assert rel_diff(a, b) < Decimal(10) ** -(digits + 5), (cases[i // 3], L)
 
 
+@pytest.mark.parametrize("digits", [64, 128])
+@pytest.mark.parametrize("modified", [False, True], ids=["J", "I"])
+def test_chebyshev_miller_table_is_the_running_weight_table(modified, digits):
+    # the normalization's weights T_2L(0) = (-1)^L and T_2L(1) = 1 taken as signs against a running Decimal
+    # weight multiplied into every entry, bit for bit in every unrounded entry
+    guard = PrecisionContext(working_digits=digits + 10)
+    for nu in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        for k in (Fraction(1, 2), Fraction(1), Fraction(7), Fraction(30), Fraction(100)):
+            for count in (1, 21, 61):
+                got = _miller_table(Chebyshev(nu), k, count, guard, modified)
+                want = helpers.chebyshev_miller_by_running_weight(Chebyshev(nu), k, count, guard, modified)
+                assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], (nu, k, count)
+
+
 def test_first_is_the_least_index_where_a_monotone_test_holds():
     rng = random.Random(7)
     for _ in range(5000):
@@ -424,6 +438,24 @@ def test_start_index_is_the_walk():
         count, digits, modified = rng.randint(1, 300), rng.choice((44, 74, 138, 266)), rng.random() < 0.3
         want = helpers.start_index_walk(kind, k, count, digits, modified)
         assert expansions._start_index(kind, k, count, digits, modified) == want, (kind, k, count, digits, modified)
+
+
+def test_start_index_refuses_a_rising_bound_without_the_walk(monkeypatch):
+    # every step factor up to _MAX_START at least 1 and the bound not below its limit at count: the table is
+    # refused after a few dozen lgamma calls, where the walk takes one step per j, and the walk refuses it too
+    cases = [(Chebyshev(0), Fraction(2**70), 3, 74, False), (Chebyshev(Fraction(1, 3)), Fraction(10**7), 1, 138, True),
+             (Gegenbauer(Fraction(1, 3), Fraction(7, 3)), Fraction(10**10), 40, 44, False)]
+    lgamma, calls = math.lgamma, []
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    for case in cases:
+        calls.clear()
+        with pytest.raises(DomainError, match=f"start past L = {expansions._MAX_START}"):
+            expansions._start_index(*case)
+        assert len(calls) < 50, case
+    monkeypatch.undo()
+    for case in cases:
+        with pytest.raises(DomainError, match=f"start past L = {expansions._MAX_START}"):
+            helpers.start_index_walk(*case)
 
 
 RECURRENCE_CASES = pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -31,6 +31,7 @@ from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_
 from helpers import (
     brace_factor_eq10,
     fraction_to_decimal,
+    gathered_by_generator,
     machin_pi,
     pFq_rational_prefix,
     rel_diff,
@@ -454,6 +455,32 @@ def test_oracle_rejects_short_tables(ctx):
     assert [r.h for r in rows] == [0, 1, 2, 3] and all(r.gathered != 0 for r in rows)
 
 
+LAMBDAS_FOR_ORACLE = [Fraction(-1, 4), Fraction(1, 3), Fraction(7, 3)]
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_oracle_gathers_the_reference_columns(digits):
+    # the column list and its comprehension against the generator that walks the whole table for every power,
+    # bit for bit: seeded cases of all three kinds, integer and fractional nu, hmax <= 12, lmax from the
+    # smallest the gather allows to 120
+    ctx, rng = PrecisionContext(working_digits=digits), random.Random(digits)
+    nus = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2), Fraction(7, 3)]
+    for trial in range(36):
+        family = (Legendre, Chebyshev, Gegenbauer)[trial % 3]
+        if family is Legendre:
+            kind = Legendre(rng.randint(0, 3))
+        else:
+            nu = rng.choice(nus)
+            kind = Chebyshev(nu) if family is Chebyshev else Gegenbauer(nu, rng.choice(LAMBDAS_FOR_ORACLE))
+        hmax, k = rng.randint(0, 12), Fraction(rng.randint(1, 3000), rng.choice((1, 10, 100)))
+        smallest = -(-(2 * hmax + kind.offset) // kind.step)
+        lmax = rng.choice((smallest, rng.randint(smallest, 120), 120))
+        rows = power_gather_oracle(kind, k, hmax, lmax, ctx)
+        want = gathered_by_generator(kind, k, hmax, lmax, ctx)
+        assert [repr(r.gathered) for r in rows] == [repr(w) for w in want], (kind, k, hmax, lmax)
+        assert [r.gathered.as_tuple() for r in rows] == [w.as_tuple() for w in want], (kind, k, hmax, lmax)
+
+
 def test_oracle_matches_identity_rhs_sample(ctx):
     # the full h <= 10 sweep lives in the acceptance suite
     rows = power_gather_oracle(Chebyshev(Fraction(1)), 5, 4, 40, ctx)
@@ -492,6 +519,39 @@ def test_identity_rhs_is_the_exact_closed_form_rounded(nu, sign_flip, digits):
 
 
 # ----------------------------------------------------------------- tail bound of the sum over L
+
+def _series_fractions(kind, L):
+    """The 1F2 parameters of each kind in Fractions, as the coefficient docstrings state them."""
+    if isinstance(kind, Legendre):
+        return (Fraction(L + kind.N + 1, 2),), (Fraction(L + kind.N, 2) + 1, L + Fraction(3, 2))
+    if isinstance(kind, Chebyshev):
+        return (L + Fraction(1, 2),), (L + kind.nu + 1, Fraction(2 * L + 1))
+    return (L + Fraction(1, 2),), (2 * L + kind.lam + 1, L + kind.nu + 1)
+
+
+@pytest.mark.parametrize("identity,lam", [(IdentityId.LEGENDRE_J0, None), (IdentityId.LEGENDRE_J1, None),
+                                          (IdentityId.CHEBYSHEV_GENERAL_NU, None)]
+                         + [(IdentityId.GEGENBAUER_GENERAL, lam) for lam in LAMBDAS_FOR_ORACLE],
+                         ids=["leg0", "leg1", "cheb", "geg-1/4", "geg1/3", "geg7/3"])
+def test_bound_factor_takes_c_l_from_integer_pairs(identity, lam):
+    # each kind's integer pairs are its 1F2 parameters, and the --sign-flip bound factor, exp(z/c_L) with c_L the
+    # larger lower one, has the bits of the Fraction form: z/c_L is one correctly rounded division either way
+    ctx, up = PrecisionContext(), Context(prec=20, rounding=ROUND_CEILING)
+    nus = [None] if identity in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1) else [
+        Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(7, 3)]
+    for nu in nus:
+        for k in (Fraction(1, 3), Fraction(7), Fraction(40)):
+            case = IdentityCase(identity, h=0, k=k, nu=nu, lam=lam, lmax=None, sign_flip=True)
+            for L in range(case.kind.offset, 201, 3 - case.kind.step):  # Legendre: L - N even
+                pairs = case.kind._series(L)
+                assert all(q > 0 for part in pairs for _, q in part), (case, L)
+                upper, lower = _series_fractions(case.kind, L)
+                assert [[Fraction(*p) for p in part] for part in pairs] == [list(upper), list(lower)], (case, L)
+                c = max(lower)
+                z_over_c = up.divide(k.numerator**2 * c.denominator, 4 * k.denominator**2 * c.numerator)
+                want = ctx.dec.multiply(abs(case.kind._prefactor(L, k, ctx)), up.next_plus(up.exp(z_over_c)))
+                assert identities._bound_factor(case, L, ctx).as_tuple() == want.as_tuple(), (case, L)
+
 
 AUTO_IDS = [
     (IdentityId.LEGENDRE_J0, {}),

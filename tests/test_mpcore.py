@@ -10,12 +10,13 @@ from besselseries import (
     agreement_digits,
     format_decimal,
     gamma,
+    neumaier_sum,
     pochhammer,
     pochhammer_fraction,
     reciprocal_gamma,
 )
 
-from helpers import format_decimal_by_quantize, machin_pi, rel_diff, ulp_at
+from helpers import format_decimal_by_quantize, machin_pi, neumaier_sum_by_abs, rel_diff, ulp_at
 
 
 def test_context_validation():
@@ -217,6 +218,30 @@ def test_format_round_trip(ctx):
         v = ctx.dec.multiply(v, Decimal(10) ** rng.randint(-40, 40))
         back = Decimal(format_decimal(v, ctx.display_digits))
         assert rel_diff(back, v) < Decimal(10) ** (1 - ctx.display_digits)
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_neumaier_sum_is_the_abs_branch_sum(digits):
+    # copy_abs only clears the sign, and abs() rounds a term at the context's precision to itself: the branch,
+    # and so every bit of the sum, is the abs() form's, on seeded terms at that precision with equal
+    # magnitudes of both signs, the same value at two exponents, exact cancellation and zeros
+    ctx, rng = PrecisionContext(working_digits=digits), random.Random(digits)
+
+    def term():
+        v = ctx.dec.scaleb(ctx.dec.divide(rng.randint(1, 10**40), rng.randint(1, 10**40)), rng.randint(-40, 40))
+        return v.copy_negate() if rng.random() < 0.5 else v
+
+    for trial in range(400):
+        terms = [term() for _ in range(rng.randint(0, 60))]
+        terms += [t.copy_negate() for t in rng.sample(terms, len(terms) // 3)]  # equal magnitudes, both signs
+        terms += [Decimal(0), Decimal("-0"), Decimal("0E-70")][: rng.randint(0, 3)]
+        terms += [Decimal(5), Decimal("-5.000"), Decimal("5.0")][: rng.randint(0, 3)]
+        rng.shuffle(terms)
+        if trial % 4 == 0:  # each term followed by its negation: every partial sum is exact, and the sum is 0
+            terms = [u for t in terms for u in (t, t.copy_negate())]
+        got, want = neumaier_sum(terms, ctx), neumaier_sum_by_abs(terms, ctx)
+        assert got.as_tuple() == want.as_tuple() and repr(got) == repr(want), (trial, terms)
+        assert trial % 4 or got == 0
 
 
 def test_determinism_bit_for_bit(ctx):
