@@ -38,8 +38,8 @@ exact rational, rounded once from its integer numerator and denominator.
 Chebyshev and Gegenbauer prefactors grow by the ratio, each step reduced to the
 pair of integers a Fraction holds, in a table per nu, lambda and k cached in
 the context, from p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma
-and fractional power (mpcore._pow) of a table, both taken again in the guard
-context of the Miller pass below (f(0) rounds that same Gamma once).
+and fractional power (mpcore._pow, a q-th root) of a table, both taken again
+in the guard context of the Miller pass (f(0) rounds that same Gamma once).
 
 No table sums a series, so nothing cancels at large k.  As f solves
 x f'' + (2nu+1) f' + K x f = 0, K = k^2 (-k^2 for the modified tables, of
@@ -246,24 +246,27 @@ def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = F
     every step if 1 + lam > 2nu and at none otherwise.  Once mpcore.TailBound bounds every later step factor
     below 1, F only falls, and galloping and bisection find j; before, F may rise, and each j is tried, unless
     F less its exp term is not below at count and rises up to _MAX_START: the growth's step factor exceeds 1,
-    and p's is at least its upper factors at count over its lower ones at _MAX_START, when that is >= 1."""
+    and p's is at least its upper factors at count over its lower ones at _MAX_START, when that is >= 1.
+    Each offset a, b is divided to a float once per table, and lg(0) taken once; a probe adds j and sums."""
     c, upper, lower = kind.ratio
     x, y = 2 + (kind.lam or 0) - kind.nu, 1 + kind.nu  # the growth's factor is (i + x) / (i + y)
     grow_up, grow_low = (((x.numerator, x.denominator),), ((y.numerator, y.denominator),)) if x > y else ((), ())
     ck2, k2 = c * kf * kf, float(kf * kf) if modified else 0.0
     log_ck2 = math.log(ck2.numerator) - math.log(ck2.denominator)
+    up, low, g_up, g_low = ([p / q for p, q in pairs] for pairs in (upper, lower, grow_up, grow_low))
 
     def lg(j: int, up, low) -> float:  # log|prod_(i < j) prod(i + a) / prod(i + b)|, up to a constant
-        return sum([math.lgamma(j + p / q) for p, q in up]) - sum([math.lgamma(j + p / q) for p, q in low])
+        return sum([math.lgamma(j + a) for a in up]) - sum([math.lgamma(j + b) for b in low])
 
-    floor = min(0.0, (count - 1) * log_ck2 + lg(count - 1, upper, lower) - lg(0, upper, lower))
-    limit = lg(0, upper, lower) + lg(count - 1, grow_up, grow_low) + floor - digits * math.log(10)
+    lg0 = lg(0, up, low)
+    floor = min(0.0, (count - 1) * log_ck2 + lg(count - 1, up, low) - lg0)
+    limit = lg0 + lg(count - 1, g_up, g_low) + floor - digits * math.log(10)
     (n1, d1), (n2, d2) = factor_ratio(ck2, upper, ())(count), factor_ratio(1, (), lower)(_MAX_START)
-    upper, lower = upper + grow_up, lower + grow_low
+    up, low = up + g_up, low + g_low
     # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
-    below = lambda j: j * log_ck2 + lg(j, upper, lower) + k2 / (8 * j + 2) < limit
-    rises = n1 * n2 >= d1 * d2 and count * log_ck2 + lg(count, upper, lower) >= limit
-    bound = TailBound(ck2, upper, lower)
+    below = lambda j: j * log_ck2 + lg(j, up, low) + k2 / (8 * j + 2) < limit
+    rises = n1 * n2 >= d1 * d2 and count * log_ck2 + lg(count, up, low) >= limit
+    bound = TailBound(ck2, upper + grow_up, lower + grow_low)
     j0 = _first(lambda m: bound.after(m, Decimal(1)) is not None, count, _MAX_START)
     start = None if rises else next(filter(below, range(count, j0)), None)
     start = _first(below, j0, _MAX_START) if start is None else start

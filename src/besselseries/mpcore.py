@@ -5,9 +5,10 @@ fixes the number of significant decimal digits and round-half-even rounding,
 which makes every result reproducible bit-for-bit across platforms.  The
 gamma-function family lives here as well: integers exactly; every other
 argument, sqrt(pi) = Gamma(1/2) included, from one series of positive terms on
-(1, 2) times an exact rational shift, rounded once.  Every cache lives in a
-context, and so does the one guard context (working + 10 digits) of every
-computation that rounds once at the end.
+(1, 2) times an exact rational shift, rounded once.  A rational power p/q is
+one q-th root by Newton's method (_pow), with Decimal.power's bits.  Every
+cache lives in a context, and so does the one guard context (working + 10
+digits) of every computation that rounds once at the end.
 """
 
 from __future__ import annotations
@@ -262,18 +263,45 @@ def pochhammer_fraction(x: Fraction, n: int) -> Fraction:
 
 
 def _pow(base, e, ctx: PrecisionContext) -> Decimal:
-    """base^e at working precision; an integer exponent takes the exact-power path."""
+    """base^e at working precision w: for e = p/q not an integer, the Decimal ctx.dec.power(base, e_w) gives,
+    e_w = e rounded to w digits; an integer e takes the exact-power path.
+
+    For q <= 10^9 and |p| (|n| + 2) <= 10^7, n = b.adjusted(), b = base, one q-th root in w + 20 digits
+    (_rounding) does it: Newton's y += (a / y^(q-1) - y) / q on a = b^p (far inside the exponent range), from
+    a float guess off by eps <= 8e-16 |e| (|n| + 2) + 3e-16, so q eps < 10^-6 and each step squares the error
+    from the first; it stops after a step |s| < y 10^-t, 2t >= w + 17 + len(str(q)), within q 10^-2t <=
+    10^-(w+17).  Then y exp(delta ln b), delta = e_w - p/q in w + 20 digits, |delta| <= 5 |e| 10^-w: a float
+    ln b, off by 5e-16 (|n| + 2), moves it by at most 2.5 |e| (|n| + 2) 10^-(w+15), 1.25e-8 ulp.  libmpdec's
+    unrounded exp(e_w ln b), in w + 23 digits, is as close, so both round alike but within 10^-6 ulp of a
+    tie: ctx.dec.power settles those, and every exponent past the bound.  An exact root (4^(1/2) = 2) is
+    padded to w digits, as Decimal.power pads it.
+    """
     b = ctx.real(base)
     if e.denominator == 1:
         return ctx.dec.power(b, Decimal(int(e)))
-    return ctx.dec.power(b, ctx.real(e))
+    e_w, p, q, n, w = ctx.real(e), e.numerator, e.denominator, b.adjusted(), ctx.working_digits
+    if b <= 0 or q > 10**9 or abs(p) * (abs(n) + 2) > 10**7:
+        return ctx.dec.power(b, e_w)
+    log10_b = n + math.log10(b.scaleb(-n, ctx.dec))
+    log10_y = p * log10_b / q
+    with localcontext(_rounding(w + 20)):
+        a, y = b**p, Decimal(10 ** (log10_y % 1)).scaleb(math.floor(log10_y))
+        s = y  # any s of y's size starts Newton
+        while s and 2 * (y.adjusted() - s.adjusted() - 1) < w + 17 + len(str(q)):
+            s = (a / y ** (q - 1) - y) / q
+            y += s
+        y *= ((e_w - Decimal(p) / q) * Decimal(log10_b * math.log(10))).exp()
+        r = ctx.dec.plus(y)
+        if abs(y - r).scaleb(w - 1 - y.adjusted()) > Decimal("0.499999"):  # in ulps: near a tie
+            return ctx.dec.power(b, e_w)
+    return ctx.dec.quantize(r, ctx.dec.scaleb(_ONE, r.adjusted() + 1 - w))
 
 
 # ---------------------------------------------------------------------------
 # formatting and summation helpers
 
 @functools.cache
-def _rounding(sig_digits: int) -> Context:  # format_decimal's, built once per width (plus sets only its flags)
+def _rounding(sig_digits: int) -> Context:  # one per width: format_decimal's (plus sets only its flags), _pow's
     return Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
 
 

@@ -217,6 +217,15 @@ def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool
     raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
 
 
+def pow_by_decimal_power(base, e, ctx) -> Decimal:
+    """mpcore._pow as it was first written, the reference of its exact-root path: libmpdec's power of the
+    base and e rounded to working digits (an integer e exactly)."""
+    b = ctx.real(base)
+    if e.denominator == 1:
+        return ctx.dec.power(b, Decimal(int(e)))
+    return ctx.dec.power(b, ctx.real(e))
+
+
 def neumaier_sum_by_abs(terms, ctx) -> Decimal:
     """mpcore.neumaier_sum as it was written first, the reference of the copy_abs version: the branch
     compares abs() of the partial sum and the term, each of which rounds in the context."""

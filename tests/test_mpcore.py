@@ -15,8 +15,9 @@ from besselseries import (
     pochhammer_fraction,
     reciprocal_gamma,
 )
+from besselseries.mpcore import _pow
 
-from helpers import format_decimal_by_quantize, machin_pi, neumaier_sum_by_abs, rel_diff, ulp_at
+from helpers import format_decimal_by_quantize, machin_pi, neumaier_sum_by_abs, pow_by_decimal_power, rel_diff, ulp_at
 
 
 def test_context_validation():
@@ -242,6 +243,105 @@ def test_neumaier_sum_is_the_abs_branch_sum(digits):
         got, want = neumaier_sum(terms, ctx), neumaier_sum_by_abs(terms, ctx)
         assert got.as_tuple() == want.as_tuple() and repr(got) == repr(want), (trial, terms)
         assert trial % 4 or got == 0
+
+
+class _CountingContext(Context):
+    """A decimal Context that counts its power calls: _pow makes one exactly where it leaves its root path."""
+
+    powers = 0
+
+    def power(self, a, b, modulo=None):
+        self.powers += 1
+        return super().power(a, b, modulo)
+
+
+def _counting(digits: int) -> PrecisionContext:
+    ctx = PrecisionContext(working_digits=digits, display_digits=34)
+    d = ctx.dec
+    ctx.dec = _CountingContext(prec=d.prec, rounding=d.rounding, Emin=d.Emin, Emax=d.Emax,
+                               traps=[t for t, on in d.traps.items() if on])
+    return ctx
+
+
+_POW_QS = (2, 3, 4, 5, 6, 7, 11, 97, 1024, 10**6 + 3)
+
+
+def _pow_bases(ctx, rng) -> list:
+    """2 and 1, k = a/b from 10^-5 to 10^5, the rounded products kx and z/2 as eval and bessel_j_ref take
+    them, and the same k at 10^-400 and 10^400, past float range."""
+    k = ctx.real(Fraction(rng.randint(1, 10**5), rng.randint(1, 10**5)))
+    kx = ctx.dec.multiply(k, ctx.real(Fraction(rng.randint(1, 999), 1000)))
+    half_z = ctx.dec.divide(ctx.real(Fraction(rng.randint(1, 10**4), rng.randint(1, 100))), 2)
+    return [Decimal(2), Decimal(1), k, kx, half_z, ctx.dec.scaleb(k, -400), ctx.dec.scaleb(k, 400)]
+
+
+@pytest.mark.parametrize("digits", [44, 64, 74, 128, 138, 266, 512])
+def test_pow_root_path_is_decimal_power(digits):
+    # exponents p/q, |p| <= 60, on seeded bases: every result is Decimal.power's, bit for bit, and none
+    # takes Decimal.power
+    ctx, ref, rng = _counting(digits), PrecisionContext(working_digits=digits), random.Random(digits)
+    for trial in range(6 if digits > 300 else 30):
+        for b in _pow_bases(ctx, rng):
+            q = rng.choice(_POW_QS)
+            e = Fraction(rng.choice([p for p in range(-60, 61) if p % q]), q)
+            got, want = _pow(b, e, ctx), pow_by_decimal_power(b, e, ref)
+            assert got.as_tuple() == want.as_tuple(), (digits, b, e)
+    assert ctx.dec.powers == 0
+
+
+@pytest.mark.parametrize("digits", [44, 128])
+def test_pow_takes_decimal_power_past_its_bound(digits):
+    # the root path serves q <= 10^9 and |p| (|n| + 2) <= 10^7, n = base.adjusted(); both sides of each
+    # limit give Decimal.power's bits, and only the far side takes Decimal.power
+    far = 10**400
+    cases = [
+        (2, Fraction(1, 10**9), True),
+        (2, Fraction(-3, 10**9 + 1), False),
+        (3, Fraction(5 * 10**6, 7), True),  # |p| (0 + 2) = 10^7
+        (3, Fraction(5 * 10**6 + 1, 7), False),
+        (far, Fraction(24875, 2), True),  # 24875 (400 + 2) <= 10^7
+        (Fraction(1, far), Fraction(24877, 2), False),
+        (2, Fraction(1, 10**30), False),  # nu = 10^-30: q far past 10^9
+        (2, Fraction(10**20 + 1, 10**20), False),  # 2^p would leave the exponent range
+    ]
+    ctx, ref = _counting(digits), PrecisionContext(working_digits=digits)
+    for base, e, root in cases:
+        before = ctx.dec.powers
+        got, want = _pow(base, e, ctx), pow_by_decimal_power(base, e, ref)
+        assert got.as_tuple() == want.as_tuple(), (base, e)
+        assert ctx.dec.powers - before == (0 if root else 1), (base, e)
+
+
+def test_pow_pads_exact_results_and_leaves_ties_to_decimal_power():
+    # an exact root is padded to working digits as Decimal.power pads it (8^(2/3) is not exact: e_w is not
+    # 2/3); a root that lies exactly halfway, t^3 with 45 digits ending in 5 at 44 digits, Decimal.power
+    # rounds (up, not half-even), and the root path leaves it to Decimal.power
+    for digits in (44, 64, 74, 128, 138, 266, 512):
+        ctx, ref = _counting(digits), PrecisionContext(working_digits=digits)
+        for base, e in ((4, Fraction(1, 2)), (Fraction(9801, 10000), Fraction(5, 2)), (16, Fraction(-1, 4)),
+                        (8, Fraction(2, 3)), (1, Fraction(1, 3))):
+            got, want = _pow(base, e, ctx), pow_by_decimal_power(base, e, ref)
+            assert got.as_tuple() == want.as_tuple(), (digits, base, e)
+            assert len(got.as_tuple().digits) == digits
+        assert ctx.dec.powers == 0
+    t, ctx = 5 * 10**14 + 5, _counting(44)
+    got, want = _pow(t * t, Fraction(3, 2), ctx), pow_by_decimal_power(t * t, Fraction(3, 2), PrecisionContext(44))
+    assert len(str(t**3)) == 45 and got.as_tuple() == want.as_tuple() and ctx.dec.powers == 1
+
+
+@pytest.mark.parametrize("digits", [64, 128])
+def test_pow_is_correctly_rounded(digits):
+    # independent of libmpdec: b^(e_w) in mpmath at twice the digits, rounded half-even to working digits
+    mpmath = pytest.importorskip("mpmath")
+    ctx, rng = PrecisionContext(working_digits=digits), random.Random(digits + 1)
+    with mpmath.workdps(2 * digits):
+        for b in _pow_bases(ctx, rng) + _pow_bases(ctx, rng)[2:]:
+            for q in _POW_QS:
+                for p in (1, -13, 59):
+                    e = Fraction(p, q)
+                    v = mpmath.power(mpmath.mpf(str(b)), mpmath.mpf(str(ctx.real(e))))
+                    want = ctx.dec.plus(Decimal(mpmath.nstr(v, 2 * digits, strip_zeros=False)))
+                    assert _pow(b, e, ctx).as_tuple() == want.as_tuple(), (b, e)
 
 
 def test_determinism_bit_for_bit(ctx):
