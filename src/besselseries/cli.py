@@ -158,17 +158,17 @@ def _cmd_verify(args) -> int:
     digits = args.digits
     rows, reports = [], []
     lmax = None if args.lmax == "auto" else int(args.lmax)
-    cases = [
-        IdentityCase(identity, h=h, k=args.k, nu=args.nu, lam=args.lam, lmax=lmax,
-                     tolerance=args.tol, sign_flip=args.sign_flip)
-        for h in _parse_h_range(args.h)
-    ]
+    hs = _parse_h_range(args.h)
+    case = IdentityCase(identity, h=hs[0], k=args.k, nu=args.nu, lam=args.lam, lmax=lmax,
+                        tolerance=args.tol, sign_flip=args.sign_flip)
+    cases = [case.at(h) for h in hs]  # every case validated before the first is summed
+    k, nu, lam = _frac_str(case.k), _frac_str(case.nu), _frac_str(case.lam)
     tol = format_decimal(Decimal(args.tol.numerator) / args.tol.denominator, 3)
     for c in cases:
         r = verify_identity(c, ctx, trace=args.trace)
         reports.append(r)
         rows.append({
-            "id": c.id.value, "h": c.h, "k": _frac_str(c.k), "nu": _frac_str(c.nu), "lambda": _frac_str(c.lam),
+            "id": identity.value, "h": c.h, "k": k, "nu": nu, "lambda": lam,
             "lmax": r.lmax, "tolerance": tol, "sign_flip": c.sign_flip,
             "lhs": format_decimal(r.lhs, digits), "rhs": format_decimal(r.rhs, digits),
             "rel_diff": format_decimal(r.rel_diff, 3), "terms_used": r.terms_used, "pass": r.passed,

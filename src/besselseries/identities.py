@@ -25,8 +25,11 @@ builds it once.  The stopping order comes first, from bounds on the terms
 (_bound_factor); only then are table entries read.  The right-hand side is
 f(0) k^nu times an exact rational, or for integer nu one exact rational,
 rounded once, as one Decimal division of two integers.  A case runs in one
-decimal context, and the bound factors of its family key (IdentityCase._key)
-are one dict in the context, read by L, which the cases of an h-sweep share.
+decimal context, and what does not depend on h (k^nu, the tolerance, the stop
+target's scale and the bound factors, a dict read by L) is one context entry per
+family key (IdentityCase._key) and tolerance, which the cases of an h-sweep
+share; the sweep itself validates one case and derives the others
+(IdentityCase.at).
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor and its ratio) and
@@ -92,9 +95,11 @@ class IdentityCase(Value):
     lmax is the last order summed, no less than first_contributing_order, or
     None to stop where the tail bound allows (verify_identity).  kind is the
     id's expansion kind at the case's nu and lambda, which it checks; nu and lam
-    are read back from it.  _key, the family key of the bound factors, is built
-    once from integer pairs (Fraction.__hash__ takes a modular inverse on every
-    call).  Neither is a field: they follow from the fields.
+    are read back from it.  _key, the family key of verify_identity's context
+    entry, is built once from integer pairs (Fraction.__hash__ takes a modular
+    inverse on every call).  Neither is a field: they follow from the fields.
+    at(h) gives the case at another power h and shares both, so an h-sweep
+    builds and validates one case.
     """
 
     _fields = ("id", "h", "k", "nu", "lam", "lmax", "tolerance", "sign_flip")
@@ -132,6 +137,17 @@ class IdentityCase(Value):
         self._set(kind=kind, _key=(family, *pairs, sign_flip))
         if lmax is not None and lmax < first_contributing_order(self):
             raise DomainError(f"lmax must be >= {first_contributing_order(self)}, the first order with a nonzero term")
+
+    def at(self, h: int) -> IdentityCase:
+        """IdentityCase(..., h=h) with this case's other fields, and its errors in its order: only the checks that
+        read h can fail, as this case passed the rest, and any that fails is raised by the constructor itself
+        (lmax < h implies lmax below the first contributing order, which is at least h)."""
+        case = object.__new__(IdentityCase)
+        vars(case).update(vars(self), h=h)  # the fields, kind and _key, as _set would store them
+        if h < 0 or (h != 0 and self.id == IdentityId.CLENSHAW_SUM_RULE) or (
+                self.lmax is not None and self.lmax < first_contributing_order(case)):
+            IdentityCase(self.id, h, self.k, self.nu, self.lam, self.lmax, self.tolerance, self.sign_flip)
+        return case
 
 
 class VerificationReport(Value):
@@ -176,8 +192,8 @@ def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     """|p_L| F_L >= |c_L|: the order-L coefficient's prefactor (the kind's _prefactor) times a bound
     F_L >= |1F2(a; b, c; z)| on its 1F2 at z = -+k^2/4, which is never summed, c = c_L the larger lower
-    parameter.  verify_identity reads these by L from one dict per context and family key (case._key), so
-    an h-sweep builds each once.
+    parameter.  verify_identity reads these by L from one dict per context, family key (case._key) and
+    tolerance, so an h-sweep builds each once.
 
     In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),
     and 2c_L >= 1.  1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
@@ -248,29 +264,28 @@ def verify_identity(
     (_order_tail) is at most min(tolerance/10, 10^-(display+1)) |rhs|: the
     truncation then costs under a tenth of the tolerance, and no printed digit
     of lhs is a digit of a partial sum only.  Terms are summed compensated, in
-    ctx.dec, entered once per case; the bound factors are read by L from the
-    dict of the case's family key.  Reports are deterministic for a context.
+    ctx.dec, entered once per case, over the orders of the gathered parity
+    from the first contributing one; the zeros below it are built only when
+    tracing.  What does not depend on h is one context entry per family key
+    and tolerance.  Reports are deterministic for a context.
     """
-    kind, h, auto = case.kind, case.h, case.lmax is None
-    start, step, offset = first_contributing_order(case), kind.step, kind.offset
+    kind, h, auto, tolerance = case.kind, case.h, case.lmax is None, case.tolerance
+    start, stride = first_contributing_order(case), 2 // kind.step  # degree step L of 2h + offset's parity
     with localcontext(ctx.dec):  # the one decimal context of the case
+        k_nu, tol, scale, factors = ctx._cached(
+            ("verify", case._key, tolerance.numerator, tolerance.denominator),
+            lambda: (_k_nu(case.k, kind.outer, ctx), ctx.real(tolerance),
+                     min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1))), {}),
+        )  # the last is {L: _bound_factor(case, L, ctx)}, filled as the sweep reaches L
         rhs = identity_rhs(case, ctx)
-        k_nu = _k_nu(case.k, kind.outer, ctx)
         if auto:
-            tail, factors = _order_tail(case), ctx._cached(("bound", case._key), dict)  # {L: _bound_factor}
-            digits = Decimal(1).scaleb(-(ctx.display_digits + 1))
-            target = min(ctx.real(case.tolerance / 10), digits) * abs(rhs)
-        zeros, weights, bound = [], [], None  # the stop is decided before any coefficient is read
-        for L in range(_MAX_ORDER + 1 if auto else case.lmax + 1):
-            if (step * L - offset) % 2:
-                continue
-            if L < start:
-                zeros.append((L, Decimal(0)))
-                continue
+            tail, target = _order_tail(case), scale * abs(rhs)
+        weights, bound = [], None  # the stop is decided before any coefficient is read
+        for L in range(start, _MAX_ORDER + 1 if auto else case.lmax + 1, stride):
             w = _weight(kind, h, L, k_nu, ctx)
             weights.append((L, w))
             if auto:
-                if L not in factors:  # a race builds the same value twice, no more
+                if L not in factors:
                     factors[L] = _bound_factor(case, L, ctx)
                 bound = tail.after(L, factors[L] * abs(w))
                 if bound is not None and bound <= target:
@@ -283,7 +298,7 @@ def verify_identity(
         lhs = neumaier_sum((term for L, term in terms), ctx)
         abs_diff = abs(lhs - rhs)
         rel_diff = abs_diff / abs(rhs)
-        passed = rel_diff <= ctx.real(case.tolerance)
+        passed = rel_diff <= tol
     return VerificationReport(
         lhs=lhs,
         rhs=rhs,
@@ -291,7 +306,7 @@ def verify_identity(
         rel_diff=rel_diff,
         terms_used=len(terms),
         passed=bool(passed),
-        terms=tuple(zeros + terms) if trace else None,
+        terms=tuple([(L, Decimal(0)) for L in range(start % stride, start, stride)] + terms) if trace else None,
         lmax=terms[-1][0] if auto else case.lmax,
         tail_bound=bound,
     )

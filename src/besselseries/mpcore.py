@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
@@ -85,8 +84,6 @@ class PrecisionContext:
     working_digits is the precision of all internal arithmetic and must leave
     at least 10 guard digits above display_digits.  Rounding is fixed to
     round-half-even, so identical inputs give identical outputs everywhere.
-    Instances are immutable after construction and safe to share between
-    threads.
     """
 
     def __init__(self, working_digits: int = 64, display_digits: int = 34):
@@ -104,7 +101,6 @@ class PrecisionContext:
             traps=[InvalidOperation, DivisionByZero, Overflow],
         )
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"PrecisionContext(working_digits={self.working_digits}, display_digits={self.display_digits})"
@@ -129,36 +125,35 @@ class PrecisionContext:
             return self._cache[key]
         except KeyError:
             pass
-        value = build()
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        value = self._cache[key] = build()
+        return value
 
     def _table(self, key, start, make_ratio, n: int):
         """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * num / den, (num, den) = ratio(j) integers,
         ratio = make_ratio() built once with the table.
 
         Entries grow on demand, at this context's precision, rounding by each
-        part of the ratio reduced as a Fraction holds it.  ratio runs under the
-        cache lock, so it must not reach the cache itself.
+        part of the ratio reduced as a Fraction holds it; an entry already held
+        is returned without entering a decimal context.
         """
+        try:
+            return self._cache[key][0][n]
+        except (KeyError, IndexError):
+            pass
         with localcontext(self.dec):
             table, ratio = self._cached(key, lambda: ([start()], make_ratio()))
-            if n >= len(table):
-                with self._lock:  # check-then-act: two threads must not both extend
-                    while n >= len(table):
-                        num, den = ratio(len(table) - 1)
-                        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                        table.append(table[-1] * (num // g) / (den // g))
+            while n >= len(table):
+                num, den = ratio(len(table) - 1)
+                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                table.append(table[-1] * (num // g) / (den // g))
         return table[n]
 
     def _grown(self, key, count: int, build):
         """The cached list under key, rebuilt as build(2 * count) while it holds fewer than count entries."""
-        if len(self._cache.get(key, ())) < count:
-            table = build(2 * count)
-            with self._lock:  # another thread may have rebuilt it longer meanwhile
-                if len(self._cache.get(key, ())) < len(table):
-                    self._cache[key] = table
-        return self._cache[key]
+        table = self._cache.get(key, ())
+        if len(table) < count:
+            table = self._cache[key] = build(2 * count)
+        return table
 
     @property
     def guard(self) -> PrecisionContext:
@@ -424,5 +419,6 @@ def agreement_digits(value, reference, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         if diff == 0:
             return ctx.working_digits
         rel = diff / abs(r)
-        digits = -rel.log10()
-        return max(0, min(ctx.working_digits, int(digits.to_integral_value(rounding="ROUND_FLOOR"))))
+        a = rel.adjusted()  # 10^a <= rel < 10^(a+1): floor(-log10 rel) is -a at rel = 10^a, else -a - 1
+        digits = -a if rel.scaleb(-a) == 1 else -a - 1
+        return max(0, min(ctx.working_digits, digits))

@@ -371,7 +371,7 @@ def test_cli_import_loads_no_introspection_modules():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import besselseries.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'threading') if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert done.stdout == "\n"

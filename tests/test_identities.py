@@ -185,10 +185,11 @@ SWEEP_ROW_CASES = [
     ["--id", "chebyshev-even", "--k", "1"],
     ["--id", "legendre-j1", "--k", "1"],
     ["--id", "gegenbauer-general", "--nu", "1/3", "--lambda", "7/3", "--k", "1/2", "--sign-flip"],
+    ["--id", "chebyshev-odd", "--k", "0.7", "--sign-flip"],  # its table holds 24, then 50 entries
 ]
 
 
-@pytest.mark.parametrize("args", SWEEP_ROW_CASES, ids=["cheb-even", "leg-j1", "geg-general-I"])
+@pytest.mark.parametrize("args", SWEEP_ROW_CASES, ids=["cheb-even", "leg-j1", "geg-general-I", "cheb-odd-I"])
 def test_sweep_row_equals_the_single_h_run(args, monkeypatch, capsys):
     # h = 0..20 at small k outgrows the table built for h = 0, so the sweep rebuilds it
     # on one context; every row must still print as that h run alone does.
@@ -200,6 +201,26 @@ def test_sweep_row_equals_the_single_h_run(args, monkeypatch, capsys):
     for h, row in enumerate(sweep):
         assert main(["verify", *args, "--h", str(h), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == [row], h
+
+
+_ID_PARAMS = {"chebyshev-general-nu": ["--nu", "2/3"], "gegenbauer-nu0": ["--lambda", "1/3"],
+              "gegenbauer-general": ["--nu", "4/3", "--lambda", "5/3"]}
+
+
+@pytest.mark.parametrize("flip", [[], ["--sign-flip"]], ids=["J", "I"])
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId])
+def test_every_family_sweep_row_equals_the_single_h_run(identity, flip, capsys):
+    # one case is validated per command and the rest derived from it (IdentityCase.at); the row
+    # constants are formatted once: each row prints as that h run alone, with lmax auto and explicit
+    hs = [0] if identity == "clenshaw-sum-rule" else range(6)
+    for lmax in ("auto", "30"):
+        args = ["verify", "--id", identity, "--k", "3/2", *_ID_PARAMS.get(identity, []), *flip, "--lmax", lmax]
+        main([*args, "--h", f"{hs[0]}..{hs[-1]}", "--format", "json"])
+        sweep = json.loads(capsys.readouterr().out)
+        assert [row["params"]["h"] for row in sweep] == list(hs)
+        for h, row in zip(hs, sweep):
+            main([*args, "--h", str(h), "--format", "json"])
+            assert json.loads(capsys.readouterr().out) == [row], (lmax, h)
 
 
 # ----------------------------------------------------------------- rhs
@@ -416,6 +437,64 @@ def test_case_validation():
             IdentityCase(IdentityId.GEGENBAUER_NU0, h=0, lmax=5, lam=lam)
     with pytest.raises(DomainError):
         IdentityCase(IdentityId.LEGENDRE_J0, h=0, lmax=5, lam=Fraction(1, 2))
+
+
+_AT_CASES = [
+    dict(identity=IdentityId.LEGENDRE_J0, k=Fraction(3, 2), lmax=None),
+    dict(identity=IdentityId.LEGENDRE_J1, k=2, lmax=40, sign_flip=True),
+    dict(identity=IdentityId.CHEBYSHEV_EVEN, k=5, lmax=30),
+    dict(identity=IdentityId.CHEBYSHEV_ODD, k=Fraction(7, 10), lmax=None, sign_flip=True),
+    dict(identity=IdentityId.CHEBYSHEV_GENERAL_NU, k=6, nu=Fraction(1, 3), lmax=None, tolerance=Fraction(1, 10**30)),
+    dict(identity=IdentityId.GEGENBAUER_NU0, k=1, lam=Fraction(7, 3), lmax=25),
+    dict(identity=IdentityId.GEGENBAUER_GENERAL, k=Fraction(1, 2), nu=Fraction(4, 3), lam=Fraction(1, 3),
+         lmax=None, sign_flip=True),
+]
+
+
+@pytest.mark.parametrize("kw", _AT_CASES, ids=[kw["identity"].value for kw in _AT_CASES])
+def test_derived_case_is_the_constructed_case(kw):
+    kw = dict(kw)
+    identity = kw.pop("identity")
+    base = IdentityCase(identity, h=0, **kw)
+    for h in (0, 1, 4, 9):
+        derived, built = base.at(h), IdentityCase(identity, h=h, **kw)
+        assert derived == built and hash(derived) == hash(built) and repr(derived) == repr(built)
+        assert derived.kind == built.kind and derived._key == built._key and derived.h == h
+        assert derived.at(0) == base  # a derived case derives in turn, and base is left as it was
+    assert base.h == 0
+
+
+@pytest.mark.parametrize("identity, kw, h", [
+    (IdentityId.LEGENDRE_J0, dict(lmax=None), -1),
+    (IdentityId.CHEBYSHEV_EVEN, dict(lmax=30), -2),
+    (IdentityId.CLENSHAW_SUM_RULE, dict(lmax=None), 1),
+    (IdentityId.CLENSHAW_SUM_RULE, dict(lmax=21), 3),
+    (IdentityId.LEGENDRE_J0, dict(lmax=4), 5),  # lmax < h
+    (IdentityId.CHEBYSHEV_EVEN, dict(lmax=4), 5),
+    (IdentityId.GEGENBAUER_NU0, dict(lmax=4, lam=Fraction(1, 3)), 6),
+    (IdentityId.LEGENDRE_J0, dict(lmax=9), 5),  # h <= lmax < 2h, the first contributing order
+    (IdentityId.LEGENDRE_J1, dict(lmax=10), 5),
+])
+def test_derived_case_raises_the_constructor_error(identity, kw, h):
+    base = IdentityCase(identity, h=0, **kw)
+    with pytest.raises(DomainError) as built:
+        IdentityCase(identity, h=h, **kw)
+    with pytest.raises(DomainError) as derived:
+        base.at(h)
+    assert str(derived.value) == str(built.value)
+
+
+def test_verify_reads_one_context_entry_per_family_key_and_tolerance():
+    # cases built by the constructor share the entry of an h-sweep; another tolerance gets its own
+    ctx = PrecisionContext()
+    kw = dict(k=3, lmax=None)
+    reports = [verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, h=h, **kw), ctx) for h in range(4)]
+    entries = [key for key in ctx._cache if key[0] == "verify"]
+    assert len(entries) == 1 and all(r.passed for r in reports)
+    verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, tolerance=Fraction(1, 10**20), **kw), ctx)
+    assert len([key for key in ctx._cache if key[0] == "verify"]) == 2
+    assert [verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, h=h, **kw), PrecisionContext())
+            for h in range(4)] == reports
 
 
 # ----------------------------------------------------------------- oracle

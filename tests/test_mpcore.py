@@ -360,3 +360,38 @@ def test_precision_doubling_stability(ctx, ctx_double):
 def test_agreement_digits(ctx):
     assert agreement_digits(Decimal("1.0000000001"), Decimal(1), ctx) == 10
     assert agreement_digits(Decimal(1), Decimal(1), ctx) == ctx.working_digits
+
+
+def _agreement_by_fraction(value: Decimal, reference: Decimal, cap: int) -> int:
+    # floor(-log10 rel) of rel = |v - r| / |r| at 64 digits, each step rounded once as agreement_digits
+    # rounds it: the largest d with rel 10^d <= 1, in exact rationals, then capped
+    if reference == 0:
+        return cap if value == 0 else 0
+    with localcontext(Context(prec=64)):
+        rel = Fraction(abs(value - reference) / abs(reference))
+    if rel == 0:
+        return cap
+    d = 0
+    while rel * Fraction(10) ** (d + 1) <= 1:
+        d += 1
+    while rel * Fraction(10) ** d > 1:
+        d -= 1
+    return max(0, min(cap, d))
+
+
+def test_agreement_digits_is_the_exact_floor(ctx):
+    # floor(-log10 rel) from rel's exponent alone: exact powers of ten, one ulp either side of them,
+    # rel >= 1, a zero difference and a zero reference, against exact rationals
+    cases = [(Decimal(0), Decimal(0)), (Decimal(5), Decimal(0)), (Decimal("3.25"), Decimal("3.25"))]
+    with localcontext(Context(prec=300)):  # values built exactly; agreement_digits rounds at 64 digits
+        for a in (-1, -2, -5, -17, -40, -63, -64, -70, 0, 1, 3):
+            ten = Decimal(1).scaleb(a)
+            for rel in (ten, ten * (1 + Decimal(1).scaleb(-63)), ten * (1 - Decimal(1).scaleb(-64))):
+                cases += [(1 + rel, Decimal(1)), (1 - rel, Decimal(1)), (-7 - 7 * rel, Decimal(-7))]
+        rng = random.Random(5)
+        for _ in range(300):
+            r = Decimal(rng.randrange(1, 10**20)).scaleb(rng.randrange(-30, 30))
+            cases.append((r + r * Decimal(rng.randrange(1, 10**6)).scaleb(-rng.randrange(0, 70)), r))
+    for value, reference in cases:
+        want = _agreement_by_fraction(value, reference, ctx.working_digits)
+        assert agreement_digits(value, reference, ctx) == want, (value, reference)
