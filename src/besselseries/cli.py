@@ -4,13 +4,18 @@ verification and the power-gathering oracle, with text/csv/json output.
 Exit codes: 0 when everything requested passed, 1 when any verification
 failed, 2 for usage errors.  Data goes to stdout, diagnostics to stderr;
 --out additionally writes the same bytes to a file.
+
+Each command's options are one table that one loop reads argv by: --opt value
+or --opt=value, a unique prefix of a long option, the last occurrence winning,
+a token led by '-' a value only as a negative number.  The table also gives the
+usage line, the -h text and the usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
+from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii
 from decimal import Decimal
 from fractions import Fraction
@@ -57,7 +62,7 @@ def _exact(text: str) -> Fraction:
     try:
         return parse_exact(text)
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact number: {text!r} ({exc})")
+        raise ValueError(f"not an exact number: {text!r} ({exc})")
 
 
 def _parse_h_range(text: str) -> list[int]:
@@ -239,70 +244,143 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(sub, with_kind=True):
-    if with_kind:
-        sub.add_argument("--kind", required=True, choices=["legendre", "chebyshev", "gegenbauer"])
-        sub.add_argument("--N", type=int, default=None, help="Legendre integer order")
-        sub.add_argument("--nu", type=_exact, default=None, help="expansion order (chebyshev/gegenbauer)")
-        sub.add_argument("--lambda", dest="lam", type=_exact, default=None, help="Gegenbauer weight parameter")
-    sub.add_argument("--k", type=_exact, required=True, help="scale factor, k > 0")
-    sub.add_argument("--digits", type=int, default=34, help="significant digits in output")
-    sub.add_argument("--working-digits", type=int, default=64)
-    sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sub.add_argument("--out", default=None, help="also write stdout bytes to this file")
+_REQUIRED = ...  # the default of an option that must be given
+_KIND = {
+    "--kind": ("kind", ("legendre", "chebyshev", "gegenbauer"), _REQUIRED, "expansion family"),
+    "--N": ("N", int, None, "Legendre integer order"),
+    "--nu": ("nu", _exact, None, "Bessel order nu"),
+    "--lambda": ("lam", _exact, None, "Gegenbauer weight parameter"),
+}
+_COMMON = {
+    "--k": ("k", _exact, _REQUIRED, "scale factor, k > 0"),
+    "--digits": ("digits", int, 34, "significant digits in output"),
+    "--working-digits": ("working_digits", int, 64, "digits of the arithmetic"),
+    "--format": ("format", ("text", "csv", "json"), "text", "output layout"),
+    "--out": ("out", str, None, "also write stdout bytes to this file"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="besselseries",
-        description="Expansion coefficient tables, expansion evaluation and summed-series verification",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    coeffs = subs.add_parser("coeffs", help="print a coefficient table")
-    _add_common(coeffs)
-    coeffs.set_defaults(run=_cmd_coeffs, parser=coeffs)
-    coeffs.add_argument("--lmax", type=int, default=21)
-    coeffs.add_argument("--convention", choices=["plain", "clenshaw"], default="plain",
-                        help="clenshaw doubles the L = 0 entry, for a sum with a halved first term (chebyshev only)")
-
-    verify = subs.add_parser("verify", help="verify summed-series identities")
-    verify.add_argument("--id", required=True, help="|".join(sorted(_IDS)))
-    verify.add_argument("--h", default="0", help="power index, single value or range like 0..42")
-    verify.add_argument("--nu", type=_exact, default=None)
-    verify.add_argument("--lambda", dest="lam", type=_exact, default=None)
-    verify.add_argument("--lmax", default="auto",
-                        help="an integer truncation order, or 'auto' to stop at a proven tail bound")
-    verify.add_argument("--tol", type=_exact, default=Fraction(1, 10**33))
-    verify.add_argument("--sign-flip", action="store_true", help="modified-Bessel variant")
-    verify.add_argument("--trace", action="store_true", help="include per-term values")
-    _add_common(verify, with_kind=False)
-    verify.set_defaults(run=_cmd_verify, parser=verify)
-
-    ev = subs.add_parser("eval", help="evaluate an expansion against the reference series")
-    _add_common(ev)
-    ev.set_defaults(run=_cmd_eval, parser=ev)
-    ev.add_argument("--x", type=_exact, required=True)
-    ev.add_argument("--lmax", type=int, default=21)
-
-    oracle = subs.add_parser("oracle", help="power-gathering brute-force comparison")
-    _add_common(oracle)
-    oracle.set_defaults(run=_cmd_oracle, parser=oracle)
-    oracle.add_argument("--hmax", type=int, required=True)
-    oracle.add_argument("--lmax", type=int, required=True)
-
-    return parser
+def _fail(usage: str, prog: str, message: str):
+    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
+    sys.exit(2)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on the first call rather than at import."""
-    return build_parser()
+class _Command:
+    """A subcommand and its option table, {option: (dest, conversion or a tuple of choices or None for a flag,
+    default or _REQUIRED, help)}, from which its usage line, help and errors are built."""
+
+    def __init__(self, name, run, about, options):
+        self.name, self.prog, self.run, self.about, self.options = name, f"besselseries {name}", run, about, options
+
+    def _specs(self) -> dict:
+        return {o: f"{o} {{{','.join(conv)}}}" if type(conv) is tuple else f"{o} {dest.upper()}" if conv else o
+                for o, (dest, conv, _, _) in self.options.items()}
+
+    def usage(self) -> str:
+        specs = (s if self.options[o][2] is _REQUIRED else f"[{s}]" for o, s in self._specs().items())
+        return f"usage: {self.prog} [-h] {' '.join(specs)}\n"
+
+    def error(self, message: str):
+        _fail(self.usage(), self.prog, message)
+
+    def _lookup(self, token: str):
+        """(option, inline value or None) of an option token, (None, None) of an unknown one, None of a value."""
+        if token in self.options or token in ("-h", "--help"):
+            return token, None
+        option, eq, value = token.partition("=")
+        if eq and option in self.options:
+            return option, value
+        found = [o for o in ("--help", *self.options) if o.startswith(option)] if token[:2] == "--" else []
+        if len(found) > 1:
+            self.error(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+        is_value = token[:1] != "-" or token == "-" or re.match(r"^-\d+$|^-\d*\.\d+$", token)
+        return None if is_value else (None, None)
+
+    def parse(self, argv: list) -> SimpleNamespace:
+        """argv after the command, read as the module docstring says; '--' and what follows it are unrecognized."""
+        stop = argv.index("--") if "--" in argv else len(argv)
+        found = [self._lookup(token) for token in argv[:stop]]  # an ambiguous prefix fails before any value
+        values = {dest: default for dest, _, default, _ in self.options.values()}
+        extras, i = [], 0
+        while i < stop:
+            (option, value), i = found[i] or (None, None), i + 1
+            if option is None:
+                extras.append(argv[i - 1])
+                continue
+            if option in ("-h", "--help"):
+                self._help()
+            dest, conv = self.options[option][:2]
+            if conv is None and value is not None:
+                self.error(f"argument {option}: ignored explicit argument {value!r}")
+            if conv is not None and value is None:
+                if i == stop or found[i] is not None:
+                    self.error(f"argument {option}: expected one argument")
+                value, i = argv[i], i + 1
+            if type(conv) is tuple and value not in conv:
+                self.error(f"argument {option}: invalid choice: {value!r} (choose from {', '.join(map(repr, conv))})")
+            try:
+                values[dest] = True if conv is None else value if type(conv) is tuple else conv(value)
+            except ValueError as exc:  # _exact's message names the value, int's does not
+                self.error(f"argument {option}: " + (str(exc) if conv is _exact else f"invalid int value: {value!r}"))
+        missing = [option for option, (dest, *_) in self.options.items() if values[dest] is _REQUIRED]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        if extras or stop < len(argv):
+            _fail(_USAGE, "besselseries", f"unrecognized arguments: {' '.join(extras + argv[stop:])}")
+        return SimpleNamespace(command=self.name, run=self.run, parser=self, **values)
+
+    def _help(self):
+        rows = {"-h, --help": "show this help and exit"} | {spec: about + (
+            " (required)" if default is _REQUIRED else f" (default: {default})" if default else "")
+            for spec, (_, _, default, about) in zip(self._specs().values(), self.options.values())}
+        width = max(map(len, rows)) + 2
+        sys.stdout.write(f"{self.usage()}\n{self.about}\n\noptions:\n")
+        sys.stdout.write("".join(f"  {spec:{width}}{about}\n" for spec, about in rows.items()))
+        sys.exit(0)
+
+
+_COMMANDS = {command.name: command for command in (
+    _Command("coeffs", _cmd_coeffs, "print a coefficient table", {**_KIND, **_COMMON,
+        "--lmax": ("lmax", int, 21, "highest order L"),
+        "--convention": ("convention", ("plain", "clenshaw"), "plain",
+                         "clenshaw doubles the L = 0 entry, for a sum with a halved first term (chebyshev only)"),
+    }),
+    _Command("verify", _cmd_verify, "verify summed-series identities", {
+        "--id": ("id", str, _REQUIRED, "|".join(sorted(_IDS))),
+        "--h": ("h", str, "0", "power index, single value or range like 0..42"),
+        "--nu": _KIND["--nu"], "--lambda": _KIND["--lambda"],
+        "--lmax": ("lmax", str, "auto", "an integer truncation order, or 'auto' to stop at a proven tail bound"),
+        "--tol": ("tol", _exact, Fraction(1, 10**33), "relative tolerance"),
+        "--sign-flip": ("sign_flip", None, False, "modified-Bessel variant"),
+        "--trace": ("trace", None, False, "include per-term values"),
+        **_COMMON,
+    }),
+    _Command("eval", _cmd_eval, "evaluate an expansion against the reference series", {**_KIND, **_COMMON,
+        "--x": ("x", _exact, _REQUIRED, "point of evaluation in [-1, 1]"),
+        "--lmax": ("lmax", int, 21, "highest order L"),
+    }),
+    _Command("oracle", _cmd_oracle, "power-gathering brute-force comparison", {**_KIND, **_COMMON,
+        "--hmax": ("hmax", int, _REQUIRED, "highest power index h"),
+        "--lmax": ("lmax", int, _REQUIRED, "highest order L"),
+    }),
+)}
+_USAGE = "usage: besselseries [-h] {%s} ...\n" % ",".join(_COMMANDS)
 
 
 def main(argv=None) -> int:
     """Run one subcommand; a usage error (exit 2) prints that subcommand's usage."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None and argv[:1] in (["-h"], ["--help"]):  # the commands, each with its own -h
+        sys.stdout.write(_USAGE + "".join(f"  {c.name:8}{c.about}\n" for c in _COMMANDS.values()))
+        sys.exit(0)
+    if command is None:
+        _fail(_USAGE, "besselseries", "the following arguments are required: command" if not argv
+              or argv[0][:1] == "-" else f"argument command: invalid choice: {argv[0]!r} (choose from "
+              + ", ".join(map(repr, _COMMANDS)) + ")")
+    args = command.parse(argv[1:])
     try:
         return args.run(args)
     except ValueError as exc:

@@ -17,7 +17,13 @@ one term later and spares the bound on every term before.
 
 One loop, _sum_from, sums every series: it keeps the terms and sums them in
 order by mpcore.neumaier_sum.  The regularized evaluator sums from 1 at its
-first nonvanishing term and multiplies by that term's value once.
+first nonvanishing term and multiplies by that term's value once.  An
+alternating series cancels about log10(peak |term| / |sum|) digits (the
+Maclaurin series of J_0(z) about z/ln 10); where fewer than display + 10
+working digits would be left, the series is summed again with that many more
+digits and rounded once back to the caller's context; the sum at the raised
+precision checks its own cancellation the same way.  A re-run that would take
+more than _MAX_DIGITS working digits is a DomainError.
 
 The library sums two pFq of its own, both 0F1(; nu+1; -+z^2/4): the Maclaurin
 series of expansions.bessel_j_ref and the x = 1 scale of the I_nu tables.  No
@@ -45,6 +51,7 @@ from .mpcore import (
 )
 
 _MAX_TERMS = 20000
+_MAX_DIGITS = 2000  # the most working digits a cancelling series is summed again with
 
 
 class PoleError(ValueError):
@@ -80,7 +87,9 @@ def eval_pFq(spec: HyperSpec, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
 
 def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext) -> tuple:
     """(t_m + t_(m+1) + ..., terms summed, bound on the terms left out) of spec's series from t_m = term,
-    stopped as the module docstring says; past _MAX_TERMS terms it raises DomainError."""
+    stopped, and summed again at more digits where it cancels, as the module docstring says; past _MAX_TERMS
+    terms it raises DomainError."""
+    start = (m, term)
     upper = [(a.numerator, a.denominator) for a in spec.upper]
     lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]  # (m + 1): the m! of the series
     ratio, tail, terms = factor_ratio(spec.z, upper, lower), TailBound(spec.z, upper, lower), [term]
@@ -91,7 +100,16 @@ def _sum_from(spec: HyperSpec, m: int, term: Decimal, ctx: PrecisionContext) -> 
             if size < limit:  # see the module docstring
                 bound = tail.after(m, size)
                 if bound is not None and bound < limit:
-                    return neumaier_sum(terms, ctx), len(terms), bound
+                    total = neumaier_sum(terms, ctx)
+                    lost = max(map(Decimal.copy_abs, terms)).adjusted() - total.adjusted() if total else 0
+                    if ctx.working_digits - lost >= ctx.display_digits + 10:
+                        return total, len(terms), bound
+                    wide = ctx.working_digits + lost + 5  # 5 guard digits
+                    if wide > _MAX_DIGITS:
+                        raise DomainError(f"the series cancels {lost} digits or more: summing it again would "
+                                          f"take {wide} working digits, more than {_MAX_DIGITS}")
+                    total, count, bound = _sum_from(spec, *start, PrecisionContext(wide, ctx.display_digits))
+                    return ctx.dec.plus(total), count, bound
             num, den = ratio(m)
             term = term * num / den
             size = abs(term)

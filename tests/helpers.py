@@ -1,12 +1,13 @@
 """Shared test utilities: exact-rational oracles, the paper's series forms of the coefficients and
 digit-string helpers."""
 
+import argparse
 import functools
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from besselseries import DomainError, Legendre, coefficient_table, expansions, identities
+from besselseries import DomainError, Legendre, cli, coefficient_table, expansions, identities
 from besselseries.expansions import _MAX_START
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
 from besselseries.mpcore import _pow, factor_ratio, gamma, pochhammer_fraction
@@ -290,3 +291,63 @@ def chebyshev_miller_by_running_weight(kind, kf: Fraction, count: int, guard, mo
             f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
         scale = f / neumaier_sum_by_abs(at_x, guard)
         return [e * scale for e in entries[:count]]
+
+
+def _exact_argument(text: str) -> Fraction:
+    try:
+        return cli._exact(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _add_common(sub, with_kind=True):
+    if with_kind:
+        sub.add_argument("--kind", required=True, choices=["legendre", "chebyshev", "gegenbauer"])
+        sub.add_argument("--N", type=int, default=None, help="Legendre integer order")
+        sub.add_argument("--nu", type=_exact_argument, default=None, help="expansion order (chebyshev/gegenbauer)")
+        sub.add_argument("--lambda", dest="lam", type=_exact_argument, default=None, help="Gegenbauer weight parameter")
+    sub.add_argument("--k", type=_exact_argument, required=True, help="scale factor, k > 0")
+    sub.add_argument("--digits", type=int, default=34, help="significant digits in output")
+    sub.add_argument("--working-digits", type=int, default=64)
+    sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    sub.add_argument("--out", default=None, help="also write stdout bytes to this file")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser cli.main read its command lines with before its option tables, kept as the
+    reference of their parity test: the same subcommands, options, defaults and errors."""
+    parser = argparse.ArgumentParser(
+        prog="besselseries",
+        description="Expansion coefficient tables, expansion evaluation and summed-series verification",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    coeffs = subs.add_parser("coeffs", help="print a coefficient table")
+    _add_common(coeffs)
+    coeffs.add_argument("--lmax", type=int, default=21)
+    coeffs.add_argument("--convention", choices=["plain", "clenshaw"], default="plain",
+                        help="clenshaw doubles the L = 0 entry, for a sum with a halved first term (chebyshev only)")
+
+    verify = subs.add_parser("verify", help="verify summed-series identities")
+    verify.add_argument("--id", required=True, help="|".join(sorted(cli._IDS)))
+    verify.add_argument("--h", default="0", help="power index, single value or range like 0..42")
+    verify.add_argument("--nu", type=_exact_argument, default=None)
+    verify.add_argument("--lambda", dest="lam", type=_exact_argument, default=None)
+    verify.add_argument("--lmax", default="auto",
+                        help="an integer truncation order, or 'auto' to stop at a proven tail bound")
+    verify.add_argument("--tol", type=_exact_argument, default=Fraction(1, 10**33))
+    verify.add_argument("--sign-flip", action="store_true", help="modified-Bessel variant")
+    verify.add_argument("--trace", action="store_true", help="include per-term values")
+    _add_common(verify, with_kind=False)
+
+    ev = subs.add_parser("eval", help="evaluate an expansion against the reference series")
+    _add_common(ev)
+    ev.add_argument("--x", type=_exact_argument, required=True)
+    ev.add_argument("--lmax", type=int, default=21)
+
+    oracle = subs.add_parser("oracle", help="power-gathering brute-force comparison")
+    _add_common(oracle)
+    oracle.add_argument("--hmax", type=int, required=True)
+    oracle.add_argument("--lmax", type=int, required=True)
+
+    return parser

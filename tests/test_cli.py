@@ -1,4 +1,9 @@
+import contextlib
+import importlib.util
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,9 +12,12 @@ from pathlib import Path
 import pytest
 
 from besselseries import cli, expansions
-from besselseries.cli import build_parser, main, parse_exact
+from besselseries.cli import main, parse_exact
 
 import reference_tables as ref
+from helpers import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -173,7 +181,7 @@ def test_eval_legendre_at_zero_is_exact(capsys):
 
 
 def test_verify_negative_lambda(capsys):
-    # a negative value has to be attached with '=': argparse reads '-1/4' as an option
+    # a negative value has to be attached with '=': a bare '-1/4' reads as an option, as it is no plain number
     code, out = run_cli(
         capsys,
         "verify", "--id", "gegenbauer-nu0", "--lambda=-1/4", "--h", "0..1", "--k", "1", "--lmax", "40",
@@ -256,19 +264,13 @@ def test_lmax_auto_stops_at_the_tail_bound(capsys):
     assert code == 0 and " lmax=44 terms=23 " in out
 
 
-def test_parser_built_once_per_process():
-    assert build_parser() is not build_parser()
-    assert main(["coeffs", "--kind", "chebyshev", "--k", "1", "--lmax", "0"]) == 0
-    hits = cli._parser.cache_info().hits
-    assert main(["coeffs", "--kind", "chebyshev", "--k", "1", "--lmax", "0"]) == 0
-    assert cli._parser.cache_info().hits == hits + 1 and cli._parser.cache_info().currsize == 1
-
-
-def test_parser_rejects_garbage_numbers():
-    parser = build_parser()
+def test_parser_rejects_garbage_numbers(capsys):
     with pytest.raises(SystemExit) as err:
-        parser.parse_args(["coeffs", "--kind", "chebyshev", "--k", "eight"])
+        main(["coeffs", "--kind", "chebyshev", "--k", "eight"])
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: besselseries coeffs")
+    assert captured.err.splitlines()[-1].startswith("besselseries coeffs: error: argument --k: not an exact number: 'eight' (")
 
 
 # stdout bytes and exit codes captured from the CLI: the first 18 cases at commit c3b6165, before the
@@ -367,14 +369,19 @@ def test_clenshaw_convention_is_chebyshev_only(kind, capsys):
 
 
 def test_cli_import_loads_no_introspection_modules():
-    # Every CLI call starts a fresh interpreter: importing the CLI must not load dataclasses or what it pulls in.
+    # Every CLI call starts a fresh interpreter: importing the CLI, and running one command, must not load
+    # dataclasses or what it pulls in, nor an argument parser with its gettext, locale and terminal-size lookups.
     src = str(Path(cli.__file__).resolve().parents[1])
+    names = ("dataclasses", "inspect", "ast", "dis", "threading", "argparse", "gettext", "locale", "shutil")
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import besselseries.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'threading') if m in sys.modules))"
+        f"import sys; sys.path.insert(0, sys.argv[1]); import besselseries.cli; names = {names!r}; "
+        "print('loaded:', *(m for m in names if m in sys.modules)); "
+        "besselseries.cli.main(['coeffs', '--kind', 'chebyshev', '--k', '1', '--lmax', '0']); "
+        "print('loaded:', *(m for m in names if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
-    assert done.stdout == "\n"
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1], len(lines)) == ("loaded:", "loaded:", 4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,3 +490,128 @@ def test_unwritable_out_is_a_usage_error_before_any_output(capsys, tmp_path):
     assert captured.out == "" and not target.parent.exists()
     (line,) = [line for line in captured.err.splitlines() if "error:" in line]
     assert line.startswith("besselseries coeffs: error: cannot write --out: ") and str(target) in line
+
+
+# Command lines the option tables must read as the argparse parser they replaced (helpers.build_parser) did:
+# the = and space forms, unique and ambiguous prefixes, repeated options, negative values, flags given a
+# value, and each kind of usage error
+HAND_CASES = [
+    "coeffs --kind=chebyshev --k=1 --lmax=3",
+    "coeffs --kind chebyshev --k 1 --lmax 3 --format=csv",
+    "coeffs --kind chebyshev --k 1 --work 128 --dig 20 --conv clenshaw",
+    "oracle --kind legendre --N 0 --k 1 --hm 2 --lm 10",
+    "verify --id legendre-j0 --l 5 --k 1",
+    "verify --id legendre-j0 --l=5 --k 1",
+    "oracle --kind legendre --N 0 --k 1 --h 2 --lmax 10",
+    "coeffs --kind chebyshev --k 1 --k 2 --lmax 3 --lmax 4 --kind legendre",
+    "eval --kind chebyshev --k 1 --x -0.5",
+    "eval --kind chebyshev --k 1 --x -.5 --nu -1",
+    "eval --kind chebyshev --k 1 --x -1e-3",
+    "verify --id gegenbauer-nu0 --lambda -1/4 --k 1",
+    "verify --id gegenbauer-nu0 --lambda=-1/4 --k 1",
+    "verify --id legendre-j0 --k 2 --tol=-1",
+    "verify --id legendre-j0 --k 2 --tol -1",
+    "verify --id legendre-j0 --k 2 --trace --sign-flip --trace",
+    "verify --id legendre-j0 --k 2 --trace=1",
+    "verify --id legendre-j0 --k 2 --sign-flip=",
+    "coeffs --kind chebyshev",
+    "oracle --k 1",
+    "verify --h 0..3",
+    "coeffs --kind cheb --k 1",
+    "coeffs --kind chebyshev --k 1 --format xml",
+    "coeffs --kind chebyshev --k 1 --format=",
+    "coeffs --kind chebyshev --k 1 --lmax ten",
+    "coeffs --kind chebyshev --k 1 --N 1.5",
+    "coeffs --kind chebyshev --k eight",
+    "coeffs --kind chebyshev --k 1/0",
+    "coeffs --kind chebyshev --k=",
+    "coeffs --kind chebyshev --k 1 --foo 3",
+    "coeffs --kind chebyshev --k 1 -x",
+    "coeffs -5 --kind chebyshev --k 1 stray",
+    "coeffs --kind chebyshev --k 1 --",
+    "coeffs --kind chebyshev --k 1 -- --lmax 3",
+    "coeffs --kind chebyshev --k",
+    "coeffs --kind chebyshev --k --lmax 3",
+    "coeffs --kind chebyshev --k -- 1",
+    "coeffs --k eight --l 3",
+    "",
+    "--",
+    "tables --k 1",
+    "Coeffs --kind chebyshev --k 1",
+]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parity_corpus() -> list:
+    """Every golden argv, every workload op at seeds 0-10, every CI and README command, and HAND_CASES."""
+    workloads = _load_workloads()
+    argvs = [case["argv"] for case in GOLDEN]
+    argvs += [list(op.argv) for name in workloads.WORKLOADS for seed in range(11) for op in workloads.generate(name, seed)]
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    argvs += [shlex.split(line) for line in re.findall(r'"((?:coeffs|verify|eval|oracle) [^"]*)"', ci)]
+    argvs += [shlex.split(re.split(r" \|\|| 2?>", line)[0]) for line in re.findall(r"python -m besselseries (\w.*)", ci)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    argvs += [shlex.split(line, comments=True) for line in re.findall(r"^besselseries (.*)$", readme, re.M)]
+    return argvs + [shlex.split(case) for case in HAND_CASES]
+
+
+def _outcome(parse, argv):
+    """("ok", dest -> value) of a command line parse accepts, or ("exit", code, last stderr line)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code, err.getvalue().splitlines()[-1:] if exc.code else None  # help: exit 0
+    return "ok", {dest: value for dest, value in vars(args).items() if dest not in ("run", "parser")}
+
+
+def test_option_tables_read_every_command_line_as_argparse_did(monkeypatch):
+    corpus = _parity_corpus()
+    assert len(corpus) > 450 and [] in corpus and any("-h" in argv for argv in corpus)
+    parsed = []
+    for command in cli._COMMANDS.values():
+        monkeypatch.setattr(command, "run", lambda args: parsed.append(args) or 0)
+    reference = build_parser()
+    mismatches = []
+    for argv in corpus:
+        parsed.clear()
+        want = _outcome(reference.parse_args, argv)
+        got = _outcome(lambda argv: main(argv) == 0 and parsed[-1], argv)
+        if got != want:
+            mismatches.append((argv, want, got))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify", "eval", "oracle"])
+def test_help_names_every_option(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "-h"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    (sub,) = [action for action in build_parser()._actions if action.dest == "command"]
+    options = set(re.findall(r"--[\w-]+", sub.choices[command].format_usage()))
+    assert len(options) > 8 and all(re.search(rf"^  {option}\b", out, re.M) for option in options)
+    assert out.startswith(f"usage: besselseries {command} ")
+
+
+@pytest.mark.parametrize("nu", ["0", "1", "1/3"])
+def test_eval_reference_agrees_with_mpmath(nu, capsys):
+    # The Maclaurin reference cancels about kx/ln 10 digits, 86 at kx = 200, more than the 64 working digits
+    # hold: it is summed again with that many more, and every printed digit is right.
+    mpmath = pytest.importorskip("mpmath")
+    mp = lambda text: mpmath.mpf(Fraction(text).numerator) / Fraction(text).denominator
+    for k in ("1", "20", "50", "100", "150", "200"):
+        for x in ("1/2", "1"):
+            code, out = run_cli(capsys, "eval", "--kind", "chebyshev", "--nu", nu, "--k", k, "--x", x)
+            reference = out.splitlines()[1].split()[1]
+            with mpmath.workdps(60):
+                want = mpmath.besselj(mp(nu), mp(k) * mp(x))
+                ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(want))) - 33)
+                assert code == 0 and abs(mpmath.mpf(reference) - want) <= ulp, (nu, k, x, reference)

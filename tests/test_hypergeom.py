@@ -167,6 +167,31 @@ def test_alternating_tail_behavior(ctx):
         prev = cur
 
 
+def test_a_cancelling_series_is_summed_again_at_more_digits(ctx, monkeypatch):
+    # J_0(200) by its Maclaurin 0F1(; 1; -10^4) cancels about 86 digits, more than the 64 working digits
+    # hold: summed again (at 64 the sum is noise, so twice: at 134 digits 48 are left), it keeps at least
+    # display + 10 = 44 digits of a sum at 150 working digits, which needs no re-run.
+    spec = HyperSpec((), (1,), Fraction(-10**4))
+    wide, runs = PrecisionContext(150), []
+    summed = hypergeom._sum_from
+    monkeypatch.setattr(hypergeom, "_sum_from", lambda *a: runs.append(a[3].working_digits) or summed(*a))
+    want = eval_pFq(spec, wide)
+    assert runs == [150]
+    got = eval_pFq(spec, ctx)
+    assert runs[1:] == [64, 134] and rel_diff(got, want) < Decimal("1e-44")
+    assert got == ctx.dec.plus(got)  # rounded back to the caller's context
+
+
+def test_a_rerun_past_the_digit_cap_is_a_domain_error(ctx):
+    # J_0(z) cancels about z/ln 10 digits: at z = 2400 (1,041 digits) the re-runs stay below
+    # _MAX_DIGITS = 2000 working digits; at z = 2500 (1,085) the last re-run would need 2,156
+    below = eval_pFq(HyperSpec((), (1,), -Fraction(2400) ** 2 / 4), ctx)
+    reference = eval_pFq(HyperSpec((), (1,), -Fraction(2400) ** 2 / 4), PrecisionContext(1200))
+    assert rel_diff(below, reference) < Decimal("1e-44")
+    with pytest.raises(DomainError, match="cancels 1075 digits or more: .* 2156 working digits, more than 2000"):
+        eval_pFq(HyperSpec((), (1,), -Fraction(2500) ** 2 / 4), ctx)
+
+
 def test_full_legendre_coefficient_chain(ctx):
     # the L=0 Fourier-Legendre coefficient at k=1 collapses to a bare 1F2
     from besselseries import legendre_coeff
