@@ -23,6 +23,7 @@ family; every other layer reads what a kind carries:
     lam     the Gegenbauer lambda, None for the other two
     ratio   (c, upper, lower): p_(L+s)/p_L = k^2 c prod(L + a) / prod(L + b),
             s = 2 for Legendre, else 1, in mpcore.TailBound's format
+    key     (class, nu and lam as numerator, denominator): heads its cache keys
     _series(L)             the 1F2's upper and lower parameters, integer pairs
     _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
 
@@ -60,13 +61,13 @@ N* (_start_index) comes from a bound: |1F2| <= 1 (a Beta average of a bounded
 0F1; exp(k^2 / (8L+2)) for I), so the entry at N* is at most p_N* times that,
 and the other solutions leave entry L off by p_N* / p_L, times
 (2j+4+2lam-2nu) / (2j+2+2nu) for each step j where the next-smallest one
-shrinks forward (that factor > 1).  N* is the first index past lmax where this
+shrinks forward (that factor > 1).  N* is the first index from j0 where this
 is below 10^-(working+10) at L = lmax, against min(p_0, p_lmax), as below the
-peak of p_L the entries are far smaller; past _MAX_START (N* grows like k) the
-table raises DomainError before anything is built.  The bound's log is a
-closed form in math.lgamma: N* takes a dozen probes, not a walk.  The Legendre
-table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N; that lift cancels
-about N log10(k/2) - log10 N! digits, which its whole build adds to the guard.
+peak of p_L the entries are far smaller; from j0 > lmax on, mpcore.TailBound
+bounds every step factor below 1.  Two gallops on the bound's log (math.lgamma)
+find j0 and N*, or raise DomainError past _MAX_START (N* grows like k).  The
+Legendre table is the lam = 1/2 table of (kx)^-N J_N(kx) times x^N k^N; the
+lift cancels about N log10(k/2) - log10 N! digits, added to its build's guard.
 
 All tables are stored in the plain-sum convention: a sum is just a sum, and
 the halved-leading-term presentation of Chebyshev tables is a display option
@@ -111,7 +112,7 @@ class Legendre(Value):
             raise DomainError("Legendre expansion order N must be an integer >= 0")
         # p_(L+2)/p_L = k^2 (L+1) (L+2) / (4 (L+1/2) (L+3/2) (L+2-N) (L+2+N)), of _prefactor's rational
         ratio = (_QUARTER, ((1, 1), (2, 1)), ((1, 2), (3, 2), (2 - N, 1), (2 + N, 1)))
-        self._set(N=N, nu=Fraction(N), offset=N, ratio=ratio)
+        self._set(N=N, nu=Fraction(N), offset=N, ratio=ratio, key=(Legendre, N, 1))
 
     def _series(self, L: int) -> tuple:  # ((L+N+1)/2; (L+N)/2+1, L+3/2)
         return ((L + self.N + 1, 2),), ((L + self.N + 2, 2), (2 * L + 3, 2))
@@ -133,8 +134,9 @@ class Chebyshev(Value):
         nu = to_fraction(nu)
         if nu < 0:
             raise DomainError("Chebyshev expansion order nu must be >= 0")
+        p, q = nu.numerator, nu.denominator
         # p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1)), and p_L carries a factor 2 for L >= 1 (_prefactor)
-        self._set(nu=nu, outer=nu, ratio=(_SIXTEENTH, (), ((1, 1), (nu.numerator + nu.denominator, nu.denominator))))
+        self._set(nu=nu, outer=nu, ratio=(_SIXTEENTH, (), ((1, 1), (p + q, q))), key=(Chebyshev, p, q))
 
     def _series(self, L: int) -> tuple:  # (L+1/2; L+nu+1, 2L+1)
         p, q = self.nu.numerator, self.nu.denominator
@@ -160,7 +162,7 @@ class Gegenbauer(Value):
         half = lambda n: (n, 2 * s) if n % 2 else (n // 2, s)  # n/s over 2, reduced as n/s is
         # p_(L+1)/p_L = k^2 (L+1/2) / (16 (L+lam/2) (L+lam/2+1/2) (L+nu+1))
         ratio = (_SIXTEENTH, ((1, 2),), (half(r), half(r + s), (p + q, q)))
-        self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly, ratio=ratio)
+        self._set(nu=nu, lam=poly.lam, outer=nu, poly=poly, ratio=ratio, key=(Gegenbauer, p, q, r, s))
 
     def _series(self, L: int) -> tuple:  # (L+1/2; 2L+lam+1, L+nu+1)
         (p, q), (r, s) = (self.nu.numerator, self.nu.denominator), (self.lam.numerator, self.lam.denominator)
@@ -177,24 +179,19 @@ class CoefficientTable(Value):
         self._set(kind=kind, k=k, entries=entries)
 
 
-def _pairs(*fractions) -> tuple:
-    """Numerators and denominators, for cache keys: Fraction.__hash__ takes a modular inverse."""
-    return tuple(v for f in fractions for v in (f.numerator, f.denominator))
-
-
-def _value_at_zero(nuf: Fraction, ctx: PrecisionContext) -> Real:
-    """f(0) = 2^-nu / Gamma(nu+1) in ctx, cached, with Gamma(nu+1) of ctx.guard rounded once.  The
-    tables scale by f(0) in the guard context itself, so a command takes one gamma of nu + 1."""
-    build = lambda: ctx.dec.divide(_pow(2, -nuf, ctx), ctx.dec.plus(gamma(nuf + 1, ctx.guard)))
-    return ctx._cached(("f(0)", *_pairs(nuf)), build)
+def _value_at_zero(kind, ctx: PrecisionContext) -> Real:
+    """f(0) = 2^-nu / Gamma(nu+1) of the kind's nu in ctx, cached, with Gamma(nu+1) of ctx.guard rounded once.
+    The tables scale by f(0) in the guard context itself, so a command takes one gamma of nu + 1."""
+    build = lambda: ctx.dec.divide(_pow(2, -kind.nu, ctx), ctx.dec.plus(gamma(kind.nu + 1, ctx.guard)))
+    return ctx._cached(("f(0)", kind.key), build)
 
 
 def _even_prefactor(L: int, kind, kf: Fraction, ctx: PrecisionContext) -> Real:
     """p_L of the Chebyshev (without its factor 2 for L >= 1) or Gegenbauer coefficient, from the table that
     grows from f(0) by the kind's ratio times k^2."""
     c, upper, lower = kind.ratio
-    key = ("prefactor", *_pairs(kf, kind.nu, kind.lam or 0))
-    return ctx._table(key, lambda: _value_at_zero(kind.nu, ctx), lambda: factor_ratio(c * kf * kf, upper, lower), L)
+    key = ("prefactor", kind.key, kf.numerator, kf.denominator)
+    return ctx._table(key, lambda: _value_at_zero(kind, ctx), lambda: factor_ratio(c * kf * kf, upper, lower), L)
 
 
 def _table_args(k, lmax: int) -> Fraction:
@@ -239,15 +236,13 @@ def _first(test, lo: int, hi: int) -> int:
 
 
 def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
-    """N* for entries 0..count-1 at 10^-digits (module docstring), the first j >= count where F(j), the log of
-    the bound over the floor, is below -digits ln 10.  By the kind's ratio c k^2 prod(i + a) / prod(i + b),
+    """N* for entries 0..count-1 at 10^-digits (module docstring): the first j >= j0 where F(j), the log of the
+    bound over the floor, is below -digits ln 10, j0 the first j >= count where mpcore.TailBound bounds every later
+    step factor below 1, so F falls from j0 on.  By the kind's ratio c k^2 prod(i + a) / prod(i + b),
     log p_j/p_0 = j log(c k^2) + sum(lgamma(j + a) - lgamma(a)) - sum(lgamma(j + b) - lgamma(b)) (lgamma is
     log|Gamma|, so i + lam/2 < 0 needs no care); so is the growth since count - 1, as its factor exceeds 1 at
-    every step if 1 + lam > 2nu and at none otherwise.  Once mpcore.TailBound bounds every later step factor
-    below 1, F only falls, and galloping and bisection find j; before, F may rise, and each j is tried, unless
-    F less its exp term is not below at count and rises up to _MAX_START: the growth's step factor exceeds 1,
-    and p's is at least its upper factors at count over its lower ones at _MAX_START, when that is >= 1.
-    Each offset a, b is divided to a float once per table, and lg(0) taken once; a probe adds j and sums."""
+    every step if 1 + lam > 2nu and at none otherwise.  Two gallops find j0 and j, or refuse the table where
+    either lies past _MAX_START.  Each offset a, b becomes a float once per table; a probe adds j and sums."""
     c, upper, lower = kind.ratio
     x, y = 2 + (kind.lam or 0) - kind.nu, 1 + kind.nu  # the growth's factor is (i + x) / (i + y)
     grow_up, grow_low = (((x.numerator, x.denominator),), ((y.numerator, y.denominator),)) if x > y else ((), ())
@@ -261,15 +256,12 @@ def _start_index(kind, kf: Fraction, count: int, digits: int, modified: bool = F
     lg0 = lg(0, up, low)
     floor = min(0.0, (count - 1) * log_ck2 + lg(count - 1, up, low) - lg0)
     limit = lg0 + lg(count - 1, g_up, g_low) + floor - digits * math.log(10)
-    (n1, d1), (n2, d2) = factor_ratio(ck2, upper, ())(count), factor_ratio(1, (), lower)(_MAX_START)
     up, low = up + g_up, low + g_low
     # modified, the entry at j is at most p_j exp(k^2 / (8j + 2)) (identities._bound_factor, c >= 2j + 1/2)
     below = lambda j: j * log_ck2 + lg(j, up, low) + k2 / (8 * j + 2) < limit
-    rises = n1 * n2 >= d1 * d2 and count * log_ck2 + lg(count, up, low) >= limit
     bound = TailBound(ck2, upper + grow_up, lower + grow_low)
     j0 = _first(lambda m: bound.after(m, Decimal(1)) is not None, count, _MAX_START)
-    start = None if rises else next(filter(below, range(count, j0)), None)
-    start = _first(below, j0, _MAX_START) if start is None else start
+    start = _first(below, j0, _MAX_START)
     if start > _MAX_START:
         raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
     return start
@@ -342,8 +334,8 @@ def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
 
 def _coefficients(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
     """At least count entries of the kind's table at k (modified: of I_nu), cached in the context under
-    (family, k, nu, lambda, modified) and rebuilt twice as long as asked when a later read needs more."""
-    key = ("table", type(kind), *_pairs(kf, kind.nu, kind.lam or 0), modified)
+    (kind.key, k, modified) and rebuilt twice as long as asked when a later read needs more."""
+    key = ("table", kind.key, kf.numerator, kf.denominator, modified)
     return ctx._grown(key, count, lambda n: _table_values(kind, kf, n, ctx, modified))
 
 

@@ -27,9 +27,9 @@ f(0) k^nu times an exact rational, or for integer nu one exact rational,
 rounded once, as one Decimal division of two integers.  A case runs in one
 decimal context, and what does not depend on h (k^nu, the tolerance, the stop
 target's scale and the bound factors, a dict read by L) is one context entry per
-family key (IdentityCase._key) and tolerance, which the cases of an h-sweep
-share; the sweep itself validates one case and derives the others
-(IdentityCase.at).
+family key (IdentityCase._key, the kind's key with k and sign_flip) and
+tolerance, which the cases of an h-sweep share; the sweep itself validates one
+case and derives the others (IdentityCase.at).
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor and its ratio) and
@@ -96,10 +96,10 @@ class IdentityCase(Value):
     None to stop where the tail bound allows (verify_identity).  kind is the
     id's expansion kind at the case's nu and lambda, which it checks; nu and lam
     are read back from it.  _key, the family key of verify_identity's context
-    entry, is built once from integer pairs (Fraction.__hash__ takes a modular
-    inverse on every call).  Neither is a field: they follow from the fields.
-    at(h) gives the case at another power h and shares both, so an h-sweep
-    builds and validates one case.
+    entry, is the kind's key with k's two ints and sign_flip, built once (a
+    Fraction hashes by a modular inverse).  Neither is a field: they follow
+    from the fields.  at(h) gives the case at another power h and shares both,
+    so an h-sweep builds and validates one case.
     """
 
     _fields = ("id", "h", "k", "nu", "lam", "lmax", "tolerance", "sign_flip")
@@ -133,8 +133,7 @@ class IdentityCase(Value):
             raise DomainError(f"{id.value} {'requires' if takes_lam else 'takes no'} lambda")
         kind = family(nu, lam) if takes_lam else family(nu)
         self._set(id=id, h=h, k=k, nu=kind.nu, lam=kind.lam, lmax=lmax, tolerance=tolerance, sign_flip=sign_flip)
-        pairs = (None if f is None else (f.numerator, f.denominator) for f in (k, kind.nu, kind.lam))
-        self._set(kind=kind, _key=(family, *pairs, sign_flip))
+        self._set(kind=kind, _key=(kind.key, k.numerator, k.denominator, sign_flip))
         if lmax is not None and lmax < first_contributing_order(self):
             raise DomainError(f"lmax must be >= {first_contributing_order(self)}, the first order with a nonzero term")
 
@@ -237,21 +236,21 @@ def _order_tail(case: IdentityCase) -> TailBound:
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     """Closed-form right-hand side: the x^(2h+nu) Maclaurin coefficient of
     J_nu(kx) (or of I_nu with sign_flip), times nothing else; 1 for the Clenshaw sum rule."""
-    return _maclaurin(case.h, case.nu, case.k, case.sign_flip, ctx)
+    return _maclaurin(case.h, case.kind, case.k, case.sign_flip, ctx)
 
 
-def _maclaurin(h: int, nu: Fraction, k: Fraction, sign_flip: bool, ctx: PrecisionContext) -> Real:
-    """(-1)^h (k/2)^(2h+nu) / (h! Gamma(h+nu+1)), no (-1)^h with sign_flip: for integer nu an exact rational
-    rounded once, else f(0) k^nu (both cached) times the exact rational (-1)^h (k^2/4)^h / (h! (nu+1)_h);
-    each rational is one correctly rounded division of two integers, which need not be reduced."""
-    sign, a, b = 1 if sign_flip or h % 2 == 0 else -1, k.numerator, 2 * k.denominator  # k/2 = a/b
+def _maclaurin(h: int, kind, k: Fraction, sign_flip: bool, ctx: PrecisionContext) -> Real:
+    """(-1)^h (k/2)^(2h+nu) / (h! Gamma(h+nu+1)) for the kind's nu, no (-1)^h with sign_flip: for integer nu an
+    exact rational rounded once, else f(0) k^nu (both cached) times the exact rational (-1)^h (k^2/4)^h /
+    (h! (nu+1)_h); each rational is one correctly rounded division of two integers, which need not be reduced."""
+    nu, sign, a, b = kind.nu, 1 if sign_flip or h % 2 == 0 else -1, k.numerator, 2 * k.denominator  # k/2 = a/b
     if nu.denominator == 1:
         n = 2 * h + int(nu)
         return ctx.dec.divide(sign * a**n, b**n * math.factorial(h) * math.factorial(n - h))
     rising = _rising_factorial(nu + 1, h, ctx)
     num, den = sign * a ** (2 * h) * rising.denominator, b ** (2 * h) * math.factorial(h) * rising.numerator
     with localcontext(ctx.dec):
-        return _value_at_zero(nu, ctx) * _k_nu(k, nu, ctx) * ctx.dec.divide(num, den)
+        return _value_at_zero(kind, ctx) * _k_nu(k, nu, ctx) * ctx.dec.divide(num, den)
 
 
 def verify_identity(
@@ -359,7 +358,7 @@ def power_gather_oracle(
                                      if power < len(row) and row[power]], ctx)
             if kind.outer:  # the (kx)^nu outside the sum contributes k^nu to each gathered power
                 gathered = +(gathered * _k_nu(kf, kind.outer, ctx))
-            maclaurin = _maclaurin(h, kind.nu, kf, False, ctx)
+            maclaurin = _maclaurin(h, kind, kf, False, ctx)
             rel = abs(gathered - maclaurin) / abs(maclaurin)
             rows.append(OracleRow(h=h, gathered=gathered, maclaurin=maclaurin, rel_diff=+rel))
     return rows

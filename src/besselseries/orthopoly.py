@@ -109,14 +109,9 @@ def clenshaw_sum(kind, coeffs, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Re
         return +y1
 
 
-def monomial_rows(kind, n: int, pmax: int | None = None) -> list:
-    """Exact monomial coefficients of the degree 0..n polynomials: row m lists the Fraction coefficients of
-    x^0 .. x^min(m, pmax) of the degree-m polynomial (0 where parity rules a power out)."""
-    return [[Fraction(v, d) if v else 0 for v in row] for row, d in monomial_numerators(kind, n, pmax)]
-
-
 def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
-    """The rows of monomial_rows as (integer numerators, one positive integer denominator) per degree.
+    """Exact monomial coefficients of the degree 0..n polynomials: row m is the integer numerators of x^0 ..
+    x^min(m, pmax) of the degree-m polynomial (0 where parity rules a power out) and one positive denominator.
 
     Built by the three-term recurrence on integer numerators over one
     denominator per row, reduced by the gcd of the whole row where it is not 1
@@ -146,5 +141,6 @@ def monomial_numerators(kind, n: int, pmax: int | None = None) -> list:
 
 
 def monomial_coeffs(kind, n: int) -> list:
-    """Exact coefficients of x^0 .. x^n of the degree-n polynomial: the last row of monomial_rows."""
-    return monomial_rows(kind, n)[n]
+    """Exact coefficients of x^0 .. x^n of the degree-n polynomial, Fractions (0 where parity rules a power out)."""
+    row, d = monomial_numerators(kind, n)[n]
+    return [Fraction(v, d) if v else 0 for v in row]

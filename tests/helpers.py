@@ -10,7 +10,7 @@ from fractions import Fraction
 from besselseries import DomainError, Legendre, cli, coefficient_table, expansions, identities
 from besselseries.expansions import _MAX_START
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from besselseries.mpcore import _pow, factor_ratio, gamma, pochhammer_fraction
+from besselseries.mpcore import TailBound, _pow, factor_ratio, gamma, pochhammer_fraction
 from besselseries.orthopoly import monomial_numerators
 
 
@@ -199,9 +199,11 @@ def legendre_coeff_2f3(L: int, N: int, k, ctx):
     return ctx.dec.multiply(ctx.dec.multiply(gamma(half, ctx), pref), f)
 
 
-def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool = False) -> int:
-    """expansions._start_index as a walk over j = 0..N*, the oracle of its closed form: log p_j and the
-    growth summed one step at a time, with two math.log calls per step."""
+def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool = False, first: int = 0) -> int:
+    """The first j >= max(count, first) where the bound of expansions._start_index is below its limit, by a
+    walk over j = 0..N*: log p_j and the growth summed one step at a time, with two math.log calls per step.
+    From first = 0 it is the oracle of _start_index's closed form wherever its N* is not below j0 (tail_start);
+    from first = j0 it is _start_index's rule everywhere."""
     nu, lam, k2 = float(kind.nu), float(kind.lam or 0), float(kf * kf) if modified else 0.0
     ratio = factor_ratio(*kind.ratio)
     log_k2 = 2 * (math.log(kf.numerator) - math.log(kf.denominator))
@@ -209,13 +211,31 @@ def start_index_walk(kind, kf: Fraction, count: int, digits: int, modified: bool
     for j in range(_MAX_START + 1):
         if j == count - 1:
             floor = min(0.0, log_p)
-        if j >= count and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
+        if j >= max(count, first) and log_p + growth + k2 / (8 * j + 2) - floor < -digits * math.log(10):
             return j
         num, den = ratio(j)
         log_p += log_k2 + math.log(abs(num / den))
         if j >= count - 1:
             growth += math.log(max(1.0, (2 * j + 4 + 2 * lam - 2 * nu) / (2 * j + 2 + 2 * nu)))
     raise DomainError(f"the backward recurrence would start past L = {_MAX_START}")
+
+
+def monomial_fractions(kind, n: int, pmax: int | None = None) -> list:
+    """orthopoly.monomial_numerators with every row divided out: row m lists the Fraction coefficients of
+    x^0 .. x^min(m, pmax) of the degree-m polynomial (0 where parity rules a power out)."""
+    return [[Fraction(v, d) if v else 0 for v in row] for row, d in monomial_numerators(kind, n, pmax)]
+
+
+def tail_start(kind, kf: Fraction, count: int) -> int:
+    """j0 of expansions._start_index by trying each j >= count: the first j where mpcore.TailBound bounds every
+    later step factor of the bound, the prefactor ratio times the growth (2j+4+2lam-2nu) / (2j+2+2nu) where that
+    exceeds 1, below 1."""
+    c, upper, lower = kind.ratio
+    x, y = 2 + (kind.lam or 0) - kind.nu, 1 + kind.nu
+    grow = x > y
+    bound = TailBound(c * kf * kf, [*upper, *([(x.numerator, x.denominator)] if grow else [])],
+                      [*lower, *([(y.numerator, y.denominator)] if grow else [])])
+    return next(j for j in range(count, _MAX_START + 2) if j > _MAX_START or bound.after(j, Decimal(1)) is not None)
 
 
 def pow_by_decimal_power(base, e, ctx) -> Decimal:

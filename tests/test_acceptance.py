@@ -38,10 +38,11 @@ from besselseries import (
     power_gather_oracle,
     verify_identity,
 )
-from besselseries.orthopoly import LegendreP, monomial_rows
+from besselseries.orthopoly import LegendreP
 
 from helpers import (
-    brace_factor_eq10, fraction_to_decimal, machin_pi, sig_digit_count, sin_rational_series, ulp_at,
+    brace_factor_eq10, fraction_to_decimal, machin_pi, monomial_fractions, sig_digit_count, sin_rational_series,
+    ulp_at,
 )
 import reference_tables as ref
 
@@ -335,7 +336,7 @@ def test_criterion_8_sum_rules_and_invariants(ctx, ctx_double):
             assert identity_term(case, L, ctx) == 0, (case.id, L)
 
     # bracket variants agree exactly and equal the Legendre monomials
-    rows = monomial_rows(LegendreP(), 40)
+    rows = monomial_fractions(LegendreP(), 40)
     for L in range(0, 41, 2):
         for h in range(11):
             mono = rows[L][2 * h] if 2 * h <= L else 0

@@ -207,7 +207,7 @@ def test_prefactor_table_from_integer_ratios_is_the_fraction_ratio_table(nu, lam
             ratio = lambda j: k * k / (16 * (j + 1) * (j + nu + 1))
         else:
             ratio = lambda j: k * k * (2 * j + 1) / (8 * (2 * j + lam) * (2 * j + lam + 1) * (j + nu + 1))
-        want = [expansions._value_at_zero(nu, ctx)]
+        want = [expansions._value_at_zero(kind, ctx)]
         with localcontext(ctx.dec):
             for j in range(200):
                 r = ratio(j)
@@ -424,9 +424,9 @@ def test_first_is_the_least_index_where_a_monotone_test_holds():
 
 
 def test_start_index_is_the_walk():
-    # the closed form (galloping and bisection where F falls, one j at a time where it may rise) against the
-    # walk over every j, on 4,000 seeded tables: fractional nu, lam in (-1/2, 0) and far from 1, k over six
-    # decades, counts that start below and past the peak of p_j, four guard precisions, 30% of them modified
+    # the closed form (two gallops, to j0 and from it) against the walk over every j from count, on 4,000
+    # seeded tables, where no walk's N* is below j0: fractional nu, lam in (-1/2, 0) and far from 1, k over
+    # six decades, counts that start below and past the peak of p_j, four guard precisions, 30% of them modified
     rng = random.Random(20261019)
     lams = [None, Fraction(-1, 4), Fraction(-3, 7), Fraction(1, 2**20), Fraction(1, 3), Fraction(7, 3), Fraction(2**20)]
     for _ in range(4000):
@@ -441,21 +441,35 @@ def test_start_index_is_the_walk():
 
 
 def test_start_index_refuses_a_rising_bound_without_the_walk(monkeypatch):
-    # every step factor up to _MAX_START at least 1 and the bound not below its limit at count: the table is
-    # refused after a few dozen lgamma calls, where the walk takes one step per j, and the walk refuses it too
+    # no j0 up to _MAX_START, or (k = 200000) j0 near 50,000 and the bound not below its limit up to _MAX_START:
+    # the table is refused by the two searches after a few dozen (at most 200) lgamma calls, where the walk takes
+    # one step per j, and the walk refuses it too
     cases = [(Chebyshev(0), Fraction(2**70), 3, 74, False), (Chebyshev(Fraction(1, 3)), Fraction(10**7), 1, 138, True),
-             (Gegenbauer(Fraction(1, 3), Fraction(7, 3)), Fraction(10**10), 40, 44, False)]
+             (Gegenbauer(Fraction(1, 3), Fraction(7, 3)), Fraction(10**10), 40, 44, False),
+             (Chebyshev(0), Fraction(200000), 6, 74, False)]
+    caps = [50, 50, 50, 200]
     lgamma, calls = math.lgamma, []
     monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
-    for case in cases:
+    for case, cap in zip(cases, caps):
         calls.clear()
         with pytest.raises(DomainError, match=f"start past L = {expansions._MAX_START}"):
             expansions._start_index(*case)
-        assert len(calls) < 50, case
+        assert len(calls) < cap, case
     monkeypatch.undo()
     for case in cases:
         with pytest.raises(DomainError, match=f"start past L = {expansions._MAX_START}"):
             helpers.start_index_walk(*case)
+
+
+@pytest.mark.parametrize("case,j0,walk", [((Gegenbauer(100, 10**4), Fraction(2785), 1, 44), 87, 84),
+                                          ((Gegenbauer(200, 10**4), Fraction(3665), 1, 74), 117, 106)])
+def test_start_index_is_the_first_index_below_its_limit_from_j0(case, j0, walk):
+    # large nu and lam, k^2 near 32 lam nu: the bound dips below its limit before j0, the first index where
+    # TailBound bounds every later step factor below 1 (the walk from count stops in that dip), and N* is j0,
+    # where the bound is below its limit again; only the rule is checked here, not the table
+    assert helpers.tail_start(*case[:3]) == j0
+    assert helpers.start_index_walk(*case, first=j0) == j0 == expansions._start_index(*case)
+    assert helpers.start_index_walk(*case) == walk < j0
 
 
 RECURRENCE_CASES = pytest.mark.parametrize(

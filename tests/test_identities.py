@@ -26,13 +26,14 @@ from besselseries import (
 from besselseries import expansions, hypergeom, identities
 from besselseries.mpcore import TailBound
 from besselseries.cli import main
-from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP, monomial_rows
+from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP
 
 from helpers import (
     brace_factor_eq10,
     fraction_to_decimal,
     gathered_by_generator,
     machin_pi,
+    monomial_fractions,
     pFq_rational_prefix,
     rel_diff,
     series_coeff,
@@ -136,7 +137,7 @@ def test_term_is_coefficient_times_monomial(identity, params, sign_flip, ctx):
             ratio = pFq_rational_prefix(upper, lower, z, 40) / pFq_rational_prefix(upper, lower, -z, 40)
             coeff = ctx.dec.multiply(coeff, ctx.real(sign * ratio))
         if poly not in rows:
-            rows[poly] = monomial_rows(poly, 2 * case.lmax, power)
+            rows[poly] = monomial_fractions(poly, 2 * case.lmax, power)
         want = ctx.dec.multiply(coeff, ctx.real(k_nu * rows[poly][degree][power]))
         assert rel_diff(got, want) < Decimal("1e-60"), L
 
@@ -279,7 +280,7 @@ def test_brace_direct_value():
 
 def test_brace_variants_agree_and_match_monomials():
     # the library's bracket is the integer closed form; eq10 and the recurrence rows are the references
-    rows = monomial_rows(LegendreP(), 128)
+    rows = monomial_fractions(LegendreP(), 128)
     for L in range(0, 129, 2):
         for h in range(0, L // 2 + 2):
             eq11 = brace_factor_legendre(L, h)
@@ -587,7 +588,7 @@ def test_identity_rhs_is_the_exact_closed_form_rounded(nu, sign_flip, digits):
             else:
                 rising = math.prod((nu + 1 + i for i in range(h)), start=Fraction(1))
                 with localcontext(ctx.dec):
-                    lead = expansions._value_at_zero(nu, ctx) * identities._k_nu(k, nu, ctx)
+                    lead = expansions._value_at_zero(Chebyshev(nu), ctx) * identities._k_nu(k, nu, ctx)
                     want = lead * ctx.real(sign * (k * k / 4) ** h / (math.factorial(h) * rising))
             case = _case(IdentityId.CHEBYSHEV_GENERAL_NU, h=h, k=k, nu=nu, lmax=None, sign_flip=sign_flip)
             assert identity_rhs(case, ctx).as_tuple() == want.as_tuple(), (k, h)

@@ -14,10 +14,9 @@ from besselseries.orthopoly import (
     eval_poly,
     monomial_coeffs,
     monomial_numerators,
-    monomial_rows,
 )
 
-from helpers import rel_diff
+from helpers import monomial_fractions, rel_diff
 
 
 KINDS = [
@@ -92,13 +91,13 @@ def test_value_at_one(kind):
     "kind", KINDS + [GegenbauerC(Fraction(2**20))], ids=KIND_IDS + ["geg2^20"]
 )
 def test_recurrence_rows_match_closed_forms(kind):
-    rows = monomial_rows(kind, 130)
+    rows = monomial_fractions(kind, 130)
     assert len(rows) == 131
     for n, row in enumerate(rows):
         assert row == closed_form_row(kind, n), n
     # cutting the powers above pmax is exact: truncated rows are prefixes
     for pmax in (0, 1, 23):
-        short = monomial_rows(kind, 130, pmax)
+        short = monomial_fractions(kind, 130, pmax)
         assert all(s == r[: pmax + 1] for s, r in zip(short, rows))
 
 
