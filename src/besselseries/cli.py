@@ -34,7 +34,7 @@ from .identities import (
     IdentityCase,
     IdentityId,
     power_gather_oracle,
-    verify_identity,
+    verify_sweep,
 )
 
 _IDS = {i.value: i for i in IdentityId}
@@ -161,23 +161,19 @@ def _cmd_verify(args) -> int:
         args.parser.error(f"unknown identity id {args.id!r}; choose from {sorted(_IDS)}")
     ctx = PrecisionContext(args.working_digits, args.digits)
     digits = args.digits
-    rows, reports = [], []
     lmax = None if args.lmax == "auto" else int(args.lmax)
     hs = _parse_h_range(args.h)
     case = IdentityCase(identity, h=hs[0], k=args.k, nu=args.nu, lam=args.lam, lmax=lmax,
                         tolerance=args.tol, sign_flip=args.sign_flip)
-    cases = [case.at(h) for h in hs]  # every case validated before the first is summed
     k, nu, lam = _frac_str(case.k), _frac_str(case.nu), _frac_str(case.lam)
     tol = format_decimal(Decimal(args.tol.numerator) / args.tol.denominator, 3)
-    for c in cases:
-        r = verify_identity(c, ctx, trace=args.trace)
-        reports.append(r)
-        rows.append({
-            "id": identity.value, "h": c.h, "k": k, "nu": nu, "lambda": lam,
-            "lmax": r.lmax, "tolerance": tol, "sign_flip": c.sign_flip,
-            "lhs": format_decimal(r.lhs, digits), "rhs": format_decimal(r.rhs, digits),
-            "rel_diff": format_decimal(r.rel_diff, 3), "terms_used": r.terms_used, "pass": r.passed,
-        })
+    reports = verify_sweep(case, hs, ctx, trace=args.trace)  # every case validated and planned before any sum
+    rows = [{
+        "id": identity.value, "h": h, "k": k, "nu": nu, "lambda": lam,
+        "lmax": r.lmax, "tolerance": tol, "sign_flip": case.sign_flip,
+        "lhs": format_decimal(r.lhs, digits), "rhs": format_decimal(r.rhs, digits),
+        "rel_diff": format_decimal(r.rel_diff, 3), "terms_used": r.terms_used, "pass": r.passed,
+    } for h, r in zip(hs, reports)]
 
     def text():
         for row, r in zip(rows, reports):

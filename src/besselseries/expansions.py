@@ -334,7 +334,8 @@ def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
 
 def _coefficients(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
     """At least count entries of the kind's table at k (modified: of I_nu), cached in the context under
-    (kind.key, k, modified) and rebuilt twice as long as asked when a later read needs more."""
+    (kind.key, k, modified): built with exactly count entries on the first read, and rebuilt at least twice
+    as long when a later read needs more (mpcore.PrecisionContext._grown)."""
     key = ("table", kind.key, kf.numerator, kf.denominator, modified)
     return ctx._grown(key, count, lambda n: _table_values(kind, kf, n, ctx, modified))
 

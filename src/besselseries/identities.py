@@ -9,7 +9,7 @@ of J_nu(kx) at the power x^(2h+nu),
 Terms with L below the family's starting order vanish identically (the basis
 polynomial of too-low degree simply has no x^(2h) monomial).  Past it, a sum
 either runs to an explicit lmax or stops where a proven bound on everything
-left out is small enough (verify_identity, _order_tail).
+left out is small enough (verify_sweep, _order_tail).
 
 The sign_flip switch realizes the modified-Bessel variant: substituting
 k^2 -> -k^2 flips the 1F2 argument to +k^2/4, cancels the alternating sign
@@ -19,12 +19,14 @@ Each term is the order-L entry of the family's backward-recurrence table
 (expansions; of I_nu with sign_flip) times the exact x^(2h+nu) monomial
 coefficient of P_L, T_2L or C^lam_2L in closed form (the basis's monomial, an
 integer over an integer, divided once in Decimal), times k^nu for Chebyshev
-and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k, and the
-table is cached in the context (expansions._coefficients), so an h-sweep
-builds it once.  The stopping order comes first, from bounds on the terms
-(_bound_factor); only then are table entries read.  The right-hand side is
+and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k.  An h-sweep
+(verify_sweep; verify_identity is the one-case sweep) runs in three passes:
+plan, every case's weights and stopping order, from bounds on the terms
+(_bound_factor) with no table entry read; build, one table of exactly the
+entries the latest stop reads (expansions._coefficients, cached in the
+context); sum, each case's terms against its closed form.  The right-hand side is
 f(0) k^nu times an exact rational, or for integer nu one exact rational,
-rounded once, as one Decimal division of two integers.  A case runs in one
+rounded once, as one Decimal division of two integers.  A sweep runs in one
 decimal context, and what does not depend on h (k^nu, the tolerance, the stop
 target's scale and the bound factors, a dict read by L) is one context entry per
 family key (IdentityCase._key, the kind's key with k and sign_flip) and
@@ -93,9 +95,9 @@ class IdentityCase(Value):
     """One verification instance of a summed-series family.
 
     lmax is the last order summed, no less than first_contributing_order, or
-    None to stop where the tail bound allows (verify_identity).  kind is the
+    None to stop where the tail bound allows (verify_sweep).  kind is the
     id's expansion kind at the case's nu and lambda, which it checks; nu and lam
-    are read back from it.  _key, the family key of verify_identity's context
+    are read back from it.  _key, the family key of verify_sweep's context
     entry, is the kind's key with k's two ints and sign_flip, built once (a
     Fraction hashes by a modular inverse).  Neither is a field: they follow
     from the fields.  at(h) gives the case at another power h and shares both,
@@ -178,10 +180,11 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
 
 
 def _weight(kind, h: int, L: int, k_nu: Real, ctx: PrecisionContext) -> Real:
-    """k_nu = k^outer (1 for outer 0) times the x^(2h+offset) coefficient of the degree-(step L) basis polynomial."""
+    """k_nu = k^outer times the x^(2h+offset) coefficient of the degree-(step L) basis polynomial; for outer 0
+    the coefficient alone, which k^0 = 1 would multiply exactly."""
     n = kind.step * L
     num, den = kind.poly.monomial(n, (n - kind.offset) // 2 - h, ctx)
-    return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den))
+    return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den)) if kind.outer else ctx.dec.divide(num, den)
 
 
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
@@ -191,7 +194,7 @@ def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
 def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     """|p_L| F_L >= |c_L|: the order-L coefficient's prefactor (the kind's _prefactor) times a bound
     F_L >= |1F2(a; b, c; z)| on its 1F2 at z = -+k^2/4, which is never summed, c = c_L the larger lower
-    parameter.  verify_identity reads these by L from one dict per context, family key (case._key) and
+    parameter.  verify_sweep reads these by L from one dict per context, family key (case._key) and
     tolerance, so an h-sweep builds each once.
 
     In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),
@@ -253,62 +256,64 @@ def _maclaurin(h: int, kind, k: Fraction, sign_flip: bool, ctx: PrecisionContext
         return _value_at_zero(kind, ctx) * _k_nu(k, nu, ctx) * ctx.dec.divide(num, den)
 
 
-def verify_identity(
-    case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT, trace: bool = False
-) -> VerificationReport:
-    """Sum the family's terms in ascending L and compare with the closed form.
+def verify_sweep(case: IdentityCase, hs, ctx: PrecisionContext = DEFAULT_CONTEXT, trace: bool = False) -> list:
+    """The reports of case.at(h) for each h in hs, in three passes: plan every case, build one table, sum.
 
-    With an integer case.lmax the sum runs over L = 0..lmax.  With lmax None it
-    stops at the first order whose bound on every later term together
+    Plan: with an integer case.lmax a sum runs over L = 0..lmax; with lmax None
+    it stops at the first order whose bound on every later term together
     (_order_tail) is at most min(tolerance/10, 10^-(display+1)) |rhs|: the
     truncation then costs under a tenth of the tolerance, and no printed digit
-    of lhs is a digit of a partial sum only.  Terms are summed compensated, in
-    ctx.dec, entered once per case, over the orders of the gathered parity
-    from the first contributing one; the zeros below it are built only when
-    tracing.  What does not depend on h is one context entry per family key
-    and tolerance.  Reports are deterministic for a context.
+    of lhs is a digit of a partial sum only.  Every case is validated and its
+    weights and stop found, or refused, before any entry is read.  Build: one
+    table of exactly max stop + 1 entries.  Sum: each case's terms, compensated,
+    over the orders of the gathered parity from the first contributing one (the
+    zeros below it built only when tracing), against its closed form.  All in
+    one decimal context; what does not depend on h is one context entry per
+    family key and tolerance.  Reports are deterministic for a context.
     """
-    kind, h, auto, tolerance = case.kind, case.h, case.lmax is None, case.tolerance
-    start, stride = first_contributing_order(case), 2 // kind.step  # degree step L of 2h + offset's parity
-    with localcontext(ctx.dec):  # the one decimal context of the case
+    cases = [case.at(h) for h in hs]
+    kind, auto, tolerance, stride = case.kind, case.lmax is None, case.tolerance, 2 // case.kind.step
+    with localcontext(ctx.dec):
         k_nu, tol, scale, factors = ctx._cached(
             ("verify", case._key, tolerance.numerator, tolerance.denominator),
             lambda: (_k_nu(case.k, kind.outer, ctx), ctx.real(tolerance),
                      min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1))), {}),
         )  # the last is {L: _bound_factor(case, L, ctx)}, filled as the sweep reaches L
-        rhs = identity_rhs(case, ctx)
-        if auto:
-            tail, target = _order_tail(case), scale * abs(rhs)
-        weights, bound = [], None  # the stop is decided before any coefficient is read
-        for L in range(start, _MAX_ORDER + 1 if auto else case.lmax + 1, stride):
-            w = _weight(kind, h, L, k_nu, ctx)
-            weights.append((L, w))
+        plans = []  # (case, rhs, [(L, weight), ...], tail bound)
+        for c in cases:
+            rhs, weights, bound = identity_rhs(c, ctx), [], None
             if auto:
-                if L not in factors:
-                    factors[L] = _bound_factor(case, L, ctx)
-                bound = tail.after(L, factors[L] * abs(w))
-                if bound is not None and bound <= target:
-                    break
-        else:
-            if auto:
-                raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
-        table = _coefficients(kind, case.k, weights[-1][0] + 1, ctx, case.sign_flip) if weights else []
-        terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
-        lhs = neumaier_sum((term for L, term in terms), ctx)
-        abs_diff = abs(lhs - rhs)
-        rel_diff = abs_diff / abs(rhs)
-        passed = rel_diff <= tol
-    return VerificationReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        terms_used=len(terms),
-        passed=bool(passed),
-        terms=tuple([(L, Decimal(0)) for L in range(start % stride, start, stride)] + terms) if trace else None,
-        lmax=terms[-1][0] if auto else case.lmax,
-        tail_bound=bound,
-    )
+                tail, target = _order_tail(c), scale * abs(rhs)
+            for L in range(first_contributing_order(c), _MAX_ORDER + 1 if auto else c.lmax + 1, stride):
+                w = _weight(kind, c.h, L, k_nu, ctx)
+                weights.append((L, w))
+                if auto:
+                    if L not in factors:
+                        factors[L] = _bound_factor(c, L, ctx)
+                    bound = tail.after(L, factors[L] * w.copy_abs())
+                    if bound is not None and bound <= target:
+                        break
+            else:
+                if auto:
+                    raise DomainError(f"{c.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
+            plans.append((c, rhs, weights, bound))
+        last = max(weights[-1][0] for _, _, weights, _ in plans) if auto else case.lmax
+        table, reports = _coefficients(kind, case.k, last + 1, ctx, case.sign_flip), []
+        for c, rhs, weights, bound in plans:
+            terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
+            lhs, first = neumaier_sum((term for L, term in terms), ctx), terms[0][0]  # the first contributing order
+            abs_diff = abs(lhs - rhs)
+            rel_diff = abs_diff / abs(rhs)
+            traced = tuple([(L, Decimal(0)) for L in range(first % stride, first, stride)] + terms) if trace else None
+            reports.append(VerificationReport(lhs, rhs, abs_diff, rel_diff, len(terms), bool(rel_diff <= tol),
+                                              traced, terms[-1][0] if auto else c.lmax, bound))
+    return reports
+
+
+def verify_identity(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                    trace: bool = False) -> VerificationReport:
+    """Sum the family's terms in ascending L and compare with the closed form: verify_sweep of this one case."""
+    return verify_sweep(case, [case.h], ctx, trace)[0]
 
 
 def brace_factor_legendre(L: int, h: int, order: int = 0) -> Fraction:

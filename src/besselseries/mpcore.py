@@ -149,10 +149,11 @@ class PrecisionContext:
         return table[n]
 
     def _grown(self, key, count: int, build):
-        """The cached list under key, rebuilt as build(2 * count) while it holds fewer than count entries."""
+        """The cached list under key, built as build(count) on the first read, exactly what a planned read asks
+        for, and rebuilt as build(max(count, 2 * its length)) when a read needs more, so growing reads double."""
         table = self._cache.get(key, ())
         if len(table) < count:
-            table = self._cache[key] = build(2 * count)
+            table = self._cache[key] = build(max(count, 2 * len(table)))
         return table
 
     @property
@@ -185,9 +186,11 @@ def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
     N^(y-1) e^-N (1 + (y-1)/N) <= 2N e^-N (DLMF 8.10), and Gamma(y) > 7/8: as e > 8/3, the first integer N
     with 16 N 3^N 10^d <= 7 8^N, d = the digits of ctx.guard, leaves out at most 10^-d of Gamma(y), with the
     same term count on every platform.  The t_n are summed as integers scaled by 10^s and rounded down,
-    which loses under (M+3)^2 10^-s of the sum of M terms, up to the first term at most 10^-d of the sum
-    whose ratio is at most 1/2; N^n / (y)_(n+1) <= (eN/n)^n gives M < e^2 N < 8N, so s = d + 2 len(8N) + 1
-    keeps that under 10^-d too.  One exp(y ln N - N) in ctx.guard ends within about N 10^-d of Gamma(x).
+    which loses under (M+3)^2 10^-s of the sum of M terms: past the terms whose ratio is above 1/2, up to the
+    first term at most 10^-d of the sum so far, a bound taken once there, as the sum only grows (and at most
+    doubles, so it costs one term more); N^n / (y)_(n+1) <= (eN/n)^n gives M < e^2 N < 8N, so
+    s = d + 2 len(8N) + 1 keeps that under 10^-d too.  N^y by _pow and one exp(-N), each within an ulp of
+    ctx.guard, and the products after them end within a few of its ulps, about 10^(1-d), of Gamma(x).
     """
     guard = ctx.guard
     d = guard.working_digits
@@ -199,13 +202,18 @@ def _gamma_general(fx: Fraction, ctx: PrecisionContext) -> Decimal:
     p, q = y.numerator, y.denominator
     s = d + 2 * len(str(8 * N)) + 1
     term = total = 10**s * q // p  # t_0 = 1/y
-    den, step, small = p + q, N * q, 10**d  # t_(n+1) = t_n step / den, den = q (y + n + 1)
-    while den < 2 * step or term * small > total:
+    den, step = p + q, N * q  # t_(n+1) = t_n step / den, den = q (y + n + 1)
+    while den < 2 * step:  # the ratio is above 1/2
+        term = term * step // den
+        total += term
+        den += q
+    small = total // 10**d  # at most 10^-d of every later total, as the total only grows
+    while term > small:
         term = term * step // den
         total += term
         den += q
     with localcontext(guard.dec):
-        value = (Decimal(p) / q * Decimal(N).ln() - N).exp() * Decimal(total).scaleb(-s)
+        value = _pow(N, y, guard) * (-Decimal(N)).exp() * Decimal(total).scaleb(-s)
         return ctx.dec.plus(value * shift.numerator / shift.denominator)
 
 

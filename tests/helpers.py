@@ -247,6 +247,29 @@ def pow_by_decimal_power(base, e, ctx) -> Decimal:
     return ctx.dec.power(b, ctx.real(e))
 
 
+def gamma_general_by_ln(fx: Fraction, ctx) -> Decimal:
+    """mpcore._gamma_general as it was before its lead took _pow, the reference of the current one: the same
+    series, stopped by one test per term, times one exp(y ln N - N) in ctx.guard."""
+    guard = ctx.guard
+    d = guard.working_digits
+    y = fx % 1 + 1
+    shift = pochhammer_fraction(y, int(fx) - 1) if fx > 1 else 1 / fx
+    N = 23 * d // 10
+    while 16 * N * 3**N * 10**d > 7 * 8**N:
+        N += 1
+    p, q = y.numerator, y.denominator
+    s = d + 2 * len(str(8 * N)) + 1
+    term = total = 10**s * q // p
+    den, step, small = p + q, N * q, 10**d
+    while den < 2 * step or term * small > total:
+        term = term * step // den
+        total += term
+        den += q
+    with localcontext(guard.dec):
+        value = (Decimal(p) / q * Decimal(N).ln() - N).exp() * Decimal(total).scaleb(-s)
+        return ctx.dec.plus(value * shift.numerator / shift.denominator)
+
+
 def neumaier_sum_by_abs(terms, ctx) -> Decimal:
     """mpcore.neumaier_sum as it was written first, the reference of the copy_abs version: the branch
     compares abs() of the partial sum and the term, each of which rounds in the context."""

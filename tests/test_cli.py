@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -481,6 +482,18 @@ def test_hard_caps_are_usage_errors(argv, message, capsys):
     assert captured.out == "" and captured.err.splitlines()[-1] == message
 
 
+def test_a_sweep_refuses_a_stop_past_the_cap_before_building_the_table(monkeypatch, capsys):
+    # h = 1990..1993 stop by L = 2000; h = 1994 cannot, and every stop is planned before the one table is built
+    built = []
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--id", "chebyshev-even", "--k", "1", "--h", "1990..1994"])
+    assert err.value.code == 2 and built == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == (
+        "besselseries verify: error: chebyshev-even: the tail bound is above its target at L = 2000")
+
+
 def test_eval_refuses_an_unconvergent_reference_before_building_the_table(monkeypatch, capsys):
     # J_0(100000) needs more Maclaurin terms than hypergeom._MAX_TERMS; the table it would check has 68,041 rows
     built = []
@@ -575,6 +588,30 @@ def _load_workloads():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses looks the module up
     spec.loader.exec_module(module)
     return module
+
+
+def _is_value(comment: str) -> bool:
+    """A comment states a value when each of its words is a Python literal ("True 27", not "J0(8) to 27 digits")."""
+    try:
+        for word in comment.split():
+            ast.literal_eval(word)
+    except (ValueError, SyntaxError):
+        return False
+    return bool(comment)
+
+
+def test_readme_library_example_prints_its_commented_values():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    comments = [line.partition("#")[2].strip() for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments)  # one line per print
+    checked = [(line, comment) for line, comment in zip(printed, comments) if _is_value(comment)]
+    assert [comment for _, comment in checked] == ["0.1577279714748901195637751165099580", "True 27"]
+    assert [line for line, _ in checked] == [comment for _, comment in checked]
 
 
 def _parity_corpus() -> list:

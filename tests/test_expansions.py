@@ -614,6 +614,18 @@ def test_per_l_functions_are_table_entries(kind, ctx):
 
 
 @pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
+def test_per_l_reads_rebuild_their_table_by_doubling(kind, monkeypatch):
+    # the first read builds exactly the entries it needs, and a read past the table at least doubles it,
+    # so reads for L = 0..40 on one context build 7 tables (1, 2, 4, ..., 64 entries), not one per L
+    counts, table_fn = [], expansions._table_values
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: counts.append(a[2]) or table_fn(*a))
+    ctx = PrecisionContext()
+    for L in range(41):
+        _per_l_values(kind, L, 3, ctx)
+    assert counts == [1, 2, 4, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
 def test_per_l_functions_match_the_paper_series_in_mpmath(kind, ctx):
     # The paper's 1F2 (2F~3) form by mpmath at 120 digits, which raises its own precision where the series
     # cancels; for Chebyshev nu = 0 also the closed form (2 - delta_L0) (-1)^L J_L(k/2)^2.

@@ -186,19 +186,19 @@ SWEEP_ROW_CASES = [
     ["--id", "chebyshev-even", "--k", "1"],
     ["--id", "legendre-j1", "--k", "1"],
     ["--id", "gegenbauer-general", "--nu", "1/3", "--lambda", "7/3", "--k", "1/2", "--sign-flip"],
-    ["--id", "chebyshev-odd", "--k", "0.7", "--sign-flip"],  # its table holds 24, then 50 entries
+    ["--id", "chebyshev-odd", "--k", "0.7", "--sign-flip"],  # one table of 31 entries; h = 0 alone reads 12
 ]
 
 
 @pytest.mark.parametrize("args", SWEEP_ROW_CASES, ids=["cheb-even", "leg-j1", "geg-general-I", "cheb-odd-I"])
 def test_sweep_row_equals_the_single_h_run(args, monkeypatch, capsys):
-    # h = 0..20 at small k outgrows the table built for h = 0, so the sweep rebuilds it
-    # on one context; every row must still print as that h run alone does.
+    # h = 0..20 at small k reads far past the stop of h = 0, yet the sweep plans every stop first and
+    # builds one table of exactly max(lmax) + 1 entries; every row must still print as that h run alone does.
     tables, table_fn = [], expansions._table_values
-    monkeypatch.setattr(expansions, "_table_values", lambda *a: tables.append(a) or table_fn(*a))
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: tables.append(a[2]) or table_fn(*a))
     assert main(["verify", *args, "--h", "0..20", "--format", "json"]) == 0
     sweep = json.loads(capsys.readouterr().out)
-    assert len(tables) >= 2
+    assert tables == [max(row["params"]["lmax"] for row in sweep) + 1]
     for h, row in enumerate(sweep):
         assert main(["verify", *args, "--h", str(h), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == [row], h
@@ -222,6 +222,28 @@ def test_every_family_sweep_row_equals_the_single_h_run(identity, flip, capsys):
         for h, row in zip(hs, sweep):
             main([*args, "--h", str(h), "--format", "json"])
             assert json.loads(capsys.readouterr().out) == [row], (lmax, h)
+
+
+@pytest.mark.parametrize("flip", [[], ["--sign-flip"]], ids=["J", "I"])
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId])
+def test_a_sweep_builds_one_table_of_max_lmax_plus_one_entries(identity, flip, monkeypatch, capsys):
+    # every stop is planned from bounds before any entry is read, so no later h outgrows the table
+    counts, table_fn = [], expansions._table_values
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: counts.append(a[2]) or table_fn(*a))
+    hs = "0" if identity == "clenshaw-sum-rule" else "0..12"
+    for lmax in ("auto", "31"):
+        counts.clear()
+        args = ["--id", identity, "--k", "7/2", *_ID_PARAMS.get(identity, []), *flip, "--lmax", lmax, "--h", hs]
+        main(["verify", *args, "--format", "json"])
+        sweep = json.loads(capsys.readouterr().out)
+        assert counts == [max(row["params"]["lmax"] for row in sweep) + 1], lmax
+
+
+def test_verify_identity_is_the_one_case_sweep():
+    case = _case(IdentityId.GEGENBAUER_GENERAL, h=0, k=Fraction(5, 2), nu=Fraction(1, 3), lam=Fraction(7, 3),
+                 lmax=None, sign_flip=True)
+    sweep = identities.verify_sweep(case, [3, 0, 5], PrecisionContext(), trace=True)
+    assert sweep == [verify_identity(case.at(h), PrecisionContext(), trace=True) for h in (3, 0, 5)]
 
 
 # ----------------------------------------------------------------- rhs

@@ -15,9 +15,12 @@ from besselseries import (
     pochhammer_fraction,
     reciprocal_gamma,
 )
-from besselseries.mpcore import _pow
+from besselseries.mpcore import _gamma_general, _pow
 
-from helpers import format_decimal_by_quantize, machin_pi, neumaier_sum_by_abs, pow_by_decimal_power, rel_diff, ulp_at
+from helpers import (
+    format_decimal_by_quantize, gamma_general_by_ln, machin_pi, neumaier_sum_by_abs, pow_by_decimal_power, rel_diff,
+    ulp_at,
+)
 
 
 def test_context_validation():
@@ -76,6 +79,20 @@ def test_gamma_general_is_correctly_rounded(digits):
         for x in GAMMA_POINTS:
             want = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
             assert _correctly_rounded(gamma(x, ctx), want, digits), x
+
+
+def test_gamma_general_is_the_ln_form_bit_for_bit():
+    # 1,100 seeded rationals (denominators up to 10^9, values up to 40) at 44 to 512 working digits, one in ten
+    # above 128: the lead N^y e^-N by _pow and one exp, and the series stopped by one bound taken once, give
+    # the bits of one exp(y ln N - N) and a series tested at every term
+    rng = random.Random(1311)
+    for _ in range(1100):
+        den = rng.choice([rng.randint(2, 10), rng.randint(2, 1000), rng.randint(2, 10**9)])
+        num = rng.randint(1, 40 * den)
+        x = Fraction(num + (num % den == 0), den)
+        digits = rng.randint(44, 128) if rng.random() < 0.9 else rng.randint(129, 512)
+        got = _gamma_general(x, PrecisionContext(digits, digits - 10))
+        assert got.as_tuple() == gamma_general_by_ln(x, PrecisionContext(digits, digits - 10)).as_tuple(), (x, digits)
 
 
 def _sqrt_pi_sweep(precisions):
