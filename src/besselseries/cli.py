@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from types import SimpleNamespace
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C function json.encoder re-exports, without importing json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -65,14 +65,12 @@ def _exact(text: str) -> Fraction:
         raise ValueError(f"not an exact number: {text!r} ({exc})")
 
 
-def _parse_h_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty h range")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_h_range(text: str) -> range:
+    lo, dots, hi = text.partition("..")
+    lo, hi = int(lo), int(hi) if dots else int(lo)
+    if hi < lo:
+        raise ValueError("empty h range")
+    return range(lo, hi + 1)
 
 
 _KIND_OPTIONS = {"legendre": ("--N",), "chebyshev": ("--nu",), "gegenbauer": ("--nu", "--lambda")}
@@ -98,19 +96,24 @@ def _frac_str(f):
     return None if f is None else str(Fraction(f))  # "p" or "p/q"
 
 
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}  # by exact type, as bool is an int: one C call a scalar
+
+
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for the dicts (str keys), lists, strs, ints, bools and None
-    that commands print, without the pure-Python encoder an indent selects: only containers recurse."""
+    that commands print, else TypeError, without the pure-Python encoder an indent selects: only containers recurse."""
+    if type(value) in _SCALAR:
+        return _SCALAR[type(value)](value)
     inner = indent + "  "
     if type(value) is dict:
-        items = [encode_basestring_ascii(key) + ": " + _json(v, inner) for key, v in value.items()]
+        items = [f"{encode_basestring_ascii(key)}: {_SCALAR[type(v)](v) if type(v) in _SCALAR else _json(v, inner)}"
+                 for key, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if type(value) is list:
-        items = [_json(v, inner) for v in value]
+        items = [_SCALAR[type(v)](v) if type(v) in _SCALAR else _json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)  # TypeError otherwise
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, rows, text, wrap=None) -> None:

@@ -25,7 +25,7 @@ family; every other layer reads what a kind carries:
             s = 2 for Legendre, else 1, in mpcore.TailBound's format
     key     (class, nu and lam as numerator, denominator): heads its cache keys
     _series(L)             the 1F2's upper and lower parameters, integer pairs
-    _prefactor(L, k, ctx)  p_L, the coefficient over its series and sign
+    _prefactors(k, ctx)    p_0, p_1, ...: each coefficient over its series and sign
 
 One algorithm computes the coefficients, the backward recurrence below.  The
 public per-L functions return entry L of the kind's table, cached in the
@@ -34,11 +34,11 @@ paper's; only the tests sum them (tests/helpers.py), as an independent check
 that cancels about k/ln 10 digits.  The identities take p_L and the series
 parameters from here, to bound their terms, and the ratio, to bound their tail
 (identities._order_tail, by TailBound); mpcore.factor_ratio evaluates it in
-integers for the prefactor tables (N* below: lgamma).  The Legendre p_L is an
-exact rational, rounded once from its integer numerator and denominator.
-Chebyshev and Gegenbauer prefactors grow by the ratio, each step reduced to the
-pair of integers a Fraction holds, in a table per nu, lambda and k cached in
-the context, from p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma
+integers for the prefactors (N* below: lgamma).  The Legendre p_L is an exact
+rational, rounded once from its integer numerator and denominator, kept as
+running products in L.  Chebyshev and Gegenbauer prefactors grow by the ratio,
+each step reduced to the pair of integers a Fraction holds, from
+p_0 = f(0) = 2^-nu / Gamma(nu+1): irrational, the only gamma
 and fractional power (mpcore._pow, a q-th root) of a table, both taken again
 in the guard context of the Miller pass (f(0) rounds that same Gamma once).
 
@@ -77,6 +77,7 @@ only.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -110,18 +111,22 @@ class Legendre(Value):
     def __init__(self, N: int):
         if not isinstance(N, int) or N < 0:
             raise DomainError("Legendre expansion order N must be an integer >= 0")
-        # p_(L+2)/p_L = k^2 (L+1) (L+2) / (4 (L+1/2) (L+3/2) (L+2-N) (L+2+N)), of _prefactor's rational
+        # p_(L+2)/p_L = k^2 (L+1) (L+2) / (4 (L+1/2) (L+3/2) (L+2-N) (L+2+N)), of _prefactors' rational
         ratio = (_QUARTER, ((1, 1), (2, 1)), ((1, 2), (3, 2), (2 - N, 1), (2 + N, 1)))
         self._set(N=N, nu=Fraction(N), offset=N, ratio=ratio, key=(Legendre, N, 1))
 
     def _series(self, L: int) -> tuple:  # ((L+N+1)/2; (L+N)/2+1, L+3/2)
         return ((L + self.N + 1, 2),), ((L + self.N + 2, 2), (2 * L + 3, 2))
 
-    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        """p_L = sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)) (L - N even), that is the
-        exact rational C(L, (L-N)/2) k^L / (2^L (2L-1)!!), rounded once."""
-        num = math.comb(L, (L - self.N) // 2) * kf.numerator**L
-        return ctx.dec.divide(num, 2**L * math.prod(range(1, 2 * L, 2)) * kf.denominator**L)
+    def _prefactors(self, kf: Fraction, ctx: PrecisionContext):
+        """p_L for L = 0, 1, ...: sqrt(pi) (2L+1) C(L, (L-N)/2) k^L / (2^(2L+1) Gamma(L+3/2)) (L - N even), that
+        is the exact rational C(L, (L-N)/2) k^L / (2^L (2L-1)!!), rounded once; 0 for odd L - N and for L < N,
+        where the 1F2 form does not hold."""
+        power, den = 1, 1  # k^L's numerator and 2^L (2L-1)!! times its denominator, running products
+        for L in itertools.count():
+            nonzero = L >= self.N and (L - self.N) % 2 == 0
+            yield ctx.dec.divide(math.comb(L, (L - self.N) // 2) * power, den) if nonzero else Decimal(0)
+            power, den = power * kf.numerator, den * (4 * L + 2) * kf.denominator
 
 
 class Chebyshev(Value):
@@ -135,16 +140,15 @@ class Chebyshev(Value):
         if nu < 0:
             raise DomainError("Chebyshev expansion order nu must be >= 0")
         p, q = nu.numerator, nu.denominator
-        # p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1)), and p_L carries a factor 2 for L >= 1 (_prefactor)
+        # p_(L+1)/p_L = k^2 / (16 (L+1) (L+nu+1)), and p_L carries a factor 2 for L >= 1 (_prefactors)
         self._set(nu=nu, outer=nu, ratio=(_SIXTEENTH, (), ((1, 1), (p + q, q))), key=(Chebyshev, p, q))
 
     def _series(self, L: int) -> tuple:  # (L+1/2; L+nu+1, 2L+1)
         p, q = self.nu.numerator, self.nu.denominator
         return ((2 * L + 1, 2),), ((L * q + p + q, q), (2 * L + 1, 1))
 
-    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        p = _even_prefactor(L, self, kf, ctx)
-        return ctx.dec.multiply(2, p) if L else p
+    def _prefactors(self, kf: Fraction, ctx: PrecisionContext):
+        return (ctx.dec.multiply(2, p) if L else p for L, p in enumerate(_even_prefactors(self, kf, ctx)))
 
 
 class Gegenbauer(Value):
@@ -168,8 +172,8 @@ class Gegenbauer(Value):
         (p, q), (r, s) = (self.nu.numerator, self.nu.denominator), (self.lam.numerator, self.lam.denominator)
         return ((2 * L + 1, 2),), (((2 * L + 1) * s + r, s), (L * q + p + q, q))
 
-    def _prefactor(self, L: int, kf: Fraction, ctx: PrecisionContext) -> Real:
-        return _even_prefactor(L, self, kf, ctx)
+    def _prefactors(self, kf: Fraction, ctx: PrecisionContext):
+        return _even_prefactors(self, kf, ctx)
 
 
 class CoefficientTable(Value):
@@ -186,12 +190,16 @@ def _value_at_zero(kind, ctx: PrecisionContext) -> Real:
     return ctx._cached(("f(0)", kind.key), build)
 
 
-def _even_prefactor(L: int, kind, kf: Fraction, ctx: PrecisionContext) -> Real:
-    """p_L of the Chebyshev (without its factor 2 for L >= 1) or Gegenbauer coefficient, from the table that
-    grows from f(0) by the kind's ratio times k^2."""
+def _even_prefactors(kind, kf: Fraction, ctx: PrecisionContext):
+    """p_L for L = 0, 1, ... of the Chebyshev (without its factor 2 for L >= 1) or Gegenbauer coefficient: f(0),
+    then each times the kind's ratio times k^2, rounding by each part of the ratio reduced as a Fraction holds it."""
     c, upper, lower = kind.ratio
-    key = ("prefactor", kind.key, kf.numerator, kf.denominator)
-    return ctx._table(key, lambda: _value_at_zero(kind, ctx), lambda: factor_ratio(c * kf * kf, upper, lower), L)
+    ratio, p = factor_ratio(c * kf * kf, upper, lower), _value_at_zero(kind, ctx)
+    for L in itertools.count():
+        yield p
+        num, den = ratio(L)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        p = ctx.dec.divide(ctx.dec.multiply(p, num // g), den // g)
 
 
 def _table_args(k, lmax: int) -> Fraction:

@@ -22,16 +22,16 @@ integer over an integer, divided once in Decimal), times k^nu for Chebyshev
 and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k.  An h-sweep
 (verify_sweep; verify_identity is the one-case sweep) runs in three passes:
 plan, every case's weights and stopping order, from bounds on the terms
-(_bound_factor) with no table entry read; build, one table of exactly the
+(_bound_factors) with no table entry read; build, one table of exactly the
 entries the latest stop reads (expansions._coefficients, cached in the
 context); sum, each case's terms against its closed form.  The right-hand side is
 f(0) k^nu times an exact rational, or for integer nu one exact rational,
 rounded once, as one Decimal division of two integers.  A sweep runs in one
-decimal context, and what does not depend on h (k^nu, the tolerance, the stop
-target's scale and the bound factors, a dict read by L) is one context entry per
-family key (IdentityCase._key, the kind's key with k and sign_flip) and
-tolerance, which the cases of an h-sweep share; the sweep itself validates one
-case and derives the others (IdentityCase.at).
+decimal context and builds what does not depend on h once: c k^2 and the
+kind's factor lists of the tail bound (_order_tail), the bound factors, one
+list grown by L, and one context entry per family key (IdentityCase._key, the
+kind's key with k and sign_flip) and tolerance: k^nu, the tolerance and the
+stop target's scale.  It validates one case and derives the others (IdentityCase.at).
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor and its ratio) and
@@ -65,7 +65,7 @@ from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_a
 from .orthopoly import LegendreP, _rising_factorial, monomial_numerators
 
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
-_UP = Context(prec=20, rounding=ROUND_CEILING)  # _bound_factor's exp(z/c_L), rounded up
+_UP = Context(prec=20, rounding=ROUND_CEILING)  # _bound_factors' exp(z/c_L), rounded up
 
 
 class IdentityId(enum.Enum):
@@ -170,32 +170,29 @@ def first_contributing_order(case: IdentityCase) -> int:
 
 
 def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """The L-th summand, the order-L table entry times _weight; zero below the first contributing order."""
+    """The L-th summand, zero below the first contributing order: the order-L table entry times its weight as
+    verify_sweep takes it, the x^(2h+offset) coefficient of the degree-(step L) basis polynomial times k^outer."""
+    kind, n = case.kind, case.kind.step * L
     if L < 0:
         raise DomainError("L must be >= 0")
-    if (case.kind.step * L - case.kind.offset) % 2 or L < first_contributing_order(case):
+    if (n - kind.offset) % 2 or L < first_contributing_order(case):
         return Decimal(0)  # a polynomial of the wrong parity or too low a degree has no x^(2h+offset)
-    weight = _weight(case.kind, case.h, L, _k_nu(case.k, case.kind.outer, ctx), ctx)
-    return ctx.dec.multiply(_coefficients(case.kind, case.k, L + 1, ctx, case.sign_flip)[L], weight)
-
-
-def _weight(kind, h: int, L: int, k_nu: Real, ctx: PrecisionContext) -> Real:
-    """k_nu = k^outer times the x^(2h+offset) coefficient of the degree-(step L) basis polynomial; for outer 0
-    the coefficient alone, which k^0 = 1 would multiply exactly."""
-    n = kind.step * L
-    num, den = kind.poly.monomial(n, (n - kind.offset) // 2 - h, ctx)
-    return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den)) if kind.outer else ctx.dec.divide(num, den)
+    num, den = kind.poly.monomial(n, (n - kind.offset) // 2 - case.h, ctx)
+    weight = ctx.dec.divide(num, den)
+    if kind.outer:
+        weight = ctx.dec.multiply(_k_nu(case.k, kind.outer, ctx), weight)
+    return ctx.dec.multiply(_coefficients(kind, case.k, L + 1, ctx, case.sign_flip)[L], weight)
 
 
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
     return ctx._cached(("k^nu", k.numerator, k.denominator, nu.numerator, nu.denominator), lambda: _pow(k, nu, ctx))
 
 
-def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
-    """|p_L| F_L >= |c_L|: the order-L coefficient's prefactor (the kind's _prefactor) times a bound
-    F_L >= |1F2(a; b, c; z)| on its 1F2 at z = -+k^2/4, which is never summed, c = c_L the larger lower
-    parameter.  verify_sweep reads these by L from one dict per context, family key (case._key) and
-    tolerance, so an h-sweep builds each once.
+def _bound_factors(case: IdentityCase, ctx: PrecisionContext):
+    """|p_L| F_L >= |c_L| for L = 0, 1, ...: the order-L coefficient's prefactor (the kind's _prefactors) times
+    a bound F_L >= |1F2(a; b, c; z)| on its 1F2 at z = -+k^2/4, which is never summed, c = c_L the larger
+    lower parameter; 0 where the coefficient is 0.  They read only the kind, k and sign_flip, so verify_sweep
+    grows one list of them, which every h of a sweep reads.
 
     In every family the smaller lower parameter b and the upper one a meet 0 < a <= b (lam > -1/2),
     and 2c_L >= 1.  1F2 is a Beta average of 0F1 (DLMF 16.5.2, b > a > 0; for b = a it is that
@@ -208,20 +205,23 @@ def _bound_factor(case: IdentityCase, L: int, ctx: PrecisionContext) -> Real:
     is positive, (a)_m <= (b)_m gives 1F2 <= 0F1(; c; z), and (c)_m >= c^m gives
     0F1(; c; z) <= exp(z/c), taken to 20 digits and rounded up.
     """
-    pref = abs(case.kind._prefactor(L, case.k, ctx))
-    if not case.sign_flip:
-        return pref
-    k, ((p, q), (r, s)) = case.k, case.kind._series(L)[1]
-    c, d = (p, q) if p * s >= r * q else (r, s)  # c_L = c / d, an integer pair not always reduced
-    x = _UP.divide(k.numerator**2 * d, 4 * k.denominator**2 * c)  # z/c_L, correctly rounded whatever the pair
-    return ctx.dec.multiply(pref, _UP.next_plus(_UP.exp(x)))  # exp rounds half-even whatever the context: one step up
+    kind, k2, four_k2 = case.kind, case.k.numerator**2, 4 * case.k.denominator**2  # z = k2 / four_k2
+    for L, pref in enumerate(kind._prefactors(case.k, ctx)):
+        pref = pref.copy_abs()  # of a value rounded in ctx: abs() there, without entering it
+        if case.sign_flip and pref:
+            (p, q), (r, s) = kind._series(L)[1]
+            c, d = (p, q) if p * s >= r * q else (r, s)  # c_L = c / d, an integer pair not always reduced
+            x = _UP.divide(k2 * d, four_k2 * c)  # z/c_L, correctly rounded whatever the pair
+            pref = ctx.dec.multiply(pref, _UP.next_plus(_UP.exp(x)))  # exp rounds half-even: one step up
+        yield pref
 
 
-def _order_tail(case: IdentityCase) -> TailBound:
-    """The tail bound of the identity sum over L, for lmax None.
+def _order_tail(kind, k: Fraction):
+    """The tail bounds of the identity sums over L of the kind at k, for lmax None: h -> TailBound, with
+    c k^2 and the kind's factor lists built once, so each h only adds its column.
 
     |term_L| <= B_L = |p_L| |mono(L, h)| k^nu F_L, where p_L is the coefficient
-    over its 1F2 (with the factor 2 of Chebyshev L >= 1) and F_L of _bound_factor:
+    over its 1F2 (with the factor 2 of Chebyshev L >= 1) and F_L of _bound_factors:
     1 for the 1F2 argument -k^2/4, exp(k^2 / (4 c_L)) with sign_flip, c_L the
     larger lower parameter, which grows with L, so F_(L+s)/F_L <= 1 (s = 2 for
     Legendre, else 1).  B_(L+s)/B_L is then at most the exact ratio of
@@ -230,10 +230,14 @@ def _order_tail(case: IdentityCase) -> TailBound:
     TailBound turns the product into a majorant R(L) that does not increase, so
     the terms after L add up to at most B_L R(L) / (1 - R(L)) once R(L) < 1.
     """
-    (c, upper, lower), k = case.kind.ratio, case.k
-    column_up, column_low = case.kind.poly.column(case.h, case.kind.offset)
+    (c, upper, lower), column, offset = kind.ratio, kind.poly.column, kind.offset
     c_k2 = Fraction(c.numerator * k.numerator**2, c.denominator * k.denominator**2)  # c k^2 in 2/5 the time of c * k**2
-    return TailBound(c_k2, [*upper, *column_up], [*lower, *column_low])
+
+    def at(h: int) -> TailBound:
+        column_up, column_low = column(h, offset)
+        return TailBound(c_k2, [*upper, *column_up], [*lower, *column_low])
+
+    return at
 
 
 def identity_rhs(case: IdentityCase, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
@@ -264,33 +268,43 @@ def verify_sweep(case: IdentityCase, hs, ctx: PrecisionContext = DEFAULT_CONTEXT
     (_order_tail) is at most min(tolerance/10, 10^-(display+1)) |rhs|: the
     truncation then costs under a tenth of the tolerance, and no printed digit
     of lhs is a digit of a partial sum only.  Every case is validated and its
-    weights and stop found, or refused, before any entry is read.  Build: one
-    table of exactly max stop + 1 entries.  Sum: each case's terms, compensated,
-    over the orders of the gathered parity from the first contributing one (the
-    zeros below it built only when tracing), against its closed form.  All in
-    one decimal context; what does not depend on h is one context entry per
-    family key and tolerance.  Reports are deterministic for a context.
+    weights and stop found, or refused, before any entry is read; if the largest
+    h has no order at or below _MAX_ORDER, before any case is planned.  Per order
+    the plan pays only for the weight's closed form, its Decimal division and
+    product, and the exact tail test: the rest is built once (module docstring).
+    Build: one table of exactly max stop + 1 entries.  Sum: each case's terms,
+    compensated, over the orders of the gathered parity from the first
+    contributing one (the zeros below it built only when tracing), against its
+    closed form.  Reports are deterministic for a context.
     """
-    cases = [case.at(h) for h in hs]
     kind, auto, tolerance, stride = case.kind, case.lmax is None, case.tolerance, 2 // case.kind.step
+    if auto and hs and (2 * max(hs) + kind.offset) // kind.step > _MAX_ORDER:  # the first order of the largest h
+        for h in (h for h in hs if h < 0 or (h and case.id == IdentityId.CLENSHAW_SUM_RULE)):
+            case.at(h)  # raises: the refusals of the h themselves come first, in their order
+        raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
+    cases = [case.at(h) for h in hs]
+    step, offset, outer, monomial, divide = kind.step, kind.offset, kind.outer != 0, kind.poly.monomial, ctx.dec.divide
     with localcontext(ctx.dec):
-        k_nu, tol, scale, factors = ctx._cached(
+        k_nu, tol, scale = ctx._cached(
             ("verify", case._key, tolerance.numerator, tolerance.denominator),
             lambda: (_k_nu(case.k, kind.outer, ctx), ctx.real(tolerance),
-                     min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1))), {}),
-        )  # the last is {L: _bound_factor(case, L, ctx)}, filled as the sweep reaches L
-        plans = []  # (case, rhs, [(L, weight), ...], tail bound)
+                     min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1)))),
+        )
+        factors, more = [], _bound_factors(case, ctx)  # factors[L] is the next of more, taken as the plan reaches L
+        tails, plans = _order_tail(kind, case.k) if auto else None, []  # plans: (case, rhs, [(L, weight), ...], bound)
         for c in cases:
-            rhs, weights, bound = identity_rhs(c, ctx), [], None
+            h, rhs, weights, bound = c.h, identity_rhs(c, ctx), [], None
             if auto:
-                tail, target = _order_tail(c), scale * abs(rhs)
+                after, target = tails(h).after, scale * abs(rhs)
             for L in range(first_contributing_order(c), _MAX_ORDER + 1 if auto else c.lmax + 1, stride):
-                w = _weight(kind, c.h, L, k_nu, ctx)
+                n = step * L
+                num, den = monomial(n, (n - offset) // 2 - h, ctx)  # identity_term's weight, inline
+                w = k_nu * divide(num, den) if outer else divide(num, den)
                 weights.append((L, w))
                 if auto:
-                    if L not in factors:
-                        factors[L] = _bound_factor(c, L, ctx)
-                    bound = tail.after(L, factors[L] * w.copy_abs())
+                    while L >= len(factors):
+                        factors.append(next(more))
+                    bound = after(L, factors[L] * w.copy_abs())
                     if bound is not None and bound <= target:
                         break
             else:
@@ -300,8 +314,8 @@ def verify_sweep(case: IdentityCase, hs, ctx: PrecisionContext = DEFAULT_CONTEXT
         last = max(weights[-1][0] for _, _, weights, _ in plans) if auto else case.lmax
         table, reports = _coefficients(kind, case.k, last + 1, ctx, case.sign_flip), []
         for c, rhs, weights, bound in plans:
-            terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
-            lhs, first = neumaier_sum((term for L, term in terms), ctx), terms[0][0]  # the first contributing order
+            terms = [(L, table[L] * w) for L, w in weights]
+            lhs, first = neumaier_sum([term for L, term in terms], ctx), terms[0][0]  # the first contributing order
             abs_diff = abs(lhs - rhs)
             rel_diff = abs_diff / abs(rhs)
             traced = tuple([(L, Decimal(0)) for L in range(first % stride, first, stride)] + terms) if trace else None

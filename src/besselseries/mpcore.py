@@ -128,26 +128,6 @@ class PrecisionContext:
         value = self._cache[key] = build()
         return value
 
-    def _table(self, key, start, make_ratio, n: int):
-        """Entry n of the cached table t_0 = start(), t_(j+1) = t_j * num / den, (num, den) = ratio(j) integers,
-        ratio = make_ratio() built once with the table.
-
-        Entries grow on demand, at this context's precision, rounding by each
-        part of the ratio reduced as a Fraction holds it; an entry already held
-        is returned without entering a decimal context.
-        """
-        try:
-            return self._cache[key][0][n]
-        except (KeyError, IndexError):
-            pass
-        with localcontext(self.dec):
-            table, ratio = self._cached(key, lambda: ([start()], make_ratio()))
-            while n >= len(table):
-                num, den = ratio(len(table) - 1)
-                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                table.append(table[-1] * (num // g) / (den // g))
-        return table[n]
-
     def _grown(self, key, count: int, build):
         """The cached list under key, built as build(count) on the first read, exactly what a planned read asks
         for, and rebuilt as build(max(count, 2 * its length)) when a read needs more, so growing reads double."""

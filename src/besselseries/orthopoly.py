@@ -16,7 +16,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, Value, factor_ratio, to_fraction
+from .mpcore import DEFAULT_CONTEXT, DomainError, PrecisionContext, Real, Value, to_fraction
 
 
 class LegendreP(Value):
@@ -77,9 +77,11 @@ class GegenbauerC(Value):
 
 
 def _rising_factorial(lam: Fraction, j: int, ctx: PrecisionContext) -> Fraction:
-    """Exact (lam)_j from a per-context table that grows on demand."""
-    p, q = lam.numerator, lam.denominator
-    return ctx._table(("rising", p, q), lambda: Fraction(1), lambda: factor_ratio(Fraction(1), ((p, q),), ()), j)
+    """Exact (lam)_j from a per-context list of (lam)_0, (lam)_1, ..., extended on demand."""
+    table = ctx._cached(("rising", lam.numerator, lam.denominator), lambda: [Fraction(1)])
+    while len(table) <= j:
+        table.append(table[-1] * (lam + len(table) - 1))
+    return table[j]
 
 
 def eval_poly(kind, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

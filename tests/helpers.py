@@ -4,13 +4,14 @@ digit-string helpers."""
 import argparse
 import functools
 import math
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, ROUND_CEILING, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 from besselseries import DomainError, Legendre, cli, coefficient_table, expansions, identities
+from besselseries.identities import VerificationReport, first_contributing_order, identity_rhs
 from besselseries.expansions import _MAX_START
 from besselseries.hypergeom import HyperSpec, eval_pFq, eval_regularized_pFq
-from besselseries.mpcore import TailBound, _pow, factor_ratio, gamma, pochhammer_fraction
+from besselseries.mpcore import TailBound, _pow, factor_ratio, gamma, neumaier_sum, pochhammer_fraction
 from besselseries.orthopoly import monomial_numerators
 
 
@@ -160,7 +161,7 @@ def brace_factor_eq10(L: int, h: int) -> Fraction:
 
 def series_coeff(kind, L: int, k, ctx, modified: bool = False):
     """The paper's order-L coefficient, the second algorithm the backward-recurrence tables are checked
-    against: (-1)^((step L - offset)/2) kind._prefactor times the 1F2(kind._series; -k^2/4), 0 where
+    against: (-1)^((step L - offset)/2) prefactor times the 1F2(kind._series; -k^2/4), 0 where
     step L - offset is odd; modified, of I_nu: the argument +k^2/4 and no sign.  Legendre N >= 2 (not
     modified) takes the regularized 2F~3 of legendre_coeff_2f3.  The sum cancels about k/ln 10 digits."""
     if L < 0:
@@ -174,7 +175,7 @@ def series_coeff(kind, L: int, k, ctx, modified: bool = False):
     upper, lower = ([Fraction(*pair) for pair in pairs] for pairs in kind._series(L))  # integer pairs
     z = kf * kf / 4
     sign = 1 if modified or (kind.step * L - kind.offset) % 4 == 0 else -1
-    pref = ctx.dec.multiply(sign, kind._prefactor(L, kf, ctx))
+    pref = ctx.dec.multiply(sign, prefactor(kind, L, kf, ctx))
     return ctx.dec.multiply(pref, eval_pFq(HyperSpec(upper, lower, z if modified else -z), ctx))
 
 
@@ -334,6 +335,99 @@ def chebyshev_miller_by_running_weight(kind, kf: Fraction, count: int, guard, mo
             f *= eval_pFq(HyperSpec((), (nuf + 1,), kf * kf / 4), guard)
         scale = f / neumaier_sum_by_abs(at_x, guard)
         return [e * scale for e in entries[:count]]
+
+
+def prefactor(kind, L: int, kf: Fraction, ctx) -> Decimal:
+    """p_L of the kind as the library computed it one order at a time, the reference of its running
+    prefactors: for Legendre C(L, (L-N)/2) k^L / (2^L (2L-1)!!) from scratch, rounded once; for Chebyshev
+    (times 2 for L >= 1) and Gegenbauer entry L of a table in the context grown from f(0) by the kind's ratio,
+    as PrecisionContext._table grew it."""
+    if isinstance(kind, Legendre):
+        num = math.comb(L, (L - kind.N) // 2) * kf.numerator**L
+        return ctx.dec.divide(num, 2**L * math.prod(range(1, 2 * L, 2)) * kf.denominator**L)
+    c, upper, lower = kind.ratio
+    key = ("prefactor table", kind.key, kf.numerator, kf.denominator)
+    start = [expansions._value_at_zero(kind, ctx)]
+    table, ratio = ctx._cache.setdefault(key, (start, factor_ratio(c * kf * kf, upper, lower)))
+    with localcontext(ctx.dec):
+        while len(table) <= L:  # t_(j+1) = t_j * num / den, rounding by each part of the reduced ratio
+            num, den = ratio(len(table) - 1)
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            table.append(table[-1] * (num // g) / (den // g))
+    return ctx.dec.multiply(2, table[L]) if L and kind.lam is None else table[L]
+
+
+_UP = Context(prec=20, rounding=ROUND_CEILING)
+
+
+def bound_factor_by_order(case, L: int, ctx) -> Decimal:
+    """identities._bound_factors' entry L as the library computed it one order at a time: |p_L|, times
+    exp(z/c_L) to 20 digits rounded up with sign_flip (abs in the current decimal context)."""
+    pref = abs(prefactor(case.kind, L, case.k, ctx))
+    if not case.sign_flip:
+        return pref
+    k, ((p, q), (r, s)) = case.k, case.kind._series(L)[1]
+    c, d = (p, q) if p * s >= r * q else (r, s)
+    x = _UP.divide(k.numerator**2 * d, 4 * k.denominator**2 * c)
+    return ctx.dec.multiply(pref, _UP.next_plus(_UP.exp(x)))
+
+
+def weight_by_call(kind, h: int, L: int, k_nu, ctx) -> Decimal:
+    """The weight of identities.identity_term as the library's _weight took it, one call per order."""
+    n = kind.step * L
+    num, den = kind.poly.monomial(n, (n - kind.offset) // 2 - h, ctx)
+    return ctx.dec.multiply(k_nu, ctx.dec.divide(num, den)) if kind.outer else ctx.dec.divide(num, den)
+
+
+def order_tail_by_case(case) -> TailBound:
+    """identities._order_tail(case.kind, case.k)(case.h) as the library built it for every case: c k^2 and the
+    kind's factor lists again for each h."""
+    (c, upper, lower), k = case.kind.ratio, case.k
+    column_up, column_low = case.kind.poly.column(case.h, case.kind.offset)
+    c_k2 = Fraction(c.numerator * k.numerator**2, c.denominator * k.denominator**2)
+    return TailBound(c_k2, [*upper, *column_up], [*lower, *column_low])
+
+
+def verify_sweep_by_case(case, hs, ctx, trace: bool = False) -> list:
+    """identities.verify_sweep as it was written first, the reference of the hoisted plan loop: every order
+    calls weight_by_call, every order's bound factor is bound_factor_by_order (once per L, in a dict),
+    every case builds its tail bound from scratch (order_tail_by_case), and terms and products go through
+    ctx.dec's methods."""
+    cases = [case.at(h) for h in hs]
+    kind, auto, tolerance, stride = case.kind, case.lmax is None, case.tolerance, 2 // case.kind.step
+    max_order = identities._MAX_ORDER
+    with localcontext(ctx.dec):
+        k_nu, tol = identities._k_nu(case.k, kind.outer, ctx), ctx.real(tolerance)
+        scale, factors = min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1))), {}
+        plans = []
+        for c in cases:
+            rhs, weights, bound = identity_rhs(c, ctx), [], None
+            if auto:
+                tail, target = order_tail_by_case(c), scale * abs(rhs)
+            for L in range(first_contributing_order(c), max_order + 1 if auto else c.lmax + 1, stride):
+                w = weight_by_call(kind, c.h, L, k_nu, ctx)
+                weights.append((L, w))
+                if auto:
+                    if L not in factors:
+                        factors[L] = bound_factor_by_order(c, L, ctx)
+                    bound = tail.after(L, factors[L] * w.copy_abs())
+                    if bound is not None and bound <= target:
+                        break
+            else:
+                if auto:
+                    raise DomainError(f"{c.id.value}: the tail bound is above its target at L = {max_order}")
+            plans.append((c, rhs, weights, bound))
+        last = max(weights[-1][0] for _, _, weights, _ in plans) if auto else case.lmax
+        table, reports = expansions._coefficients(kind, case.k, last + 1, ctx, case.sign_flip), []
+        for c, rhs, weights, bound in plans:
+            terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
+            lhs, first = neumaier_sum((term for L, term in terms), ctx), terms[0][0]
+            abs_diff = abs(lhs - rhs)
+            rel_diff = abs_diff / abs(rhs)
+            traced = tuple([(L, Decimal(0)) for L in range(first % stride, first, stride)] + terms) if trace else None
+            reports.append(VerificationReport(lhs, rhs, abs_diff, rel_diff, len(terms), bool(rel_diff <= tol),
+                                              traced, terms[-1][0] if auto else c.lmax, bound))
+    return reports
 
 
 def _exact_argument(text: str) -> Fraction:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from besselseries import cli, expansions
+from besselseries import cli, expansions, identities
 from besselseries.cli import main, parse_exact
 
 import reference_tables as ref
@@ -400,18 +400,21 @@ def test_clenshaw_convention_is_chebyshev_only(kind, capsys):
 
 def test_cli_import_loads_no_introspection_modules():
     # Every CLI call starts a fresh interpreter: importing the CLI, and running one command, must not load
-    # dataclasses or what it pulls in, nor an argument parser with its gettext, locale and terminal-size lookups.
+    # dataclasses or what it pulls in, nor an argument parser with its gettext, locale and terminal-size lookups,
+    # nor the json package: --format json writes through the C encoder of _json alone.
     src = str(Path(cli.__file__).resolve().parents[1])
-    names = ("dataclasses", "inspect", "ast", "dis", "threading", "argparse", "gettext", "locale", "shutil")
+    names = ("dataclasses", "inspect", "ast", "dis", "threading", "argparse", "gettext", "locale", "shutil", "json")
     code = (
         f"import sys; sys.path.insert(0, sys.argv[1]); import besselseries.cli; names = {names!r}; "
         "print('loaded:', *(m for m in names if m in sys.modules)); "
         "besselseries.cli.main(['coeffs', '--kind', 'chebyshev', '--k', '1', '--lmax', '0']); "
+        "besselseries.cli.main(['coeffs', '--kind', 'chebyshev', '--k', '1', '--lmax', '0', '--format', 'json']); "
         "print('loaded:', *(m for m in names if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1], len(lines)) == ("loaded:", "loaded:", 4)
+    assert (lines[0], lines[-1], len(lines)) == ("loaded:", "loaded:", 17)
+    assert json.loads("\n".join(lines[3:-1]))["entries"] == [{"L": 0, "value": lines[2].split()[1]}]
 
 
 @pytest.mark.parametrize("argv", [
@@ -492,6 +495,29 @@ def test_a_sweep_refuses_a_stop_past_the_cap_before_building_the_table(monkeypat
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines()[-1] == (
         "besselseries verify: error: chebyshev-even: the tail bound is above its target at L = 2000")
+
+
+@pytest.mark.parametrize("argv, derived, message", [
+    ("--id chebyshev-even --h 0..200000", [], "chebyshev-even: the tail bound is above its target at L = 2000"),
+    ("--id legendre-j1 --h 1000..1000", [], "legendre-j1: the tail bound is above its target at L = 2000"),
+    ("--id chebyshev-even --h=-1..200000", [], "h must be >= 0"),
+    ("--id clenshaw-sum-rule --h 0..200000", [1], "clenshaw-sum-rule has h fixed to 0"),
+    ("--id clenshaw-sum-rule --h=-3..5000", [], "h must be >= 0"),
+])
+def test_a_sweep_whose_largest_h_is_past_the_cap_is_refused_before_any_case(argv, derived, message, monkeypatch,
+                                                                             capsys):
+    # the first order of h = 200000 (of legendre-j1's h = 1000: 2001) is past _MAX_ORDER: refused before any
+    # case is derived or planned, after the refusals of the h themselves, in their order (the first case is
+    # the command's own, the one refused h is derived to raise its error); the parent derived and held
+    # 200,001 cases and planned 2,001 for 2.7 s first
+    calls, at = [], identities.IdentityCase.at
+    monkeypatch.setattr(identities.IdentityCase, "at", lambda self, h: calls.append(h) or at(self, h))
+    monkeypatch.setattr(identities, "identity_rhs", lambda *a: calls.append("plan"))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv.split(), "--k", "1"])
+    assert err.value.code == 2 and calls == derived
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == "besselseries verify: error: " + message
 
 
 def test_eval_refuses_an_unconvergent_reference_before_building_the_table(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Context, Decimal, localcontext
@@ -212,7 +213,7 @@ def test_prefactor_table_from_integer_ratios_is_the_fraction_ratio_table(nu, lam
             for j in range(200):
                 r = ratio(j)
                 want.append(want[-1] * r.numerator / r.denominator)
-        got = [expansions._even_prefactor(L, kind, k, ctx) for L in range(201)]
+        got = list(itertools.islice(expansions._even_prefactors(kind, k, ctx), 201))
         assert [v.as_tuple() for v in got] == [v.as_tuple() for v in want], k
 
 
@@ -265,10 +266,12 @@ def test_legendre_prefactors_are_their_exact_rationals_rounded_once(digits, monk
     monkeypatch.setattr(helpers, "gamma", lambda x, c: Decimal(1) if x == Fraction(1, 2) else None)
     for k in (Fraction(3, 2), Fraction(17, 3), Fraction(100)):
         for N in range(4):
+            prefactors = list(itertools.islice(Legendre(N)._prefactors(k, ctx), 201))
+            assert all(p == 0 for p in prefactors[N + 1::2]), (k, N)  # odd L - N: no coefficient
             for L in range(N, 201, 2):
                 want = Fraction((2 * L + 1) * math.comb(L, (L - N) // 2), 2 ** (2 * L + 1)) * k**L
                 want /= pochhammer_fraction(Fraction(1, 2), L + 1)
-                assert Legendre(N)._prefactor(L, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)
+                assert prefactors[L] == fraction_to_decimal(want, digits), (k, N, L)
                 sign = 1 if (L - N) % 4 == 0 else -1
                 want = Fraction(sign * (2 * L + 1) * math.factorial(L), 2 ** (2 * L + 1)) * k**L
                 assert legendre_coeff_2f3(L, N, k, ctx) == fraction_to_decimal(want, digits), (k, N, L)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -39,6 +40,7 @@ from helpers import (
     series_coeff,
     sig_digit_count,
     sin_rational_series,
+    verify_sweep_by_case,
 )
 import reference_tables as ref
 
@@ -244,6 +246,41 @@ def test_verify_identity_is_the_one_case_sweep():
                  lmax=None, sign_flip=True)
     sweep = identities.verify_sweep(case, [3, 0, 5], PrecisionContext(), trace=True)
     assert sweep == [verify_identity(case.at(h), PrecisionContext(), trace=True) for h in (3, 0, 5)]
+
+
+def _bits(report):
+    """Every field of a report, each Decimal as its sign, digits and exponent."""
+    bits = lambda v: v.as_tuple() if isinstance(v, Decimal) else v
+    terms = report.terms and tuple((L, t.as_tuple()) for L, t in report.terms)
+    return tuple(bits(v) for v in report._values()[:6]) + (terms, report.lmax, bits(report.tail_bound))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_is_the_case_by_case_plan_bit_for_bit(seed, monkeypatch):
+    # 80 random sweeps a seed: every id, J and I, lmax auto and explicit, fractional nu and lambda, k in
+    # [0.1, 40], h ranges up to 0..30, 44 to 128 working digits; each report equals in every bit the one of
+    # the loop that built every part per case and order (helpers.verify_sweep_by_case), from one table
+    rng, counts, table_fn = random.Random(seed), [], expansions._table_values
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: counts.append(a[2]) or table_fn(*a))
+    for _ in range(80):
+        identity = rng.choice(list(IdentityId))
+        family, fixed_nu = identities._FAMILY[identity]
+        nu = Fraction(rng.randrange(0, 13), rng.randrange(1, 8)) if fixed_nu is None else None
+        lam = rng.choice(TAIL_LAMBDAS[:4] + [Fraction(5, 2)]) if family is Gegenbauer else None
+        k, flip = Fraction(rng.randrange(10, 4001), 100), rng.random() < 0.5
+        lo = 0 if identity == IdentityId.CLENSHAW_SUM_RULE else rng.randrange(0, 16)
+        hs = range(lo, lo + 1 if identity == IdentityId.CLENSHAW_SUM_RULE else rng.randrange(lo, 31) + 1)
+        tol = rng.choice((Fraction(1, 10**33), Fraction(1, 10**30), Fraction(1, 10**20)))
+        case = IdentityCase(identity, h=lo, k=k, nu=nu, lam=lam, lmax=None, tolerance=tol, sign_flip=flip)
+        if rng.random() < 0.3:  # an explicit lmax from the first order of the largest h on
+            lmax = first_contributing_order(case.at(hs[-1])) + rng.randrange(0, 25)
+            case = IdentityCase(identity, h=lo, k=k, nu=nu, lam=lam, lmax=lmax, tolerance=tol, sign_flip=flip)
+        digits, trace = rng.randrange(44, 129), rng.random() < 0.3
+        counts.clear()
+        got = identities.verify_sweep(case, hs, PrecisionContext(working_digits=digits), trace)
+        assert len(counts) == 1, case
+        want = verify_sweep_by_case(case, hs, PrecisionContext(working_digits=digits), trace)
+        assert [_bits(r) for r in got] == [_bits(r) for r in want], (case, hs, digits)
 
 
 # ----------------------------------------------------------------- rhs
@@ -644,6 +681,8 @@ def test_bound_factor_takes_c_l_from_integer_pairs(identity, lam):
     for nu in nus:
         for k in (Fraction(1, 3), Fraction(7), Fraction(40)):
             case = IdentityCase(identity, h=0, k=k, nu=nu, lam=lam, lmax=None, sign_flip=True)
+            prefactors = list(itertools.islice(case.kind._prefactors(k, ctx), 201))
+            factors = list(itertools.islice(identities._bound_factors(case, ctx), 201))
             for L in range(case.kind.offset, 201, 3 - case.kind.step):  # Legendre: L - N even
                 pairs = case.kind._series(L)
                 assert all(q > 0 for part in pairs for _, q in part), (case, L)
@@ -651,8 +690,8 @@ def test_bound_factor_takes_c_l_from_integer_pairs(identity, lam):
                 assert [[Fraction(*p) for p in part] for part in pairs] == [list(upper), list(lower)], (case, L)
                 c = max(lower)
                 z_over_c = up.divide(k.numerator**2 * c.denominator, 4 * k.denominator**2 * c.numerator)
-                want = ctx.dec.multiply(abs(case.kind._prefactor(L, k, ctx)), up.next_plus(up.exp(z_over_c)))
-                assert identities._bound_factor(case, L, ctx).as_tuple() == want.as_tuple(), (case, L)
+                want = ctx.dec.multiply(prefactors[L].copy_abs(), up.next_plus(up.exp(z_over_c)))
+                assert factors[L].as_tuple() == want.as_tuple(), (case, L)
 
 
 AUTO_IDS = [
@@ -773,7 +812,7 @@ def test_order_tail_is_the_hand_combined_tail_bound(seed):
         k = Fraction(rng.randrange(1, 30001), 100)
         case = IdentityCase(identity, h=rng.randrange(0, 101), k=k, nu=nu, lam=lam, lmax=None,
                             sign_flip=rng.random() < 0.5)
-        got, want = identities._order_tail(case), _hand_combined_tail(case)
+        got, want = identities._order_tail(case.kind, case.k)(case.h), _hand_combined_tail(case)
         assert got.start == want.start, case
         with localcontext(dec):
             for L in range(want.start, want.start + 61):
