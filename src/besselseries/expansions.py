@@ -23,16 +23,17 @@ family; every other layer reads what a kind carries:
     lam     the Gegenbauer lambda, None for the other two
     ratio   (c, upper, lower): p_(L+s)/p_L = k^2 c prod(L + a) / prod(L + b),
             s = 2 for Legendre, else 1, in mpcore.TailBound's format
-    key     (class, nu and lam as numerator, denominator): heads its cache keys
+    key     (class, nu and lam as numerator, denominator): heads its f(0)'s cache key
     _series(L)             the 1F2's upper and lower parameters, integer pairs
     _prefactors(k, ctx)    p_0, p_1, ...: each coefficient over its series and sign
 
 One algorithm computes the coefficients, the backward recurrence below.  The
-public per-L functions return entry L of the kind's table, cached in the
-context (_coefficients).  The 1F2 (2F~3) forms in their docstrings are the
-paper's; only the tests sum them (tests/helpers.py), as an independent check
-that cancels about k/ln 10 digits.  The identities take p_L and the series
-parameters from here, to bound their terms, and the ratio, to bound their tail
+public per-L functions return entry L of a fresh table of L+1 entries (a
+context caches numbers, not tables; coefficient_table builds many at once).
+The 1F2 (2F~3) forms in their docstrings are the paper's; only the tests
+sum them (tests/helpers.py), as an independent check that cancels about
+k/ln 10 digits.  The identities take p_L and the series parameters from here,
+to bound their terms, and the ratio, to bound their tail
 (identities._order_tail, by TailBound); mpcore.factor_ratio evaluates it in
 integers for the prefactors (N* below: lgamma).  The Legendre p_L is an exact
 rational, rounded once from its integer numerator and denominator, kept as
@@ -340,22 +341,14 @@ def coefficient_table(kind, k, lmax: int, ctx: PrecisionContext = DEFAULT_CONTEX
     return CoefficientTable(kind=kind, k=kf, entries=tuple(enumerate(_table_values(kind, kf, lmax + 1, ctx))))
 
 
-def _coefficients(kind, kf: Fraction, count: int, ctx: PrecisionContext, modified: bool = False) -> list:
-    """At least count entries of the kind's table at k (modified: of I_nu), cached in the context under
-    (kind.key, k, modified): built with exactly count entries on the first read, and rebuilt at least twice
-    as long when a later read needs more (mpcore.PrecisionContext._grown)."""
-    key = ("table", kind.key, kf.numerator, kf.denominator, modified)
-    return ctx._grown(key, count, lambda n: _table_values(kind, kf, n, ctx, modified))
-
-
 def _entry(kind, L: int, k, ctx: PrecisionContext) -> Real:
     if L < 0:
         raise DomainError("L must be >= 0")
-    return _coefficients(kind, _table_args(k, L), L + 1, ctx)[L]
+    return _table_values(kind, _table_args(k, L), L + 1, ctx)[L]
 
 
 def legendre_coeff(L: int, N: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Fourier-Legendre coefficient, entry L of the context-cached table:
+    """Fourier-Legendre coefficient, entry L of a fresh table of L+1 entries:
 
     a_LN(k) = (-1)^((L-N)/2) sqrt(pi) (2L+1) L! k^L / 2^(2L+1)
               * 2F~3((L+1)/2, L/2+1; L+3/2, (L-N)/2+1, (L+N)/2+1; -k^2/4)
@@ -370,7 +363,7 @@ legendre_coeff_general = legendre_coeff  # the 2F~3 form holds for every N, so t
 
 
 def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Chebyshev coefficient, plain-sum convention, entry L of the context-cached table:
+    """Chebyshev coefficient, plain-sum convention, entry L of a fresh table of L+1 entries:
 
     C_Lnu(k) = (-1)^L k^(2L) 2^(-4L-nu) (2 - delta_L0) / (L! Gamma(L+nu+1))
                * 1F2(L+1/2; L+nu+1, 2L+1; -k^2/4)
@@ -379,7 +372,7 @@ def chebyshev_coeff(L: int, nu, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> R
 
 
 def gegenbauer_coeff(L: int, nu, lam, k, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
-    """Gegenbauer coefficient, entry L of the context-cached table:
+    """Gegenbauer coefficient, entry L of a fresh table of L+1 entries:
 
     b_Lnu(k) = (-1)^L k^(2L) 2^(2L-nu) (lam+1/2)_2L
                / (sqrt(pi) (2lam)_2L (2L+2lam)_2L (L+1/2)_{nu+1/2})

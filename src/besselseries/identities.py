@@ -23,15 +23,14 @@ and Gegenbauer.  No 1F2 is summed, so nothing cancels at large k.  An h-sweep
 (verify_sweep; verify_identity is the one-case sweep) runs in three passes:
 plan, every case's weights and stopping order, from bounds on the terms
 (_bound_factors) with no table entry read; build, one table of exactly the
-entries the latest stop reads (expansions._coefficients, cached in the
-context); sum, each case's terms against its closed form.  The right-hand side is
-f(0) k^nu times an exact rational, or for integer nu one exact rational,
-rounded once, as one Decimal division of two integers.  A sweep runs in one
-decimal context and builds what does not depend on h once: c k^2 and the
-kind's factor lists of the tail bound (_order_tail), the bound factors, one
-list grown by L, and one context entry per family key (IdentityCase._key, the
-kind's key with k and sign_flip) and tolerance: k^nu, the tolerance and the
-stop target's scale.  It validates one case and derives the others (IdentityCase.at).
+entries the latest stop reads (expansions._table_values: a context caches
+numbers, not tables); sum, each case's terms against its closed form.  The
+right-hand side is f(0) k^nu times an exact rational, or for integer nu one
+exact rational, rounded once, as one Decimal division of two integers.  A
+sweep runs in one decimal context and builds what does not depend on h once:
+c k^2 and the kind's factor lists of the tail bound (_order_tail), the bound
+factors, one list grown by L, k^nu, the tolerance and the stop target's scale.
+It validates one case and derives the others (IdentityCase.at).
 
 Each id maps to one expansion kind (_FAMILY), whose attributes (basis, degree
 step, offset, outer power, series parameters, prefactor and its ratio) and
@@ -61,7 +60,8 @@ from .mpcore import (
     neumaier_sum,
     to_fraction,
 )
-from .expansions import Chebyshev, Gegenbauer, Legendre, _coefficients, _value_at_zero, coefficient_table
+from . import expansions  # _table_values is looked up at each build, so a builder put in its place is the one called
+from .expansions import Chebyshev, Gegenbauer, Legendre, _value_at_zero, coefficient_table
 from .orthopoly import LegendreP, _rising_factorial, monomial_numerators
 
 _MAX_ORDER = 2000  # a sum stopped by its tail bound that reaches this order raises instead
@@ -97,11 +97,9 @@ class IdentityCase(Value):
     lmax is the last order summed, no less than first_contributing_order, or
     None to stop where the tail bound allows (verify_sweep).  kind is the
     id's expansion kind at the case's nu and lambda, which it checks; nu and lam
-    are read back from it.  _key, the family key of verify_sweep's context
-    entry, is the kind's key with k's two ints and sign_flip, built once (a
-    Fraction hashes by a modular inverse).  Neither is a field: they follow
-    from the fields.  at(h) gives the case at another power h and shares both,
-    so an h-sweep builds and validates one case.
+    are read back from it.  kind is not a field: it follows from the fields.
+    at(h) gives the case at another power h and shares the kind, so an h-sweep
+    builds and validates one case.
     """
 
     _fields = ("id", "h", "k", "nu", "lam", "lmax", "tolerance", "sign_flip")
@@ -135,7 +133,7 @@ class IdentityCase(Value):
             raise DomainError(f"{id.value} {'requires' if takes_lam else 'takes no'} lambda")
         kind = family(nu, lam) if takes_lam else family(nu)
         self._set(id=id, h=h, k=k, nu=kind.nu, lam=kind.lam, lmax=lmax, tolerance=tolerance, sign_flip=sign_flip)
-        self._set(kind=kind, _key=(kind.key, k.numerator, k.denominator, sign_flip))
+        self._set(kind=kind)
         if lmax is not None and lmax < first_contributing_order(self):
             raise DomainError(f"lmax must be >= {first_contributing_order(self)}, the first order with a nonzero term")
 
@@ -144,7 +142,7 @@ class IdentityCase(Value):
         read h can fail, as this case passed the rest, and any that fails is raised by the constructor itself
         (lmax < h implies lmax below the first contributing order, which is at least h)."""
         case = object.__new__(IdentityCase)
-        vars(case).update(vars(self), h=h)  # the fields, kind and _key, as _set would store them
+        vars(case).update(vars(self), h=h)  # the fields and kind, as _set would store them
         if h < 0 or (h != 0 and self.id == IdentityId.CLENSHAW_SUM_RULE) or (
                 self.lmax is not None and self.lmax < first_contributing_order(case)):
             IdentityCase(self.id, h, self.k, self.nu, self.lam, self.lmax, self.tolerance, self.sign_flip)
@@ -181,7 +179,7 @@ def identity_term(case: IdentityCase, L: int, ctx: PrecisionContext = DEFAULT_CO
     weight = ctx.dec.divide(num, den)
     if kind.outer:
         weight = ctx.dec.multiply(_k_nu(case.k, kind.outer, ctx), weight)
-    return ctx.dec.multiply(_coefficients(kind, case.k, L + 1, ctx, case.sign_flip)[L], weight)
+    return ctx.dec.multiply(expansions._table_values(kind, case.k, L + 1, ctx, case.sign_flip)[L], weight)
 
 
 def _k_nu(k: Fraction, nu: Fraction, ctx: PrecisionContext) -> Real:
@@ -275,21 +273,21 @@ def verify_sweep(case: IdentityCase, hs, ctx: PrecisionContext = DEFAULT_CONTEXT
     Build: one table of exactly max stop + 1 entries.  Sum: each case's terms,
     compensated, over the orders of the gathered parity from the first
     contributing one (the zeros below it built only when tracing), against its
-    closed form.  Reports are deterministic for a context.
+    closed form.  Reports are deterministic for a context.  An empty hs gives
+    [] and builds nothing.
     """
+    if not hs:
+        return []
     kind, auto, tolerance, stride = case.kind, case.lmax is None, case.tolerance, 2 // case.kind.step
-    if auto and hs and (2 * max(hs) + kind.offset) // kind.step > _MAX_ORDER:  # the first order of the largest h
+    if auto and (2 * max(hs) + kind.offset) // kind.step > _MAX_ORDER:  # the first order of the largest h
         for h in (h for h in hs if h < 0 or (h and case.id == IdentityId.CLENSHAW_SUM_RULE)):
             case.at(h)  # raises: the refusals of the h themselves come first, in their order
         raise DomainError(f"{case.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
     cases = [case.at(h) for h in hs]
     step, offset, outer, monomial, divide = kind.step, kind.offset, kind.outer != 0, kind.poly.monomial, ctx.dec.divide
     with localcontext(ctx.dec):
-        k_nu, tol, scale = ctx._cached(
-            ("verify", case._key, tolerance.numerator, tolerance.denominator),
-            lambda: (_k_nu(case.k, kind.outer, ctx), ctx.real(tolerance),
-                     min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1)))),
-        )
+        k_nu, tol = _k_nu(case.k, kind.outer, ctx), ctx.real(tolerance)
+        scale = min(ctx.real(tolerance / 10), Decimal(1).scaleb(-(ctx.display_digits + 1)))
         factors, more = [], _bound_factors(case, ctx)  # factors[L] is the next of more, taken as the plan reaches L
         tails, plans = _order_tail(kind, case.k) if auto else None, []  # plans: (case, rhs, [(L, weight), ...], bound)
         for c in cases:
@@ -312,7 +310,7 @@ def verify_sweep(case: IdentityCase, hs, ctx: PrecisionContext = DEFAULT_CONTEXT
                     raise DomainError(f"{c.id.value}: the tail bound is above its target at L = {_MAX_ORDER}")
             plans.append((c, rhs, weights, bound))
         last = max(weights[-1][0] for _, _, weights, _ in plans) if auto else case.lmax
-        table, reports = _coefficients(kind, case.k, last + 1, ctx, case.sign_flip), []
+        table, reports = expansions._table_values(kind, case.k, last + 1, ctx, case.sign_flip), []
         for c, rhs, weights, bound in plans:
             terms = [(L, table[L] * w) for L, w in weights]
             lhs, first = neumaier_sum([term for L, term in terms], ctx), terms[0][0]  # the first contributing order

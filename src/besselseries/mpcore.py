@@ -6,9 +6,11 @@ which makes every result reproducible bit-for-bit across platforms.  The
 gamma-function family lives here as well: integers exactly; every other
 argument, sqrt(pi) = Gamma(1/2) included, from one series of positive terms on
 (1, 2) times an exact rational shift, rounded once.  A rational power p/q is
-one q-th root by Newton's method (_pow), with Decimal.power's bits.  Every
-cache lives in a context, and so does the one guard context (working + 10
-digits) of every computation that rounds once at the end.
+one q-th root by Newton's method (_pow), with Decimal.power's bits.  A context
+caches numbers, never tables, by one policy (PrecisionContext._cached): its
+guard context (working + 10 digits, for every computation that rounds once at
+the end), Gamma, f(0), k^nu and the exact rising factorials.  The one cache
+outside a context is _rounding, one decimal Context per width, at module level.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def to_fraction(x) -> Fraction:
 
 
 class PrecisionContext:
-    """Working/display precision plus per-context caches.
+    """Working/display precision plus a cache of the numbers one command reads more than once.
 
     working_digits is the precision of all internal arithmetic and must leave
     at least 10 guard digits above display_digits.  Rounding is fixed to
@@ -127,14 +129,6 @@ class PrecisionContext:
             pass
         value = self._cache[key] = build()
         return value
-
-    def _grown(self, key, count: int, build):
-        """The cached list under key, built as build(count) on the first read, exactly what a planned read asks
-        for, and rebuilt as build(max(count, 2 * its length)) when a read needs more, so growing reads double."""
-        table = self._cache.get(key, ())
-        if len(table) < count:
-            table = self._cache[key] = build(max(count, 2 * len(table)))
-        return table
 
     @property
     def guard(self) -> PrecisionContext:

@@ -418,7 +418,7 @@ def verify_sweep_by_case(case, hs, ctx, trace: bool = False) -> list:
                     raise DomainError(f"{c.id.value}: the tail bound is above its target at L = {max_order}")
             plans.append((c, rhs, weights, bound))
         last = max(weights[-1][0] for _, _, weights, _ in plans) if auto else case.lmax
-        table, reports = expansions._coefficients(kind, case.k, last + 1, ctx, case.sign_flip), []
+        table, reports = expansions._table_values(kind, case.k, last + 1, ctx, case.sign_flip), []
         for c, rhs, weights, bound in plans:
             terms = [(L, ctx.dec.multiply(table[L], w)) for L, w in weights]
             lhs, first = neumaier_sum((term for L, term in terms), ctx), terms[0][0]

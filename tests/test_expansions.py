@@ -607,8 +607,8 @@ def _per_l_values(kind, L, k, ctx):
 
 @pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
 def test_per_l_functions_are_table_entries(kind, ctx):
-    # The per-L functions grow their own context-cached table as L rises; coefficient_table builds one at
-    # lmax = 60.  Where the 1F2 would cancel 13 to 87 digits, every displayed digit agrees.
+    # Each per-L read builds its own table of L+1 entries; coefficient_table builds one at lmax = 60.
+    # Where the 1F2 would cancel 13 to 87 digits, every displayed digit agrees.
     per_l_ctx = PrecisionContext()
     for k in (30, 60, 100, 200):
         for L, entry in coefficient_table(kind, k, 60, ctx).entries:
@@ -617,15 +617,36 @@ def test_per_l_functions_are_table_entries(kind, ctx):
 
 
 @pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)
-def test_per_l_reads_rebuild_their_table_by_doubling(kind, monkeypatch):
-    # the first read builds exactly the entries it needs, and a read past the table at least doubles it,
-    # so reads for L = 0..40 on one context build 7 tables (1, 2, 4, ..., 64 entries), not one per L
+def test_per_l_reads_build_a_table_of_l_plus_one_entries(kind, monkeypatch):
+    # a context caches no table: every per-L read on one context builds exactly entries 0..L
     counts, table_fn = [], expansions._table_values
     monkeypatch.setattr(expansions, "_table_values", lambda *a: counts.append(a[2]) or table_fn(*a))
     ctx = PrecisionContext()
     for L in range(41):
-        _per_l_values(kind, L, 3, ctx)
-    assert counts == [1, 2, 4, 8, 16, 32, 64]
+        counts.clear()
+        values = _per_l_values(kind, L, 3, ctx)
+        assert counts == [L + 1] * len(values), L
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_entry_l_of_a_short_table_is_entry_l_of_the_64_table_bit_for_bit(seed):
+    # the per-L functions read a table of L+1 entries, whose start index is lower than that of a longer
+    # table: over every family, fractional nu and lambda (also in (-1/2, 0)), k up to 200 and 44 to 128
+    # working digits, entry L of the J table by its per-L function, and of the I table by _table_values,
+    # is entry L of the table at lmax 64 in every bit
+    rng = random.Random(seed)
+    for family, draw in itertools.product((Legendre, Chebyshev, Gegenbauer), range(3)):
+        nu = Fraction(rng.randrange(0, 13), rng.randrange(1, 8))
+        lam = Fraction(-rng.randrange(1, 50), 100) if draw % 2 else Fraction(rng.randrange(1, 30), rng.randrange(1, 8))
+        kind = {Legendre: Legendre(rng.randrange(0, 6)), Chebyshev: Chebyshev(nu), Gegenbauer: Gegenbauer(nu, lam)}[family]
+        k, ctx = Fraction(rng.randrange(10, 20001), 100), PrecisionContext(working_digits=rng.randrange(44, 129))
+        full_j = [v for _, v in coefficient_table(kind, k, 64, ctx).entries]
+        full_i = _table_values(kind, k, 65, ctx, modified=True)
+        for L in sorted(rng.sample(range(65), 4)):
+            for value in _per_l_values(kind, L, k, ctx):
+                assert value.as_tuple() == full_j[L].as_tuple(), (kind, k, ctx, L)
+            short_i = _table_values(kind, k, L + 1, ctx, modified=True)[L]
+            assert short_i.as_tuple() == full_i[L].as_tuple(), (kind, k, ctx, L, "I")
 
 
 @pytest.mark.parametrize("kind", PER_L_KINDS, ids=PER_L_IDS)

@@ -16,15 +16,18 @@ from besselseries import (
     Legendre,
     PrecisionContext,
     brace_factor_legendre,
+    chebyshev_coeff,
     first_contributing_order,
     format_decimal,
     gamma,
+    gegenbauer_coeff,
     identity_rhs,
     identity_term,
+    legendre_coeff,
     power_gather_oracle,
     verify_identity,
 )
-from besselseries import expansions, hypergeom, identities
+from besselseries import cli, expansions, hypergeom, identities
 from besselseries.mpcore import TailBound
 from besselseries.cli import main
 from besselseries.orthopoly import ChebyshevT, GegenbauerC, LegendreP
@@ -246,6 +249,14 @@ def test_verify_identity_is_the_one_case_sweep():
                  lmax=None, sign_flip=True)
     sweep = identities.verify_sweep(case, [3, 0, 5], PrecisionContext(), trace=True)
     assert sweep == [verify_identity(case.at(h), PrecisionContext(), trace=True) for h in (3, 0, 5)]
+
+
+@pytest.mark.parametrize("lmax", [None, 30], ids=["auto", "explicit"])
+def test_an_empty_sweep_is_empty_and_builds_no_table(lmax, monkeypatch):
+    built = []
+    monkeypatch.setattr(expansions, "_table_values", lambda *a: built.append(a))
+    case = _case(IdentityId.CHEBYSHEV_EVEN, h=0, k=3, lmax=lmax)
+    assert identities.verify_sweep(case, [], PrecisionContext()) == [] and built == []
 
 
 def _bits(report):
@@ -519,7 +530,7 @@ def test_derived_case_is_the_constructed_case(kw):
     for h in (0, 1, 4, 9):
         derived, built = base.at(h), IdentityCase(identity, h=h, **kw)
         assert derived == built and hash(derived) == hash(built) and repr(derived) == repr(built)
-        assert derived.kind == built.kind and derived._key == built._key and derived.h == h
+        assert derived.kind == built.kind and derived.h == h
         assert derived.at(0) == base  # a derived case derives in turn, and base is left as it was
     assert base.h == 0
 
@@ -544,17 +555,34 @@ def test_derived_case_raises_the_constructor_error(identity, kw, h):
     assert str(derived.value) == str(built.value)
 
 
-def test_verify_reads_one_context_entry_per_family_key_and_tolerance():
-    # cases built by the constructor share the entry of an h-sweep; another tolerance gets its own
+def test_a_context_caches_numbers_not_tables(monkeypatch, capsys):
+    # reports on one shared context are those of fresh contexts; after coeffs and verify (through the CLI)
+    # and the per-L functions, every context and guard context holds only numbers and rising factorials
     ctx = PrecisionContext()
     kw = dict(k=3, lmax=None)
     reports = [verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, h=h, **kw), ctx) for h in range(4)]
-    entries = [key for key in ctx._cache if key[0] == "verify"]
-    assert len(entries) == 1 and all(r.passed for r in reports)
-    verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, tolerance=Fraction(1, 10**20), **kw), ctx)
-    assert len([key for key in ctx._cache if key[0] == "verify"]) == 2
+    assert all(r.passed for r in reports)
     assert [verify_identity(IdentityCase(IdentityId.CHEBYSHEV_EVEN, h=h, **kw), PrecisionContext())
             for h in range(4)] == reports
+    contexts = [ctx]
+    monkeypatch.setattr(cli, "PrecisionContext", lambda *a: contexts.append(PrecisionContext(*a)) or contexts[-1])
+    geg = ["--nu", "1/3", "--lambda=-1/4"]
+    assert main(["coeffs", "--kind", "gegenbauer", *geg, "--k", "20", "--lmax", "30"]) == 0
+    assert main(["verify", "--id", "gegenbauer-general", *geg, "--h", "0..5", "--k", "5", "--sign-flip"]) == 0
+    capsys.readouterr()
+    for L in range(6):
+        legendre_coeff(L, 1, 3, ctx)
+        chebyshev_coeff(L, Fraction(1, 3), 3, ctx)
+        gegenbauer_coeff(L, Fraction(1, 3), Fraction(-1, 4), 3, ctx)
+    assert len(contexts) == 3
+    for c in contexts + [c._cache["guard"] for c in contexts if "guard" in c._cache]:
+        for key, value in c._cache.items():
+            if key == "guard":
+                assert isinstance(value, PrecisionContext)
+            elif key[0] == "rising":
+                assert all(isinstance(v, Fraction) for v in value), key
+            else:
+                assert key[0] in ("gamma", "f(0)", "k^nu") and isinstance(value, Decimal), key
 
 
 # ----------------------------------------------------------------- oracle
