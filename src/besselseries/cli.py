@@ -13,6 +13,7 @@ usage line, the -h text and the usage errors.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from types import SimpleNamespace
@@ -96,7 +97,7 @@ def _frac_str(f):
     return None if f is None else str(Fraction(f))  # "p" or "p/q"
 
 
-_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+_SCALAR = {str: encode_basestring_ascii, int: repr, bool: {True: "true", False: "false"}.__getitem__,
            type(None): {None: "null"}.__getitem__}  # by exact type, as bool is an int: one C call a scalar
 
 
@@ -150,7 +151,7 @@ def _cmd_coeffs(args) -> int:
     meta = {"kind": name, "nu": nu, "lambda": lam, "k": _frac_str(args.k), "convention": args.convention}
     head = f"# {name} coefficients, k={meta['k']}, convention={args.convention}"
     head += (f", nu={nu}" if nu is not None else "") + (f", lambda={lam}" if lam is not None else "")
-    text = [head] + [f"{r['L']:4d}  {r['value']}" for r in rows]
+    text = itertools.chain([head], (f"{r['L']:4d}  {r['value']}" for r in rows))  # read only as text
     _emit(args, rows, text, lambda rows: {**meta, "entries": rows})
     return 0
 

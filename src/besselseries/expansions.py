@@ -413,8 +413,9 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     J_nu(z) = (z/2)^nu / Gamma(nu+1) 0F1(; nu+1; -z^2/4),
 
     the lead by mpcore._pow and gamma, the 0F1 summed by hypergeom.eval_pFq on the
-    exact argument -z^2/4.  It shares no table, prefactor or cache with the
-    coefficients it checks.
+    exact argument -z^2/4.  Gamma(nu+1) is ctx.guard's cached one rounded once, as f(0), verify's
+    rhs and the oracle's Maclaurin column read it; the power, the 0F1 and its stop are its own,
+    and it reads no table or prefactor of the coefficients it checks.
     """
     nuf = to_fraction(nu)
     if nuf < 0:
@@ -425,5 +426,5 @@ def bessel_j_ref(nu, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:
     if zf == 0:
         return ctx.real(1) if nuf == 0 else Decimal(0)
     with localcontext(ctx.dec):
-        lead = _pow(ctx.real(zf) / 2, nuf, ctx) / gamma(nuf + 1, ctx)
+        lead = _pow(ctx.real(zf) / 2, nuf, ctx) / ctx.dec.plus(gamma(nuf + 1, ctx.guard))
         return lead * eval_pFq(HyperSpec((), (nuf + 1,), -zf * zf / 4), ctx)

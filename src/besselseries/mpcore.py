@@ -10,7 +10,8 @@ one q-th root by Newton's method (_pow), with Decimal.power's bits.  A context
 caches numbers, never tables, by one policy (PrecisionContext._cached): its
 guard context (working + 10 digits, for every computation that rounds once at
 the end), Gamma, f(0), k^nu and the exact rising factorials.  The one cache
-outside a context is _rounding, one decimal Context per width, at module level.
+outside a context is _rounding, at module level: per printed width, the rounding
+and the format specs by exponent of format_decimal.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
     e_w = e rounded to w digits; an integer e takes the exact-power path.
 
     For q <= 10^9 and |p| (|n| + 2) <= 10^7, n = b.adjusted(), b = base, one q-th root in w + 20 digits
-    (_rounding) does it: Newton's y += (a / y^(q-1) - y) / q on a = b^p (far inside the exponent range), from
+    (ctx.guard.guard) does it: Newton's y += (a / y^(q-1) - y) / q on a = b^p (far inside the exponent range), from
     a float guess off by eps <= 8e-16 |e| (|n| + 2) + 3e-16, so q eps < 10^-6 and each step squares the error
     from the first; it stops after a step |s| < y 10^-t, 2t >= w + 17 + len(str(q)), within q 10^-2t <=
     10^-(w+17).  Then y exp(delta ln b), delta = e_w - p/q in w + 20 digits, |delta| <= 5 |e| 10^-w: a float
@@ -261,7 +262,7 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
         return ctx.dec.power(b, e_w)
     log10_b = n + math.log10(b.scaleb(-n, ctx.dec))
     log10_y = p * log10_b / q
-    with localcontext(_rounding(w + 20)):
+    with localcontext(ctx.guard.guard.dec):  # w + 20 digits
         a, y = b**p, Decimal(10 ** (log10_y % 1)).scaleb(math.floor(log10_y))
         s = y  # any s of y's size starts Newton
         while s and 2 * (y.adjusted() - s.adjusted() - 1) < w + 17 + len(str(q)):
@@ -278,30 +279,33 @@ def _pow(base, e, ctx: PrecisionContext) -> Decimal:
 # formatting and summation helpers
 
 @functools.cache
-def _rounding(sig_digits: int) -> Context:  # one per width: format_decimal's (plus sets only its flags), _pow's
-    return Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999)
+def _rounding(sig_digits: int) -> tuple:
+    """format_decimal's (plus, spec, sci) of one width, built on its first use: the plus of a half-even Context of
+    sig_digits digits (it sets only its flags) and the format specs, spec(a, sci) the positional ('f') one of a
+    rounded value whose leading digit sits at 10^a for -5 <= a < sig_digits, else sci, the scientific ('e') one."""
+    if sig_digits < 1:
+        raise ValueError("sig_digits must be >= 1")
+    plus = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999).plus
+    return plus, {a: f".{sig_digits - 1 - a}f" for a in range(-5, sig_digits)}.get, f".{sig_digits - 1}e"
 
 
 def format_decimal(v, sig_digits: int) -> str:
     """Decimal string with exactly sig_digits significant digits.
 
-    One rounding, half-even, by the context of that width (_rounding; a carry
-    such as 9.99 -> 10.0 just raises the exponent); the format then only pads
-    zeros.  Positional notation ('f') is used while the leading digit sits at
-    10^-5 or above and no trailing zeros would be needed left of the decimal
-    point; otherwise scientific notation with a lowercase 'e'.  Output is
-    bit-exact across platforms.
+    One rounding, half-even, by the context of that width (a carry such as
+    9.99 -> 10.0 just raises the exponent); the format then only pads zeros.
+    Positional notation ('f') is used while the leading digit sits at 10^-5 or
+    above and no trailing zeros would be needed left of the decimal point;
+    otherwise scientific notation with a lowercase 'e'.  The width's context
+    and both format specs come from _rounding, built once per width.  Output
+    is bit-exact across platforms.
     """
-    if sig_digits < 1:
-        raise ValueError("sig_digits must be >= 1")
-    d = v if isinstance(v, Decimal) else Decimal(str(v))
-    if d == 0:
+    plus, spec, sci = _rounding(sig_digits)
+    d = v if type(v) is Decimal else Decimal(str(v))
+    if not d:
         return "0"
-    q = _rounding(sig_digits).plus(d)
-    int_len = q.adjusted() + 1  # digits left of the point
-    if int_len < -4 or int_len > sig_digits:
-        return format(q, f".{sig_digits - 1}e")
-    return format(q, f".{sig_digits - int_len}f")
+    q = plus(d)
+    return format(q, spec(q.adjusted(), sci))
 
 
 def neumaier_sum(terms, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Real:

@@ -4,6 +4,7 @@ digit-string helpers."""
 import argparse
 import functools
 import math
+from _json import encode_basestring_ascii
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -41,6 +42,62 @@ def format_decimal_by_quantize(v, sig_digits: int) -> str:
     if int_len > 0:
         return prefix + body[:int_len] + "." + body[int_len:]
     return prefix + "0." + "0" * (-int_len) + body
+
+
+def format_decimal_per_number(v, sig_digits: int) -> str:
+    """mpcore.format_decimal with its width's context, its input conversion and its format spec made again
+    for every number, the reference of the width cache in mpcore._rounding."""
+    if sig_digits < 1:
+        raise ValueError("sig_digits must be >= 1")
+    d = v if isinstance(v, Decimal) else Decimal(str(v))
+    if d == 0:
+        return "0"
+    q = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emin=-999999999, Emax=999999999).plus(d)
+    int_len = q.adjusted() + 1  # digits left of the point
+    if int_len < -4 or int_len > sig_digits:
+        return format(q, f".{sig_digits - 1}e")
+    return format(q, f".{sig_digits - int_len}f")
+
+
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def json_per_item(value, indent: str = "\n") -> str:
+    """cli._json with every item, scalars included, formatted by a call of its own and ints by int.__repr__, the
+    reference of the writer: json.dumps(value, indent=2) for dicts (str keys), lists, strs, ints, bools and None,
+    else TypeError."""
+    if type(value) in _JSON_SCALAR:
+        return _JSON_SCALAR[type(value)](value)
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [f"{encode_basestring_ascii(key)}: {json_per_item(v, inner)}" for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if type(value) is list:
+        items = [json_per_item(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def document_per_item(fmt: str, rows, text, wrap=None) -> str:
+    """The stdout of cli._emit with the reference writers: csv, the header and str() of every cell; json,
+    json_per_item of the rows or wrap(rows); text, the lines."""
+    if fmt == "csv":
+        lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+    elif fmt == "json":
+        lines = [json_per_item(rows if wrap is None else wrap(rows))]
+    else:
+        lines = list(text)
+    return "".join(line + "\n" for line in lines)
+
+
+def bessel_j_ref_own_gamma(nu, z, ctx) -> Decimal:
+    """expansions.bessel_j_ref with its own Gamma(nu+1) at working precision in place of ctx.guard's Gamma
+    rounded once, the reference of the shared gamma; for z > 0."""
+    nuf, zf = Fraction(nu), Fraction(z)
+    with localcontext(ctx.dec):
+        lead = _pow(ctx.real(zf) / 2, nuf, ctx) / gamma(nuf + 1, ctx)
+        return lead * eval_pFq(HyperSpec((), (nuf + 1,), -zf * zf / 4), ctx)
 
 
 def recurrence_coefficients_exact(L: int, nu: Fraction, lam: Fraction, K: Fraction) -> tuple:

@@ -4,12 +4,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,7 @@ from besselseries import cli, expansions, identities
 from besselseries.cli import main, parse_exact
 
 import reference_tables as ref
-from helpers import build_parser
+from helpers import build_parser, document_per_item, json_per_item
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -377,6 +379,63 @@ def test_json_writer_on_empty_containers_and_scalars():
         cli._json(0.5)
 
 
+DOCUMENT_ARGVS = [
+    "coeffs --kind legendre --N 1 --k 23.44 --lmax 61",
+    "coeffs --kind chebyshev --nu 4/3 --k 20.28 --lmax 70 --convention clenshaw",
+    "coeffs --kind gegenbauer --nu 1/3 --lambda=-1/4 --k 5 --lmax 6 --digits 3",
+    "verify --id gegenbauer-general --nu 1/3 --lambda 7/3 --h 0..2 --k 3 --tol 1e-30",
+    "verify --id chebyshev-odd --h 1 --k 2 --sign-flip --lmax 30 --trace",
+    "eval --kind chebyshev --nu 5/3 --k 6.49 --x 0.24 --lmax 40",
+    "oracle --kind legendre --N 1 --k 1 --hmax 2 --lmax 12",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", DOCUMENT_ARGVS, ids=[a.split()[0] + str(i) for i, a in enumerate(DOCUMENT_ARGVS)])
+def test_every_document_is_the_per_item_writers(argv, fmt, capsys, monkeypatch):
+    # each command's csv and json bytes are those of the writers that format every key and item on their own
+    seen, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, rows, text, wrap=None: seen.append((rows, wrap))
+                        or emit(args, rows, text, wrap))
+    code, out = run_cli(capsys, *argv.split(), "--format", fmt)
+    [(rows, wrap)] = seen
+    assert code == 0 and out == document_per_item(fmt, rows, None, wrap)
+
+
+_KEYS = ["L", "value", "", "a%sb", "%(L)s", "100%", "\u00e9t\u00e9", "\u2603", 'say "hi"', "back\\slash", "new\nline",
+         "\x00"]
+
+
+def _scalar(rng):
+    return rng.choice([
+        lambda: rng.choice(_KEYS) + "".join(chr(rng.randint(32, 0x2FFF)) for _ in range(rng.randint(0, 6))),
+        lambda: rng.randint(-10**rng.randint(0, 40), 10**rng.randint(0, 40)),
+        lambda: rng.choice([True, False, None]),
+    ])()
+
+
+def _document(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _scalar(rng)
+    if rng.random() < 0.5:
+        return [_document(rng, depth - 1) for _ in range(rng.choice([0, 1, 2, 4]))]
+    return {key: _document(rng, depth - 1) for key in rng.sample(_KEYS, rng.choice([0, 1, 2, 3, 5]))}
+
+
+def test_writers_are_the_per_item_writers_on_a_seeded_grid(capsys):
+    # nested values, rows whose keys differ in order, number and depth, non-ASCII and control characters,
+    # '%' in keys and values, empty lists and dicts: the csv and json bytes of the per-item writers
+    rng = random.Random(20261022)
+    for i in range(600):
+        doc = _document(rng, 1 + i % 4)
+        assert cli._json(doc) == json_per_item(doc) == json.dumps(doc, indent=2), doc
+        rows = [{key: _scalar(rng) for key in rng.sample(_KEYS, rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 5))]
+        for fmt in ("csv", "json"):
+            cli._emit(SimpleNamespace(format=fmt, out=None), rows, None)
+            assert capsys.readouterr().out == document_per_item(fmt, rows, None), (fmt, rows)
+
+
 def test_clenshaw_sum_rule_refuses_h_other_than_zero(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--id", "clenshaw-sum-rule", "--h", "5", "--k", "2"])
@@ -420,10 +479,14 @@ def test_cli_import_loads_no_introspection_modules():
 @pytest.mark.parametrize("argv", [
     ["verify", "--id", "chebyshev-general-nu", "--nu", "1/3", "--h", "0..3", "--k", "5"],
     ["oracle", "--kind", "chebyshev", "--nu", "1/3", "--k", "2", "--hmax", "2", "--lmax", "10"],
-], ids=["verify", "oracle"])
+    ["eval", "--kind", "chebyshev", "--nu", "1/3", "--k", "3", "--x", "1/2"],
+    ["eval", "--kind", "chebyshev", "--nu", "1/2", "--k", "3", "--x", "1/2"],
+    ["coeffs", "--kind", "chebyshev", "--nu", "1/3", "--k", "3", "--lmax", "10"],
+], ids=["verify", "oracle", "eval", "eval-half", "coeffs"])
 def test_a_command_takes_one_general_gamma(argv, capsys, monkeypatch):
-    # f(0) = 2^-nu / Gamma(nu+1) scales the table in the guard context; the right-hand side and the
-    # Maclaurin column take that gamma rounded once instead of a second one at working precision
+    # f(0) = 2^-nu / Gamma(nu+1) scales the table in the guard context; the right-hand side, the Maclaurin
+    # column and eval's reference take that gamma rounded once instead of a second one at working precision
+    # (Gamma(3/2) at nu = 1/2 is a general one too)
     from besselseries import mpcore
 
     calls = []
@@ -431,7 +494,8 @@ def test_a_command_takes_one_general_gamma(argv, capsys, monkeypatch):
     monkeypatch.setattr(mpcore, "_gamma_general", lambda *a: calls.append(a) or general(*a))
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out
-    assert [(x, ctx.working_digits) for x, ctx in calls] == [(Fraction(4, 3), 74)]
+    nu = Fraction(argv[argv.index("--nu") + 1])
+    assert [(x, ctx.working_digits) for x, ctx in calls] == [(nu + 1, 74)]
 
 
 @pytest.mark.parametrize("argv,option", [

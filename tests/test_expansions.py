@@ -716,6 +716,19 @@ def test_eval_expansion_accuracy_claims(ctx):
     assert agreement_digits(got, j0_8, ctx) >= 27
 
 
+def test_bessel_j_ref_with_the_shared_gamma_is_its_own_gamma_bit_for_bit():
+    # Gamma(nu+1) of the guard context rounded once, the one f(0) reads, against the reference's own at working
+    # precision: 420 fractional nu and z > 0 at 44-256 working digits, each side in a fresh context
+    rng = random.Random(20261022)
+    for _ in range(420):
+        q = rng.randint(2, 12)
+        nu = Fraction(rng.choice([p for p in range(1, 20 * q) if math.gcd(p, q) == 1]), q)
+        z, digits = Fraction(rng.randint(1, 2000), rng.randint(20, 200)), rng.randint(44, 256)
+        got = bessel_j_ref(nu, z, PrecisionContext(digits, digits - 10))
+        want = helpers.bessel_j_ref_own_gamma(nu, z, PrecisionContext(digits, digits - 10))
+        assert got.as_tuple() == want.as_tuple(), (nu, z, digits)
+
+
 def test_eval_expansion_trivial_points(ctx):
     # one-term expansions: the recurrence table's first entry against the paper's 1F2 value
     for kind in (Chebyshev(0), Legendre(0)):

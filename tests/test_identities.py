@@ -739,7 +739,8 @@ AUTO_IDS = [
 @pytest.mark.parametrize("identity,params", AUTO_IDS, ids=[i.value for i, _ in AUTO_IDS])
 def test_stop_by_tail_bound_passes_and_bounds_the_true_tail(identity, params, k, sign_flip, ctx, ctx_double):
     # The sum stops by its proven bound; the 40 orders after the stop, summed in absolute
-    # value at doubled precision, must stay within the reported bound.
+    # value at doubled precision, must stay within the reported bound.  They are the traced terms of
+    # one sweep to 40 orders past the stop: its table's entry L is identity_term's, bit for bit.
     step = 2 if identity in (IdentityId.LEGENDRE_J0, IdentityId.LEGENDRE_J1) else 1
     for h in ((0,) if identity == IdentityId.CLENSHAW_SUM_RULE else (0, 3, 10)):
         case = _case(identity, h=h, k=k, lmax=None, sign_flip=sign_flip, **params)
@@ -747,8 +748,11 @@ def test_stop_by_tail_bound_passes_and_bounds_the_true_tail(identity, params, k,
         assert r.passed, (h, r.rel_diff)
         assert r.tail_bound is not None and r.terms_used == sum(
             1 for L in range(first_contributing_order(case), r.lmax + 1, step))
+        longer = _case(identity, h=h, k=k, lmax=r.lmax + 40 * step, sign_flip=sign_flip, **params)
+        tail = [t for L, t in verify_identity(longer, ctx_double, trace=True).terms if L > r.lmax]
+        assert len(tail) == 40 and tail[0].as_tuple() == identity_term(case, r.lmax + step, ctx_double).as_tuple()
         with localcontext(ctx_double.dec):
-            true_tail = sum(abs(identity_term(case, r.lmax + step * j, ctx_double)) for j in range(1, 41))
+            true_tail = sum(abs(t) for t in tail)
             target = Decimal("1e-35") * abs(r.rhs)  # min(tolerance / 10, 10^-(34 + 1)) |rhs|
         assert true_tail <= r.tail_bound <= target, (h, true_tail, r.tail_bound)
 

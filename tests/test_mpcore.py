@@ -18,8 +18,8 @@ from besselseries import (
 from besselseries.mpcore import _gamma_general, _pow
 
 from helpers import (
-    format_decimal_by_quantize, gamma_general_by_ln, machin_pi, neumaier_sum_by_abs, pow_by_decimal_power, rel_diff,
-    ulp_at,
+    format_decimal_by_quantize, format_decimal_per_number, gamma_general_by_ln, machin_pi, neumaier_sum_by_abs,
+    pow_by_decimal_power, rel_diff, ulp_at,
 )
 
 
@@ -222,6 +222,30 @@ def test_format_decimal_matches_the_quantize_oracle():
         if i % 7 == 5:  # 7 and 8 coprime: str and float inputs at every width
             v = str(v) if i % 14 == 5 else rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-80, 40)
         assert format_decimal(v, sig) == format_decimal_by_quantize(v, sig), (v, sig)
+
+
+def test_format_decimal_is_the_per_number_form_on_a_seeded_grid():
+    # 12,000 Decimals at widths 1-100: random coefficients of 1-110 digits at exponents up to +-10^6; runs of
+    # width 9s before a tail, which carry (9.99... -> 10.0); and leading digits at 10^a for a on both sides of
+    # the layout's edges, -6/-5/-4 (the 10^-5 boundary) and width-2/width-1/width, with and without a carry.
+    # Zeros of both signs at every width, and some values passed as str, int and float.
+    rng = random.Random(20261022)
+    for width in range(1, 101):
+        for zero in (Decimal(0), Decimal("-0"), Decimal("0E+9"), Decimal("-0E-700"), 0, "-0"):
+            assert format_decimal(zero, width) == format_decimal_per_number(zero, width) == "0"
+    for i in range(12000):
+        width, digits = rng.randint(1, 100), rng.randint(1, 110)
+        if i % 3 == 0:
+            coefficient, adjusted = str(rng.randint(10 ** (digits - 1), 10**digits - 1)), rng.randint(-10**6, 10**6)
+        else:
+            coefficient = "9" * width + "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 8)))
+            if i % 3 == 2:
+                coefficient = str(rng.randint(10 ** (digits - 1), 10**digits - 1))
+            adjusted = rng.choice((-6, -5, -4, width - 2, width - 1, width))
+        v = Decimal(f"{rng.choice('-+')}{coefficient}E{adjusted - len(coefficient) + 1}")
+        if i % 11 == 5:
+            v = str(v) if i % 3 else int(v) if abs(adjusted) < 200 else float(v) if abs(adjusted) < 300 else v
+        assert format_decimal(v, width) == format_decimal_per_number(v, width), (v, width)
 
 
 def test_format_decimal_third_at_fifty_digits(ctx):
